@@ -108,6 +108,10 @@ linkcheck:
 # The BenchmarkSqDistToRows/BenchmarkSqDistToRowsSQ8 sweeps run every
 # registered kernel (SIMD and portable) and both row stores (float32 and
 # SQ8), so one file holds the kernel-on/off and float-vs-quantized deltas.
+# The BenchmarkDot and BenchmarkSqDist prefixes also select
+# BenchmarkDotRows (projection kernel, hot and cycled tables) and the
+# ...Sparse variants (sorted random candidate lists: what a query scans,
+# where the dense sweeps only show the streaming ceiling).
 bench:
 	$(GO) test ./internal/core ./internal/vec -run '^$$' \
 		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist' \

@@ -44,8 +44,8 @@ var ErrCompactBusy = errors.New("core: compaction already in progress")
 var ErrHammingStatic = errors.New("core: Hamming indexes are static; rebuild to add rows or fold deletes")
 
 // buildTable is lshtable.Build, indirected so tests can inject a build
-// failure into the compaction rebuild and verify the old index state
-// survives intact.
+// failure into the compaction rebuild (every table build goes through
+// group.buildTables) and verify the old index state survives intact.
 var buildTable = lshtable.Build
 
 // memtableCap returns the configured memtable capacity, defaulting when the
@@ -304,23 +304,10 @@ func (ix *Index) compact() ([]int, error) {
 		members[gi] = append(members[gi], id)
 	}
 	groups := make([]*group, len(src.groups))
-	proj := make([]float64, ix.opts.Params.M)
 	for gi, old := range src.groups {
 		g := &group{members: members[gi], fam: old.fam, lat: old.lat, w: old.w}
-		g.tables = make([]*lshtable.Table, len(old.tables))
-		for t := range g.tables {
-			codes := make([]string, len(g.members))
-			ids := make([]int, len(g.members))
-			for i, id := range g.members {
-				g.fam.Project(t, fresh.Row(id), proj)
-				codes[i] = lattice.Key(g.lat.Decode(proj))
-				ids[i] = id
-			}
-			tab, err := buildTable(codes, ids)
-			if err != nil {
-				return nil, fmt.Errorf("core: Compact group %d table %d: %w", gi, t, err)
-			}
-			g.tables[t] = tab
+		if err := g.buildTables(g.members, func(i int) []float32 { return fresh.Row(g.members[i]) }); err != nil {
+			return nil, fmt.Errorf("core: Compact group %d: %w", gi, err)
 		}
 		groups[gi] = g
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"slices"
 	"time"
 
 	"bilsh/internal/knn"
@@ -138,7 +137,7 @@ func (sn *snapshot) probeHammingFlips(s *scratch, stats *QueryStats, g *group, t
 // scan walks candidates in ascending id order and only the two result
 // slices allocate.
 func (sn *snapshot) rankHamming(k int, s *scratch) knn.Result {
-	slices.Sort(s.cands)
+	s.sortCands()
 	h := s.topK(k)
 	if cap(s.dists) < len(s.cands) {
 		s.dists = make([]float64, len(s.cands))

@@ -240,21 +240,8 @@ func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opt
 		return nil, err
 	}
 
-	proj := make([]float64, params.M)
-	g.tables = make([]*lshtable.Table, params.L)
-	for t := 0; t < params.L; t++ {
-		codes := make([]string, len(members))
-		ids := make([]int, len(members))
-		for i, id := range members {
-			fam.Project(t, data.Row(id), proj)
-			codes[i] = lattice.Key(g.lat.Decode(proj))
-			ids[i] = id
-		}
-		tab, err := lshtable.Build(codes, ids)
-		if err != nil {
-			return nil, err
-		}
-		g.tables[t] = tab
+	if err := g.buildTables(members, func(i int) []float32 { return data.Row(members[i]) }); err != nil {
+		return nil, err
 	}
 
 	if opts.ProbeMode == ProbeHierarchy {
@@ -263,6 +250,34 @@ func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opt
 		}
 	}
 	return g, nil
+}
+
+// buildTables hashes the group's rows into its L tables with the group's
+// family and lattice: row(i) is the vector stored under ids[i]. It is the
+// one "project, decode, key" loop behind Build, Compact and the
+// out-of-core build, so the three cannot drift; the projection, code and
+// key buffers are reused across rows (the key string handed to the table
+// is the only per-row allocation).
+func (g *group) buildTables(ids []int, row func(i int) []float32) error {
+	proj := make([]float64, g.fam.M())
+	var code []int32
+	var key []byte
+	codes := make([]string, len(ids)) // lshtable.Build keeps the strings, not the slice
+	g.tables = make([]*lshtable.Table, g.fam.L())
+	for t := range g.tables {
+		for i := range ids {
+			g.fam.Project(t, row(i), proj)
+			code = g.lat.DecodeInto(code, proj)
+			key = lattice.AppendKey(key[:0], code)
+			codes[i] = string(key)
+		}
+		tab, err := buildTable(codes, ids)
+		if err != nil {
+			return fmt.Errorf("table %d: %w", t, err)
+		}
+		g.tables[t] = tab
+	}
+	return nil
 }
 
 // buildHammingGroup builds one group's bit-sampling tables over the global

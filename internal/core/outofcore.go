@@ -14,7 +14,6 @@ import (
 	"bilsh/internal/kmeans"
 	"bilsh/internal/lattice"
 	"bilsh/internal/lshfunc"
-	"bilsh/internal/lshtable"
 	"bilsh/internal/rptree"
 	"bilsh/internal/tuner"
 	"bilsh/internal/vec"
@@ -241,7 +240,7 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 
 	// ---- Pass 3: per-group hashing and table construction.
 	for gi, g := range groups {
-		if err := buildGroupFromSpill(g, spillF[gi], dim, opts); err != nil {
+		if err := buildGroupFromSpill(g, spillF[gi], dim); err != nil {
 			closeSpills()
 			return 0, fmt.Errorf("core: out-of-core group %d: %w", gi, err)
 		}
@@ -328,7 +327,7 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 
 // buildGroupFromSpill loads one group's spilled (id, vector) records and
 // builds its L tables. Only this group's vectors are resident.
-func buildGroupFromSpill(g *group, spill *os.File, dim int, opts Options) error {
+func buildGroupFromSpill(g *group, spill *os.File, dim int) error {
 	if _, err := spill.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
@@ -348,21 +347,5 @@ func buildGroupFromSpill(g *group, spill *os.File, dim int, opts Options) error 
 			rows = append(rows, math.Float32frombits(binary.LittleEndian.Uint32(rec[8+4*j:])))
 		}
 	}
-	proj := make([]float64, opts.Params.M)
-	g.tables = make([]*lshtable.Table, opts.Params.L)
-	for t := 0; t < opts.Params.L; t++ {
-		codes := make([]string, len(ids))
-		tids := make([]int, len(ids))
-		for i := range ids {
-			g.fam.Project(t, rows[i*dim:(i+1)*dim], proj)
-			codes[i] = lattice.Key(g.lat.Decode(proj))
-			tids[i] = ids[i]
-		}
-		tab, err := lshtable.Build(codes, tids)
-		if err != nil {
-			return err
-		}
-		g.tables[t] = tab
-	}
-	return nil
+	return g.buildTables(ids, func(i int) []float32 { return rows[i*dim : (i+1)*dim] })
 }

@@ -268,7 +268,7 @@ func (ix *Index) CandidateList(q []float32) ([]int, QueryStats) {
 	st := sn.gather(q, minCount, s)
 	metCandLists.Inc()
 	recordStages(&st)
-	slices.Sort(s.cands)
+	s.sortCands()
 	ids := make([]int, len(s.cands))
 	for i, id := range s.cands {
 		ids[i] = int(id)
@@ -343,7 +343,7 @@ func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result 
 	if sn.sketches != nil {
 		return sn.rankHamming(k, s)
 	}
-	slices.Sort(s.cands)
+	s.sortCands()
 	h := s.topK(k)
 
 	// Batch the base-matrix distances (ids below data.N, a sorted prefix

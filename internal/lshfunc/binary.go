@@ -79,14 +79,12 @@ func (s *Sketcher) SketchWithMargins(v []float32, out []uint64, marg []float64) 
 	if marg != nil && len(marg) != s.bits {
 		panic(fmt.Sprintf("lshfunc: Sketch margins len %d, want %d", len(marg), s.bits))
 	}
-	for w := range out {
-		out[w] = 0
+	if marg == nil {
+		marg = make([]float64, s.bits)
 	}
-	for i := 0; i < s.bits; i++ {
-		p := vec.Dot(s.planes.Row(i), v)
-		if marg != nil {
-			marg[i] = p
-		}
+	vec.DotRows(marg, s.planes.Data, s.d, v)
+	clear(out)
+	for i, p := range marg {
 		if p >= 0 {
 			out[i>>6] |= 1 << (uint(i) & 63)
 		}
@@ -99,8 +97,9 @@ func (s *Sketcher) SketchAll(m *vec.Matrix) *vec.BinaryMatrix {
 		panic(fmt.Sprintf("lshfunc: SketchAll got dim %d, want %d", m.D, s.d))
 	}
 	bm := vec.NewBinaryMatrix(m.N, s.bits)
+	marg := make([]float64, s.bits) // reused; SketchWithMargins would allocate one per row
 	for i := 0; i < m.N; i++ {
-		s.Sketch(m.Row(i), bm.Row(i))
+		s.SketchWithMargins(m.Row(i), bm.Row(i), marg)
 	}
 	return bm
 }

@@ -113,10 +113,11 @@ func (f *Family) Project(t int, v []float32, out []float64) {
 	if len(out) != f.m {
 		panic(fmt.Sprintf("lshfunc: Project out len %d, want %d", len(out), f.m))
 	}
-	at := f.a[t]
-	bt := f.bFrac[t]
-	for i := 0; i < f.m; i++ {
-		out[i] = vec.Dot(at.Row(i), v)/f.w + bt[i]
+	// One kernel call over the table's contiguous M×D direction matrix
+	// (vec.DotRows runs four rows at a time), then the affine pass.
+	vec.DotRows(out, f.a[t].Data, f.d, v)
+	for i, b := range f.bFrac[t] {
+		out[i] = out[i]/f.w + b
 	}
 }
 

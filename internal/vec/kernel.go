@@ -1,7 +1,7 @@
 package vec
 
-// Kernel dispatch. The distance kernels (Dot, SqDist, SqDistToRows and the
-// SQ8 asymmetric scan) have one portable implementation plus, per
+// Kernel dispatch. The distance kernels (Dot, DotRows, SqDist, SqDistToRows
+// and the SQ8 asymmetric scan) have one portable implementation plus, per
 // architecture, a SIMD implementation selected once at package init:
 //
 //   - amd64: AVX2 (runtime CPUID/XGETBV detection; requires OS YMM state),
@@ -39,6 +39,7 @@ import (
 type kernel struct {
 	name          string
 	dot           func(a, b []float32) float64
+	dotRows       func(out []float64, rows []float32, d int, q []float32)
 	sqDist        func(a, b []float32) float64
 	sqDistToRows  func(out []float64, data []float32, d int, ids []int32, q []float32)
 	sqDistSQ8Rows func(out []float64, codes []uint8, d int, min, scale []float32, ids []int32, q []float32)
@@ -51,6 +52,7 @@ type kernel struct {
 var portableKernel = kernel{
 	name:          "portable",
 	dot:           dotGeneric,
+	dotRows:       dotRowsGeneric,
 	sqDist:        sqDistGeneric,
 	sqDistToRows:  sqDistToRowsGeneric,
 	sqDistSQ8Rows: sqDistSQ8RowsGeneric,
@@ -126,6 +128,23 @@ func Dot(a, b []float32) float64 {
 	return active.dot(a, b)
 }
 
+// DotRows computes the inner product of q with every row of the row-major
+// matrix rows (row i occupies rows[i*d : (i+1)*d]), writing out[i] —
+// bit-identical to Dot(rows[i*d:(i+1)*d], q). This is the projection
+// kernel: one call hashes a vector against a table's whole M×D direction
+// matrix, and the SIMD kernels run four rows at a time so four independent
+// accumulator chains hide the floating-point add latency that a single
+// Dot serializes on.
+func DotRows(out []float64, rows []float32, d int, q []float32) {
+	if len(q) != d {
+		panic(fmt.Sprintf("vec: DotRows query dim %d, want %d", len(q), d))
+	}
+	if len(rows) != len(out)*d {
+		panic(fmt.Sprintf("vec: DotRows matrix len %d, want %d rows of dim %d", len(rows), len(out), d))
+	}
+	active.dotRows(out, rows, d, q)
+}
+
 // SqDist returns the squared Euclidean distance between a and b, with the
 // same 4-lane accumulation as Dot.
 func SqDist(a, b []float32) float64 {
@@ -185,6 +204,12 @@ func dotGeneric(a, b []float32) float64 {
 		s0 += float64(a[i]) * float64(b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+func dotRowsGeneric(out []float64, rows []float32, d int, q []float32) {
+	for i := range out {
+		out[i] = dotGeneric(rows[i*d:(i+1)*d:(i+1)*d], q)
+	}
 }
 
 // sqDistGeneric is the portable SqDist kernel. The float64(d*d)

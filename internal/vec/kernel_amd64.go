@@ -2,6 +2,8 @@
 
 package vec
 
+import "unsafe"
+
 // AVX2 kernel selection. The assembly (kernel_amd64.s) uses VCVTPS2PD to
 // widen float32 lanes to float64 before any arithmetic, so every multiply,
 // subtract and add rounds exactly like the portable kernel's float64
@@ -41,6 +43,9 @@ func hasAVX2() bool {
 func dotBodyAVX2(a, b *float32, blocks int, acc *[4]float64)
 
 //go:noescape
+func dot4BodyAVX2(rows, q *float32, stride, blocks int, acc *[16]float64)
+
+//go:noescape
 func sqDistBodyAVX2(a, b *float32, blocks int, acc *[4]float64)
 
 //go:noescape
@@ -52,6 +57,12 @@ func sqDistSQ8BodyAVX2(c *uint8, q, min, scale *float32, blocks int, acc *[4]flo
 //go:noescape
 func sqDistSQ82BodyAVX2(c0, c1 *uint8, q, min, scale *float32, blocks int, acc *[8]float64)
 
+// prefetch2 prefetches the cache lines at p0 and p1, at every 64 bytes
+// below n, and at byte n-1 (n > 0): the first n bytes of two rows.
+//
+//go:noescape
+func prefetch2(p0, p1 unsafe.Pointer, n int)
+
 // The fixed-name body functions kernel_simd.go calls. They must stay thin
 // direct wrappers (inlined, statically resolved) so the //go:noescape on
 // the stubs above is visible at the shared wrappers' call sites — see the
@@ -59,6 +70,9 @@ func sqDistSQ82BodyAVX2(c0, c1 *uint8, q, min, scale *float32, blocks int, acc *
 
 func dotBody(a, b *float32, blocks int, acc *[4]float64)    { dotBodyAVX2(a, b, blocks, acc) }
 func sqDistBody(a, b *float32, blocks int, acc *[4]float64) { sqDistBodyAVX2(a, b, blocks, acc) }
+func dot4Body(rows, q *float32, stride, blocks int, acc *[16]float64) {
+	dot4BodyAVX2(rows, q, stride, blocks, acc)
+}
 func sqDist2Body(a0, a1, q *float32, blocks int, acc *[8]float64) {
 	sqDist2BodyAVX2(a0, a1, q, blocks, acc)
 }

@@ -55,6 +55,76 @@ dotloop:
 	VZEROUPPER
 	RET
 
+// func dot4BodyAVX2(rows, q *float32, stride, blocks int, acc *[16]float64)
+//
+// Four consecutive rows (stride bytes apart) against one query. One Dot is
+// a single VADDPD dependency chain, latency-bound at one block per add
+// latency; the four chains here (Y0..Y3) are independent and share the
+// widened query, so the loop runs at load/convert throughput instead.
+// Each chain is lane-for-lane the one dotBodyAVX2 computes for its row.
+TEXT ·dot4BodyAVX2(SB), NOSPLIT, $0-40
+	MOVQ rows+0(FP), SI
+	MOVQ q+8(FP), R8
+	MOVQ stride+16(FP), AX
+	MOVQ blocks+24(FP), CX
+	MOVQ acc+32(FP), DX
+	LEAQ (SI)(AX*1), DI  // row 1
+	LEAQ (DI)(AX*1), R9  // row 2
+	LEAQ (R9)(AX*1), R10 // row 3
+	XORQ BX, BX          // byte offset into q and every row
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+dot4loop:
+	VCVTPS2PD (R8)(BX*1), Y4 // q
+	VCVTPS2PD (SI)(BX*1), Y5
+	VCVTPS2PD (DI)(BX*1), Y6
+	VCVTPS2PD (R9)(BX*1), Y7
+	VCVTPS2PD (R10)(BX*1), Y8
+	VMULPD Y4, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VMULPD Y4, Y7, Y7
+	VMULPD Y4, Y8, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ $16, BX
+	DECQ CX
+	JNZ  dot4loop
+
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// func prefetch2(p0, p1 unsafe.Pointer, n int)
+//
+// Touches the cache lines at offsets 0, 64, 128, ... < n of both rows,
+// then the line holding byte n-1 (a row that does not start on a line
+// boundary ends one line later). Requires n > 0.
+TEXT ·prefetch2(SB), NOSPLIT, $0-24
+	MOVQ p0+0(FP), SI
+	MOVQ p1+8(FP), DI
+	MOVQ n+16(FP), CX
+
+pfloop:
+	PREFETCHT0 (SI)
+	PREFETCHT0 (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $64, CX
+	JG   pfloop
+
+	// CX = n - 64*iterations <= 0, so SI+CX-1 is the row's byte n-1.
+	PREFETCHT0 -1(SI)(CX*1)
+	PREFETCHT0 -1(DI)(CX*1)
+	RET
+
 // func sqDistBodyAVX2(a, b *float32, blocks int, acc *[4]float64)
 TEXT ·sqDistBodyAVX2(SB), NOSPLIT, $0-32
 	MOVQ a+0(FP), SI

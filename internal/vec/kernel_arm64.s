@@ -48,6 +48,32 @@ dotloop:
 	VST1 [V0.D2, V1.D2], (R3)
 	RET
 
+// func prefetch2(p0, p1 unsafe.Pointer, n int)
+//
+// Touches the cache lines at offsets 0, 64, 128, ... < n of both rows,
+// then the line holding byte n-1 (a row that does not start on a line
+// boundary ends one line later). Requires n > 0.
+TEXT ·prefetch2(SB), NOSPLIT, $0-24
+	MOVD p0+0(FP), R0
+	MOVD p1+8(FP), R1
+	MOVD n+16(FP), R2
+
+pfloop:
+	PRFM (R0), PLDL1KEEP
+	PRFM (R1), PLDL1KEEP
+	ADD  $64, R0
+	ADD  $64, R1
+	SUBS $64, R2, R2
+	BGT  pfloop
+
+	// R2 = n - 64*iterations <= 0, so R0+R2-1 is the row's byte n-1.
+	SUB  $1, R2
+	ADD  R2, R0
+	ADD  R2, R1
+	PRFM (R0), PLDL1KEEP
+	PRFM (R1), PLDL1KEEP
+	RET
+
 // func sqDistBodyNEON(a, b *float32, blocks int, acc *[4]float64)
 TEXT ·sqDistBodyNEON(SB), NOSPLIT, $0-32
 	MOVD a+0(FP), R0

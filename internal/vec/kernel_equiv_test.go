@@ -177,6 +177,100 @@ func TestKernelEquivalenceSQ8Rows(t *testing.T) {
 	}
 }
 
+// dotRowsDims covers every tail length against every block count up to the
+// point where the 4-row body has run many iterations, then the two
+// dimensions the benchmark workloads use.
+func dotRowsDims() []int {
+	var ds []int
+	for d := 1; d <= 70; d++ {
+		ds = append(ds, d)
+	}
+	return append(ds, 128, 960)
+}
+
+// TestKernelEquivalenceDotRows pins DotRows to per-row Dot on every kernel
+// (portable included): row counts 0..9 cover the 4-row body twice over,
+// each 1-3 row remainder, and the body-less d < 4 case.
+func TestKernelEquivalenceDotRows(t *testing.T) {
+	for _, name := range KernelNames() {
+		t.Run(name, func(t *testing.T) {
+			for _, d := range dotRowsDims() {
+				backing := adversarialFill(9*d+3, 53+uint32(d))
+				q := adversarialFill(d, 59+uint32(d))
+				for n := 0; n <= 9; n++ {
+					// off misaligns the matrix against 16/32-byte boundaries.
+					off := n % 4
+					rows := backing[off : off+n*d]
+					got := make([]float64, n)
+					withKernel(t, name, func() { DotRows(got, rows, d, q) })
+					for i := range got {
+						want := portableKernel.dot(rows[i*d:(i+1)*d], q)
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("d=%d rows=%d row %d: %s DotRows=%v, portable Dot=%v (want bit-exact)", d, n, i, name, got[i], want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestKernelEquivalencePrefetchedScan drives the row scans through their
+// prefetch path: id lists longer than the prefetch distance that start at
+// row 0 and end at the last row (the prefetch addresses furthest from the
+// middle of the matrix), of odd and even length, and lists shorter than
+// the distance, over both row stores.
+func TestKernelEquivalencePrefetchedScan(t *testing.T) {
+	const rows = 64
+	idLists := map[string][]int32{
+		"all":          nil, // filled below: 0..rows-1
+		"odd-count":    nil, // 0, 3, 6, ..., plus the last row: 23 ids
+		"below-window": {0, rows - 1, 5},
+		"window-edge":  {0, 1, 2, 3, 4, 5, 6, 7, 8, rows - 1},
+		"single":       {rows - 1},
+		"none":         {},
+	}
+	for i := int32(0); i < rows; i++ {
+		idLists["all"] = append(idLists["all"], i)
+		if i%3 == 0 {
+			idLists["odd-count"] = append(idLists["odd-count"], i)
+		}
+	}
+	idLists["odd-count"] = append(idLists["odd-count"], rows-1)
+	for _, name := range simdKernelNames() {
+		t.Run(name, func(t *testing.T) {
+			// d=3 has no vector body, d=33 rows straddle cache lines,
+			// d=960 rows exceed the prefetch cap.
+			for _, d := range []int{3, 32, 33, 128, 960} {
+				m := NewMatrix(rows, d)
+				copy(m.Data, adversarialFill(rows*d, 211+uint32(d)))
+				qm := QuantizeSQ8(m)
+				q := adversarialFill(d, 223+uint32(d))
+				for label, ids := range idLists {
+					want := make([]float64, len(ids))
+					got := make([]float64, len(ids))
+					wantQ := make([]float64, len(ids))
+					gotQ := make([]float64, len(ids))
+					portableKernel.sqDistToRows(want, m.Data, d, ids, q)
+					portableKernel.sqDistSQ8Rows(wantQ, qm.Codes, qm.D, qm.Min, qm.Scale, ids, q)
+					withKernel(t, name, func() {
+						SqDistToRows(got, m.Data, d, ids, q)
+						SqDistToRowsSQ8(gotQ, qm, ids, q)
+					})
+					for i := range ids {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("d=%d %s id=%d: %s=%v portable=%v (want bit-exact)", d, label, ids[i], name, got[i], want[i])
+						}
+						if math.Float64bits(gotQ[i]) != math.Float64bits(wantQ[i]) {
+							t.Fatalf("d=%d %s id=%d: SQ8 %s=%v portable=%v (want bit-exact)", d, label, ids[i], name, gotQ[i], wantQ[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestUseKernel(t *testing.T) {
 	if err := UseKernel("no-such-kernel"); err == nil {
 		t.Fatal("UseKernel accepted an unknown kernel name")

@@ -120,35 +120,50 @@ func BenchmarkSqDist(b *testing.B) {
 	}
 }
 
+// forEachKernel runs f as a sub-benchmark under every registered kernel,
+// reporting bytes per op as MB/s.
+func forEachKernel(b *testing.B, prefix string, bytes int64, f func(b *testing.B)) {
+	for _, kern := range KernelNames() {
+		b.Run(prefix+"/"+kern, func(b *testing.B) {
+			prev := KernelName()
+			if err := UseKernel(kern); err != nil {
+				b.Fatal(err)
+			}
+			defer UseKernel(prev)
+			b.SetBytes(bytes)
+			b.ResetTimer()
+			f(b)
+		})
+	}
+}
+
+func denseIDs(rows int) []int32 {
+	ids := make([]int32, rows)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 // BenchmarkSqDistToRows sweeps dimension (SIFT-ish 128 and the paper's
-// GIST 960) × row count (cache-resident 1k, memory-bound 64k) × kernel, so
-// future PRs can diff kernel throughput directly. MB/s counts the float32
-// row bytes streamed per scan.
+// GIST 960) × row count (cache-resident 1k, memory-bound 64k) × kernel
+// over the DENSE id list 0..rows-1, which streams the matrix: the hardware
+// prefetcher hides every miss, so this is the kernels' arithmetic ceiling,
+// not what a query sees (see BenchmarkSqDistToRowsSparse). MB/s counts the
+// float32 row bytes streamed per scan.
 func BenchmarkSqDistToRows(b *testing.B) {
 	for _, d := range []int{128, 960} {
 		for _, rows := range []int{1 << 10, 1 << 16} {
 			m := NewMatrix(rows, d)
 			copy(m.Data, fill(rows*d, 21))
 			q := fill(d, 23)
-			ids := make([]int32, rows)
-			for i := range ids {
-				ids[i] = int32(i)
-			}
+			ids := denseIDs(rows)
 			out := make([]float64, rows)
-			for _, kern := range KernelNames() {
-				b.Run("d"+itoa(d)+"/rows"+itoa(rows)+"/"+kern, func(b *testing.B) {
-					prev := KernelName()
-					if err := UseKernel(kern); err != nil {
-						b.Fatal(err)
-					}
-					defer UseKernel(prev)
-					b.SetBytes(int64(rows) * int64(d) * 4)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						SqDistToRows(out, m.Data, d, ids, q)
-					}
-				})
-			}
+			forEachKernel(b, "d"+itoa(d)+"/rows"+itoa(rows), int64(rows)*int64(d)*4, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					SqDistToRows(out, m.Data, d, ids, q)
+				}
+			})
 		}
 	}
 }
@@ -163,27 +178,112 @@ func BenchmarkSqDistToRowsSQ8(b *testing.B) {
 			copy(m.Data, fill(rows*d, 21))
 			qm := QuantizeSQ8(m)
 			q := fill(d, 23)
-			ids := make([]int32, rows)
-			for i := range ids {
-				ids[i] = int32(i)
-			}
+			ids := denseIDs(rows)
 			out := make([]float64, rows)
-			for _, kern := range KernelNames() {
-				b.Run("d"+itoa(d)+"/rows"+itoa(rows)+"/"+kern, func(b *testing.B) {
-					prev := KernelName()
-					if err := UseKernel(kern); err != nil {
-						b.Fatal(err)
-					}
-					defer UseKernel(prev)
-					b.SetBytes(int64(rows) * int64(d))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						SqDistToRowsSQ8(out, qm, ids, q)
-					}
-				})
-			}
+			forEachKernel(b, "d"+itoa(d)+"/rows"+itoa(rows), int64(rows)*int64(d), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					SqDistToRowsSQ8(out, qm, ids, q)
+				}
+			})
 		}
 	}
+}
+
+// sparseShapes are the candidate lists real queries hand the row scans
+// (bench/ workloads scan-60k-d128, probe-100k-d32, hash-10k-d960): a
+// sorted random subset of about 1 row in 37 — every row a cache miss no
+// stream prefetcher predicts. d=960 is the bypass case: rows are 60 cache
+// lines, so the per-row miss is amortized and prefetch should not matter.
+var sparseShapes = []struct{ rows, d, ids int }{
+	{60000, 128, 1600},
+	{100000, 32, 2700},
+	{10000, 960, 220},
+}
+
+// sparseIDSets draws `sets` sorted random k-subsets of 0..rows-1
+// (selection sampling). Benchmarks cycle through them so the scanned rows
+// are out of cache when their turn comes, like a fresh query's.
+func sparseIDSets(rows, k, sets int, seed uint32) [][]int32 {
+	state := seed
+	out := make([][]int32, sets)
+	for s := range out {
+		ids := make([]int32, 0, k)
+		for i := 0; len(ids) < k; i++ {
+			state ^= state << 13
+			state ^= state >> 17
+			state ^= state << 5
+			if uint64(state)*uint64(rows-i) < uint64(k-len(ids))<<32 {
+				ids = append(ids, int32(i))
+			}
+		}
+		out[s] = ids
+	}
+	return out
+}
+
+// BenchmarkSqDistToRowsSparse is the short-list scan as a query runs it;
+// one op is one candidate list, MB/s counts the row bytes it touches.
+func BenchmarkSqDistToRowsSparse(b *testing.B) {
+	for _, sh := range sparseShapes {
+		m := NewMatrix(sh.rows, sh.d)
+		copy(m.Data, fill(sh.rows*sh.d, 21))
+		q := fill(sh.d, 23)
+		sets := sparseIDSets(sh.rows, sh.ids, 16, 29)
+		out := make([]float64, sh.ids)
+		forEachKernel(b, "d"+itoa(sh.d)+"/rows"+itoa(sh.rows)+"/ids"+itoa(sh.ids), int64(sh.ids)*int64(sh.d)*4, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				SqDistToRows(out, m.Data, sh.d, sets[i%len(sets)], q)
+			}
+		})
+	}
+}
+
+// BenchmarkSqDistToRowsSQ8Sparse is the sparse scan over the SQ8 store.
+func BenchmarkSqDistToRowsSQ8Sparse(b *testing.B) {
+	for _, sh := range sparseShapes {
+		m := NewMatrix(sh.rows, sh.d)
+		copy(m.Data, fill(sh.rows*sh.d, 21))
+		qm := QuantizeSQ8(m)
+		q := fill(sh.d, 23)
+		sets := sparseIDSets(sh.rows, sh.ids, 16, 29)
+		out := make([]float64, sh.ids)
+		forEachKernel(b, "d"+itoa(sh.d)+"/rows"+itoa(sh.rows)+"/ids"+itoa(sh.ids), int64(sh.ids)*int64(sh.d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				SqDistToRowsSQ8(out, qm, sets[i%len(sets)], q)
+			}
+		})
+	}
+}
+
+// BenchmarkDotRows is the projection kernel at GIST scale (M=16 hash
+// functions × d=960): "hot" re-projects onto one table (the Build inner
+// loop, which hashes every row against the same table), "cycled" walks 16
+// groups × 32 tables = 31 MB of direction matrices, one table per op, the
+// way successive queries do. "perrow" is the per-row Dot loop DotRows
+// replaced, for the kernel-vs-kernel delta.
+func BenchmarkDotRows(b *testing.B) {
+	const m, d, tables = 16, 960, 16 * 32
+	q := fill(d, 23)
+	out := make([]float64, m)
+	all := fill(tables*m*d, 31)
+	forEachKernel(b, "hot", m*d*4, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			DotRows(out, all[:m*d], d, q)
+		}
+	})
+	forEachKernel(b, "hot-perrow", m*d*4, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < m; r++ {
+				out[r] = Dot(all[r*d:(r+1)*d], q)
+			}
+		}
+	})
+	forEachKernel(b, "cycled", m*d*4, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t := i % tables
+			DotRows(out, all[t*m*d:(t+1)*m*d], d, q)
+		}
+	})
 }
 
 func itoa(n int) string {
