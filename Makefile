@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset
+.PHONY: check vet build test race fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset contract
 
 check: vet build race
 
@@ -74,7 +74,26 @@ dataset:
 # the test suite against it.
 noasm:
 	$(GO) build -tags noasm ./...
-	$(GO) test -tags noasm ./internal/vec ./internal/core
+	$(GO) test -tags noasm ./internal/vec ./internal/core ./internal/lshtable ./internal/cuckoo ./internal/multiprobe
+
+# Benchmark contract (see bench/README.md, docs/performance.md): a change
+# edits the benchmark — BENCHMARK.json or anything under bench/ — or the
+# code it measures, never both, so parent and change are always compared
+# by identical harness code. Fails when the diff against the merge base
+# with BASE (a ref; CI passes the pull request's target branch) mixes the
+# two.
+BASE ?= origin/main
+contract:
+	@files=$$(git diff --name-only $$(git merge-base HEAD $(BASE))) || exit 1; \
+	bench=$$(printf '%s\n' "$$files" | grep -E '^(BENCHMARK\.json$$|bench/)' || true); \
+	other=$$(printf '%s\n' "$$files" | grep -vE '^(BENCHMARK\.json$$|bench/|$$)' || true); \
+	if [ -n "$$bench" ] && [ -n "$$other" ]; then \
+		echo "contract: the benchmark and the code it measures change together:"; \
+		printf '  benchmark: %s\n' $$bench; \
+		printf '  other:     %s\n' $$other; \
+		exit 1; \
+	fi; \
+	echo "contract: ok"
 
 # Sharded-serving benchmark (see docs/sharding.md): builds an in-process
 # 4-shard cluster (leaf-aware shard map, id maps, HTTP shard servers +
@@ -112,9 +131,13 @@ linkcheck:
 # BenchmarkDotRows (projection kernel, hot and cycled tables) and the
 # ...Sparse variants (sorted random candidate lists: what a query scans,
 # where the dense sweeps only show the streaming ceiling).
+# BenchmarkRingProbesInto and BenchmarkBucketLookupBlock are the two halves
+# of a multi-probe gather as a query runs them: ring generation on a reused
+# scratch over cycled projections, and a table's 128 probe keys resolved as
+# one block against key by key over cycled (cold) tables.
 bench:
-	$(GO) test ./internal/core ./internal/vec -run '^$$' \
-		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist' \
+	$(GO) test ./internal/core ./internal/vec ./internal/multiprobe ./internal/lshtable -run '^$$' \
+		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock' \
 		-benchmem -count=1 -json > BENCH_query.json
 	@echo "wrote BENCH_query.json"
 

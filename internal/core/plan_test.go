@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"bilsh/internal/lattice"
+	"bilsh/internal/multiprobe"
 )
 
 // TestPlanValidate is the table-driven contract of Plan.Validate: every
@@ -246,6 +249,90 @@ func TestPlanEarlyTermination(t *testing.T) {
 				t.Fatalf("StableProbes=%d terminated every query early", planLimit)
 			}
 		})
+	}
+	t.Run("multiprobe block lookup", testTerminationBlockLookup)
+}
+
+// refGatherPlanMulti is the multi-probe arm of the probe loop as it was
+// before probe keys were looked up in blocks: every key resolved on its own
+// with BucketBytes, and rp.stop consulted after every probe.
+func refGatherPlanMulti(ix *Index, q []float32, rp *resolvedPlan) (map[int]struct{}, PlanStats) {
+	sn := ix.loadSnap()
+	gi := sn.groupOf(q)
+	g := sn.groups[gi]
+	ps := PlanStats{QueryStats: QueryStats{Group: gi}, ResolvedTables: rp.tables, ResolvedProbes: rp.probes}
+	set := make(map[int]struct{})
+	add := func(ids []int) {
+		for _, id := range ids {
+			if !sn.isDeleted(id) {
+				ps.Scanned++
+				set[id] = struct{}{}
+			}
+		}
+	}
+	proj := make([]float64, sn.opts.Params.M)
+	var mp multiprobe.Scratch
+	var ts termState
+	for t := 0; t < rp.tables && !ps.TerminatedEarly; t++ {
+		ps.TablesProbed = t + 1
+		g.fam.Project(t, q, proj)
+		multiprobe.ProbesInto(&mp, g.lat, proj, rp.probes)
+		for p := 0; p < mp.Probes(); p++ {
+			ps.Probes++
+			key := lattice.AppendKey(nil, mp.Probe(p))
+			add(g.tables[t].BucketBytes(key))
+			add(ix.overlayBucket(gi, t, string(key)))
+			if rp.term() && rp.stop(&ts, len(set)) {
+				ps.TerminatedEarly = true
+				break
+			}
+		}
+	}
+	ps.Candidates = len(set)
+	return set, ps
+}
+
+// testTerminationBlockLookup: with probe keys resolved a block at a time, a
+// terminating plan must still stop after exactly the probe the per-key
+// loop stopped after — same ids and distances, same Probes, Scanned,
+// TablesProbed and TerminatedEarly — on an E8 multi-probe index with
+// frozen overlay segments, an active memtable and tombstones.
+func testTerminationBlockLookup(t *testing.T) {
+	ix, qs := equivIndex(t, LatticeE8, ProbeMulti, true)
+	const k = 7
+	plans := []Plan{
+		{K: k},
+		{K: k, MaxCandidates: 1},
+		{K: k, MaxCandidates: 25},
+		{K: k, StableProbes: 3},
+		{K: k, StableProbes: 9, MaxCandidates: 60, Probes: 100},
+		{K: k, StableProbes: 40, Probes: 300, Tables: 3}, // into the second ring
+	}
+	early, midTable := 0, 0
+	for _, p := range plans {
+		rp := ix.loadSnap().resolve(p)
+		for qi := 0; qi < qs.N; qi++ {
+			q := qs.Row(qi)
+			got, gotPS := ix.QueryPlan(q, p)
+			set, wantPS := refGatherPlanMulti(ix, q, &rp)
+			want := refRank(ix, q, set, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("plan %+v query %d: result mismatch\n got %+v\nwant %+v", p, qi, got, want)
+			}
+			gotPS.Timings = StageTimings{}
+			if gotPS != wantPS {
+				t.Fatalf("plan %+v query %d: stats mismatch\n got %+v\nwant %+v", p, qi, gotPS, wantPS)
+			}
+			if gotPS.TerminatedEarly {
+				early++
+				if gotPS.Probes%rp.probes != 0 {
+					midTable++
+				}
+			}
+		}
+	}
+	if early == 0 || midTable == 0 {
+		t.Fatalf("%d early terminations, %d inside a table's probe block: the plans no longer exercise the per-probe stop", early, midTable)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"bilsh/internal/knn"
 	"bilsh/internal/lattice"
+	"bilsh/internal/lshtable"
 	"bilsh/internal/multiprobe"
 	"bilsh/internal/topk"
 	"bilsh/internal/vec"
@@ -191,26 +192,27 @@ func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, mode ProbeMode, hi
 			scanStart := time.Now()
 			stats.Probes++
 			sn.addCandidates(s, stats, g.tables[t].BucketBytes(s.key))
-			sn.addOverlayCandidates(s, stats, gi, t)
+			sn.addOverlayCandidates(s, stats, gi, t, s.key)
 			stats.Timings.Scan += time.Since(scanStart)
 			stop = term && rp.stop(&ts, len(s.cands))
 
 		case ProbeMulti:
-			switch lat := g.lat.(type) {
-			case *lattice.ZM:
-				multiprobe.ZMProbesInto(&s.mp, lat, s.proj, rp.probes)
-			case *lattice.E8:
-				multiprobe.E8ProbesInto(&s.mp, lat, s.proj, rp.probes)
-			case *lattice.Dn:
-				multiprobe.DnProbesInto(&s.mp, lat, s.proj, rp.probes)
-			}
+			multiprobe.ProbesInto(&s.mp, g.lat, s.proj, rp.probes)
 			stats.Timings.Probe += time.Since(probeStart)
 			scanStart := time.Now()
-			for p := 0; p < s.mp.Probes(); p++ {
+			// All of the table's probe keys exist before the first lookup,
+			// so they are resolved as one block (misses overlapped, see
+			// lshtable.LookupBlock) and only then walked, in probe order.
+			s.key = lattice.AppendKey(s.key[:0], s.mp.Codes())
+			keyLen := 4 * g.lat.CodeLen()
+			s.ords = g.tables[t].LookupBlock(s.ords[:0], s.key, keyLen)
+			for p, b := range s.ords {
 				stats.Probes++
-				s.key = lattice.AppendKey(s.key[:0], s.mp.Probe(p))
-				sn.addCandidates(s, stats, g.tables[t].BucketBytes(s.key))
-				sn.addOverlayCandidates(s, stats, gi, t)
+				if b != lshtable.NoBucket {
+					_, ids := g.tables[t].BucketByOrdinal(int(b))
+					sn.addCandidates(s, stats, ids)
+				}
+				sn.addOverlayCandidates(s, stats, gi, t, s.key[p*keyLen:(p+1)*keyLen])
 				if term && rp.stop(&ts, len(s.cands)) {
 					stop = true
 					break
@@ -240,7 +242,7 @@ func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, mode ProbeMode, hi
 			sn.addCandidates32(s, stats, s.hierIDs)
 			// Overlay inserts are only reachable through their exact
 			// bucket code until Compact folds them into the hierarchy.
-			sn.addOverlayCandidates(s, stats, gi, t)
+			sn.addOverlayCandidates(s, stats, gi, t, s.key)
 			stats.Timings.Scan += time.Since(scanStart)
 			stop = term && rp.stop(&ts, len(s.cands))
 		}

@@ -27,7 +27,8 @@ import (
 // next begin from the candidate list, in O(candidates).
 type scratch struct {
 	proj      []float64 // projection buffer (len M)
-	key       []byte    // bucket key byte buffer
+	key       []byte    // bucket key byte buffer; under ProbeMulti, all of a table's probe keys back to back
+	ords      []int32   // bucket ordinals of the probe-key block (lshtable.LookupBlock)
 	okey      []byte    // composed overlay key buffer (group+table prefix)
 	cands     []int32   // deduplicated candidate ids: collection order until sortCands, ascending after
 	seen      []uint64  // bit id set <=> id is in cands and not yet drained

@@ -158,16 +158,16 @@ func (sn *snapshot) overlayGroupCounts() []int {
 }
 
 // addOverlayCandidates collects overlay ids whose bucket matches the
-// lattice key currently in s.key, walking frozen segments in seal order
+// lattice key, walking frozen segments in seal order
 // and then the active memtable, which preserves global insertion order —
 // the same order the single pre-snapshot overlay map produced.
-func (sn *snapshot) addOverlayCandidates(s *scratch, st *QueryStats, gi, t int) {
+func (sn *snapshot) addOverlayCandidates(s *scratch, st *QueryStats, gi, t int, key []byte) {
 	memN := sn.mem.len()
 	if sn.frozenN == 0 && memN == 0 {
 		return
 	}
 	s.okey = appendOverlayKey(s.okey[:0], gi, t)
-	s.okey = append(s.okey, s.key...)
+	s.okey = append(s.okey, key...)
 	for _, seg := range sn.frozen {
 		if ids := seg.buckets[string(s.okey)]; len(ids) > 0 {
 			sn.addCandidates32(s, st, ids)

@@ -11,8 +11,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"bilsh/internal/cuckoo"
+	"bilsh/internal/vec"
 )
 
 // Table is one immutable LSH hash table.
@@ -131,6 +133,94 @@ func (t *Table) bucketOrdinalBytes(key []byte) (int, bool) {
 		return 0, false
 	}
 	return b, true
+}
+
+// NoBucket is LookupBlock's result for a key the table does not hold.
+const NoBucket = -1
+
+// lookupChunk is how many keys LookupBlock resolves per round of passes:
+// enough independent misses in flight to cover memory latency several
+// times over, few enough that every prefetched line (two slots per key,
+// up to four lines per hit) is still in L1 when its pass arrives, and a
+// fixed size so the per-pass state lives on the stack.
+const lookupChunk = 64
+
+// LookupBlock resolves a block of equal-length keys — keys holds them back
+// to back, keyLen bytes each — and appends one bucket ordinal per key to
+// dst, NoBucket for absent keys; BucketByOrdinal turns an ordinal into the
+// bucket's ids. The result is exactly bucketOrdinalBytes key by key.
+//
+// A multi-probe query knows all of a table's probe keys before it looks up
+// the first, and each lookup is a chain of dependent random loads: a cuckoo
+// slot or two, then on a hit the bucket's key header and interval, then
+// the key bytes and the ids themselves. LookupBlock walks the chain one
+// link at a time across the whole chunk, prefetching every key's next link
+// before touching anyone's current one, so the misses of a block overlap
+// instead of adding up.
+func (t *Table) LookupBlock(dst []int32, keys []byte, keyLen int) []int32 {
+	if keyLen <= 0 {
+		return dst
+	}
+	if t.overflow != nil {
+		// Colliding buckets are only reachable by their exact key.
+		for ; len(keys) >= keyLen; keys = keys[keyLen:] {
+			b, ok := t.bucketOrdinalBytes(keys[:keyLen])
+			if !ok {
+				b = NoBucket
+			}
+			dst = append(dst, int32(b))
+		}
+		return dst
+	}
+	var cks [lookupChunk]uint64
+	var ords [lookupChunk]int32
+	for len(keys) >= keyLen {
+		n := min(len(keys)/keyLen, lookupChunk)
+		chunk := keys[:n*keyLen]
+		keys = keys[n*keyLen:]
+		compressKeys(cks[:n], chunk, keyLen)
+		for _, ck := range cks[:n] {
+			t.index.PrefetchSlots(ck)
+		}
+		for i := 0; i < n; i++ {
+			b, ok := t.index.Get(cks[i])
+			if !ok {
+				ords[i] = NoBucket
+				continue
+			}
+			ords[i] = int32(b)
+			vec.Prefetch(unsafe.Pointer(&t.keys[b]))
+			vec.Prefetch(unsafe.Pointer(&t.starts[b]))
+		}
+		for _, b := range ords[:n] {
+			if b == NoBucket {
+				continue
+			}
+			vec.Prefetch(unsafe.Pointer(unsafe.StringData(t.keys[b])))
+			if at := t.starts[b]; at < len(t.ids) {
+				vec.Prefetch(unsafe.Pointer(&t.ids[at]))
+			}
+		}
+		for i, b := range ords[:n] {
+			if b != NoBucket && t.keys[b] != string(chunk[i*keyLen:(i+1)*keyLen]) {
+				b = NoBucket // compressed-key collision with an absent key
+			}
+			dst = append(dst, b)
+		}
+	}
+	return dst
+}
+
+// compressKeys folds each keyLen-byte key of keys to its cuckoo key. It is
+// a function of its own so that the hash's byte loop, a chain of dependent
+// multiplies, keeps its accumulator in a register (inlined into
+// LookupBlock it is spilled to the stack on every byte).
+//
+//go:noinline
+func compressKeys(dst []uint64, keys []byte, keyLen int) {
+	for i := range dst {
+		dst[i] = cuckoo.Compress64(keys[i*keyLen : (i+1)*keyLen])
+	}
 }
 
 // BucketByOrdinal returns bucket b's key and ids in sorted-key order,

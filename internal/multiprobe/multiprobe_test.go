@@ -1,6 +1,7 @@
 package multiprobe
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -259,6 +260,40 @@ func BenchmarkE8Probes240(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		E8Probes(e, y, 241)
+	}
+}
+
+// BenchmarkRingProbesInto is probe generation as a query runs it: a reused
+// scratch and a different projection per call (64 cycled), at the counts
+// that select part of the first ring (128), all of it (241 on one E8
+// block) and a second ring (500 on one block).
+func BenchmarkRingProbesInto(b *testing.B) {
+	type gen struct {
+		name string
+		m    int
+		into func(s *Scratch, y []float64, count int)
+	}
+	e8, e16, dn := lattice.NewE8(8), lattice.NewE8(16), lattice.NewDn(8)
+	gens := []gen{
+		{"E8/M=8", 8, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e8, y, n) }},
+		{"E8/M=16", 16, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e16, y, n) }},
+		{"Dn/M=8", 8, func(s *Scratch, y []float64, n int) { DnProbesInto(s, dn, y, n) }},
+	}
+	for _, g := range gens {
+		rng := xrand.New(3)
+		ys := make([][]float64, 64)
+		for i := range ys {
+			ys[i] = randomY(rng, g.m, 3)
+		}
+		for _, count := range []int{128, 241, 500} {
+			b.Run(fmt.Sprintf("%s/count=%d", g.name, count), func(b *testing.B) {
+				var s Scratch
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g.into(&s, ys[i%len(ys)], count)
+				}
+			})
+		}
 	}
 }
 

@@ -2,7 +2,12 @@
 
 package vec
 
+import "unsafe"
+
 // archKernels reports no SIMD kernels: either the build excluded assembly
 // with `-tags noasm` or the architecture has no kernel implementation.
 // The portable kernel carries the load.
 func archKernels() []*kernel { return nil }
+
+// Prefetch is a no-op without assembly; see kernel_simd.go.
+func Prefetch(unsafe.Pointer) {}

@@ -62,6 +62,12 @@ const (
 	prefetchMaxBytes = 512
 )
 
+// Prefetch hints that the cache line holding *p is about to be read. It is
+// for callers outside this package that know a block of dependent random
+// loads in advance (the bucket index's block lookup); it never faults,
+// changes no result, and is a no-op where there is no assembly.
+func Prefetch(p unsafe.Pointer) { prefetch2(p, p, 1) }
+
 // newSIMDKernel builds the architecture's kernel under its display name.
 func newSIMDKernel(name string) *kernel {
 	return &kernel{
