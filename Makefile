@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset contract
+.PHONY: check vet build test race race-builders fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset contract
 
 check: vet build race
 
@@ -15,8 +15,15 @@ build:
 test:
 	$(GO) test ./...
 
-race:
+race: race-builders
 	$(GO) test -race ./...
+
+# Build and Compact hash the level-1 groups on up to GOMAXPROCS workers; on
+# a two-core runner the default never has more than two in flight, so the
+# build, compaction and equivalence tests also run with four.
+race-builders:
+	GOMAXPROCS=4 $(GO) test -race ./internal/core -count=1 \
+		-run 'Build|Compact|Equivalent|MatchesReference|WorkerCount'
 
 fmt:
 	gofmt -l -w .
@@ -135,9 +142,13 @@ linkcheck:
 # of a multi-probe gather as a query runs them: ring generation on a reused
 # scratch over cycled projections, and a table's 128 probe keys resolved as
 # one block against key by key over cycled (cold) tables.
+# BenchmarkBuild and BenchmarkCompact are the write side: the two index
+# shapes that bracket the repository benchmark's workloads, each at
+# GOMAXPROCS 1 and 2, so allocs/op and the scaling with a second core are
+# on record without the harness.
 bench:
 	$(GO) test ./internal/core ./internal/vec ./internal/multiprobe ./internal/lshtable -run '^$$' \
-		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock' \
+		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkBuild$$|BenchmarkCompact$$' \
 		-benchmem -count=1 -json > BENCH_query.json
 	@echo "wrote BENCH_query.json"
 
@@ -150,10 +161,11 @@ bench-adaptive:
 	$(GO) run ./cmd/bilsh adaptive-bench -out BENCH_adaptive.json
 
 # Concurrency benchmarks: per-op latency under mixed read/write load on the
-# snapshot-based index, plus the global-RWMutex baseline it replaced (see
+# snapshot-based index, the global-RWMutex baseline it replaced, and read
+# latency while a background compaction rebuilds beside the reader (see
 # docs/performance.md and docs/concurrency.md).
 bench-concurrency:
 	$(GO) test ./internal/core -run '^$$' \
-		-bench 'BenchmarkMixedReadWrite|BenchmarkRWMutexMixedReadWrite' \
+		-bench 'BenchmarkMixedReadWrite|BenchmarkRWMutexMixedReadWrite|BenchmarkQueryDuringCompact' \
 		-benchmem -count=1 -json > BENCH_concurrency.json
 	@echo "wrote BENCH_concurrency.json"

@@ -92,3 +92,31 @@ func TestAppendKeyAllocs(t *testing.T) {
 		t.Fatalf("AppendKey image differs from Key")
 	}
 }
+
+// TestBuildTablesAllocsPerTable pins the build's hashing loop: with a
+// worker's scratch grown once, hashing a group into its L tables allocates
+// the tables — a handful of arrays each — and nothing per row.
+func TestBuildTablesAllocsPerTable(t *testing.T) {
+	ix, _ := allocIndex(t, ProbeSingle)
+	sn := ix.loadSnap()
+	old := sn.groups[0]
+	var s hashScratch
+	hash := func(rows int) float64 {
+		ids := make([]int, rows)
+		for i := range ids {
+			ids[i] = i % sn.data.N
+		}
+		g := &group{fam: old.fam, lat: old.lat, w: old.w}
+		return testing.AllocsPerRun(3, func() {
+			if err := g.buildTables(&s, ids, func(i int) []float32 { return sn.data.Row(ids[i]) }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	hash(6000) // grow the scratch to its high-water mark
+	few, many := hash(60), hash(6000)
+	perTable := many / float64(old.fam.L())
+	if many > few+float64(old.fam.L()) || perTable > 16 {
+		t.Fatalf("hashing 6000 rows allocates %.0f times (%.1f per table), 60 rows %.0f: want O(tables)", many, perTable, few)
+	}
+}

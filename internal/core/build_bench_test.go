@@ -1,0 +1,91 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"bilsh/internal/dataset"
+	"bilsh/internal/lshfunc"
+	"bilsh/internal/vec"
+	"bilsh/internal/xrand"
+)
+
+// buildShapes are the two index shapes that bracket the repository
+// benchmark's workloads on the build side: wide rows where projection is
+// nearly all of a build (hash-10k-d960), and many narrow rows where the
+// partitioner, the lattice decode and the table sort are (probe-100k-d32).
+var buildShapes = []struct {
+	name string
+	n, d int
+	opts Options
+}{
+	{"n=10k,d=960,ZM,L=32", 10000, 960, Options{
+		Partitioner: PartitionRPTree, Groups: 16, AutoTuneW: true,
+		Params:    lshfunc.Params{M: 16, L: 32, W: 1},
+		ProbeMode: ProbeSingle,
+	}},
+	{"n=100k,d=32,E8,L=8", 100000, 32, Options{
+		Partitioner: PartitionRPTree, Groups: 16, AutoTuneW: true,
+		Lattice: LatticeE8, TuneTargetRecall: 0.4,
+		Params:    lshfunc.Params{M: 8, L: 8, W: 1},
+		ProbeMode: ProbeMulti, Probes: 128,
+	}},
+}
+
+// benchBuildShapes runs fn for every shape at GOMAXPROCS 1 and 2, so one
+// -benchmem run shows both what a build allocates and how it scales with a
+// second core.
+func benchBuildShapes(b *testing.B, fn func(b *testing.B, data *vec.Matrix, opts Options)) {
+	for _, shape := range buildShapes {
+		data, _, err := dataset.Clustered(dataset.DefaultClusteredSpec(shape.n, shape.d), xrand.New(3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, procs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/procs=%d", shape.name, procs), func(b *testing.B) {
+				setProcs(b, procs)
+				fn(b, data, shape.opts)
+			})
+		}
+		runtime.GC() // drop this shape's rows before the next is generated
+	}
+}
+
+// BenchmarkBuild measures core.Build end to end.
+func BenchmarkBuild(b *testing.B) {
+	benchBuildShapes(b, func(b *testing.B, data *vec.Matrix, opts Options) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Build(data, opts, xrand.New(11)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCompact measures a synchronous Compact that folds one insert
+// and one delete: the smallest overlay that makes it rebuild every group,
+// so the figure is the rebuild's, not the overlay's.
+func BenchmarkCompact(b *testing.B) {
+	benchBuildShapes(b, func(b *testing.B, data *vec.Matrix, opts Options) {
+		ix, err := Build(data, opts, xrand.New(11))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			id, err := ix.Insert(data.Row(i % data.N))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix.Delete(id)
+			b.StartTimer()
+			if _, err := ix.Compact(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

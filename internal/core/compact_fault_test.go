@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"bilsh/internal/lshfunc"
@@ -10,15 +13,41 @@ import (
 	"bilsh/internal/vec"
 )
 
+// setProcs runs the rest of the test at GOMAXPROCS n — the only bound on the
+// build's worker count — and restores the previous value when it ends.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestCompactBuildFailureLeavesIndexIntact injects a table-build failure
 // partway through the compaction rebuild (via the buildTable hook) and
 // verifies the published index is untouched: same live count, identical
 // query results, and a subsequent Compact succeeds. This is the regression
 // test for the partial-mutation bug class: a failed rebuild must never
-// publish half-swapped state or leave the compaction latch held.
+// publish half-swapped state or leave the compaction latch held. Groups
+// rebuild concurrently, so it also checks that a failure stops the rebuild:
+// the injected error is the one returned and the workers stop claiming
+// groups. Every table build from the fifth on fails, which makes the count
+// exact whatever the scheduler does: a worker's first failed build is its
+// last call, so at most four succeed and one fails per worker.
 func TestCompactBuildFailureLeavesIndexIntact(t *testing.T) {
-	ix, data := dynamicIndex(t, Options{Partitioner: PartitionRPTree, Groups: 4,
-		Params: lshfunc.Params{M: 4, L: 3, W: 4}})
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			setProcs(t, procs)
+			testCompactBuildFailure(t)
+		})
+	}
+}
+
+func testCompactBuildFailure(t *testing.T) {
+	const groups, tables, failAt = 16, 3, 5
+	ix, data := dynamicIndex(t, Options{Partitioner: PartitionRPTree, Groups: groups,
+		Params: lshfunc.Params{M: 4, L: tables, W: 4}})
+	if ix.NumGroups() != groups {
+		t.Fatalf("built %d groups, want %d", ix.NumGroups(), groups)
+	}
 	for i := 0; i < 15; i++ {
 		v := vec.Clone(data.Row(i))
 		v[0] += 0.01
@@ -48,19 +77,20 @@ func TestCompactBuildFailureLeavesIndexIntact(t *testing.T) {
 	boom := errors.New("injected table build failure")
 	orig := buildTable
 	defer func() { buildTable = orig }()
-	calls := 0
-	buildTable = func(codes []string, ids []int) (*lshtable.Table, error) {
-		calls++
-		if calls == 5 { // fail mid-rebuild: some groups already built
+	var calls atomic.Int64
+	buildTable = func(keys []byte, keyLen int, ids []int) (*lshtable.Table, error) {
+		if calls.Add(1) >= failAt { // fail mid-rebuild: some groups already built
 			return nil, boom
 		}
-		return orig(codes, ids)
+		return orig(keys, keyLen, ids)
 	}
 	if _, err := ix.Compact(); !errors.Is(err, boom) {
 		t.Fatalf("Compact error = %v, want injected failure", err)
 	}
-	if calls != 5 {
-		t.Fatalf("rebuild continued after failure: %d build calls", calls)
+	workers := min(runtime.GOMAXPROCS(0), groups)
+	if got, limit := int(calls.Load()), failAt-1+workers; got > limit {
+		t.Fatalf("rebuild continued after failure: %d build calls with %d workers, want <= %d of %d",
+			got, workers, limit, groups*tables)
 	}
 	buildTable = orig
 

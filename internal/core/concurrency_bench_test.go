@@ -29,7 +29,7 @@ func (r *readLatencies) add(d time.Duration) {
 	}
 }
 
-// report emits read-p50-ns and read-mean-ns.
+// report emits read-p50-ns, read-p99-ns and read-mean-ns.
 func (r *readLatencies) report(b *testing.B) {
 	n := int(r.next.Load())
 	if n > len(r.samples) {
@@ -45,6 +45,7 @@ func (r *readLatencies) report(b *testing.B) {
 		sum += v
 	}
 	b.ReportMetric(float64(s[n/2]), "read-p50-ns")
+	b.ReportMetric(float64(s[n*99/100]), "read-p99-ns")
 	b.ReportMetric(float64(sum)/float64(n), "read-mean-ns")
 }
 
@@ -141,4 +142,37 @@ func BenchmarkRWMutexMixedReadWrite(b *testing.B) {
 			lat.report(b)
 		})
 	}
+}
+
+// BenchmarkQueryDuringCompact measures reads that overlap a background
+// compaction and nothing else: each iteration leaves one insert and one
+// delete to fold, starts CompactAsync and queries from one goroutine until
+// the compaction has finished. The rebuild hashes the groups on up to
+// GOMAXPROCS goroutines, so on a machine with no idle core it competes
+// with the reader for a shorter time instead of leaving it a core for a
+// longer one; read-p50-ns and read-p99-ns show what that costs a query,
+// ns/op how long one compaction takes with a reader beside it.
+func BenchmarkQueryDuringCompact(b *testing.B) {
+	ix, qs := benchIndex(b, ProbeSingle)
+	lat := newReadLatencies()
+	rng := xrand.New(5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := ix.Insert(qs.Row(i % qs.N))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix.Delete(id)
+		if err := ix.CompactAsync(); err != nil {
+			b.Fatal(err)
+		}
+		for !ix.compactMu.TryLock() { // held until the compaction is done
+			t0 := time.Now()
+			ix.Query(qs.Row(rng.Intn(qs.N)), 10)
+			lat.add(time.Since(t0))
+		}
+		ix.compactMu.Unlock()
+	}
+	b.StopTimer()
+	lat.report(b)
 }

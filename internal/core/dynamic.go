@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"bilsh/internal/lattice"
@@ -43,10 +44,10 @@ var ErrCompactBusy = errors.New("core: compaction already in progress")
 // tombstone) still works; rebuild the index to fold deletes or add rows.
 var ErrHammingStatic = errors.New("core: Hamming indexes are static; rebuild to add rows or fold deletes")
 
-// buildTable is lshtable.Build, indirected so tests can inject a build
+// buildTable is lshtable.BuildFlat, indirected so tests can inject a build
 // failure into the compaction rebuild (every table build goes through
 // group.buildTables) and verify the old index state survives intact.
-var buildTable = lshtable.Build
+var buildTable = lshtable.BuildFlat
 
 // memtableCap returns the configured memtable capacity, defaulting when the
 // option is unset (e.g. on an index loaded from disk, where dynamic knobs
@@ -304,29 +305,34 @@ func (ix *Index) compact() ([]int, error) {
 		members[gi] = append(members[gi], id)
 	}
 	groups := make([]*group, len(src.groups))
-	for gi, old := range src.groups {
+	opts := ix.opts
+	err := forEachGroup(members, func(s *hashScratch, gi int) error {
+		old := src.groups[gi]
 		g := &group{members: members[gi], fam: old.fam, lat: old.lat, w: old.w}
-		if err := g.buildTables(g.members, func(i int) []float32 { return fresh.Row(g.members[i]) }); err != nil {
-			return nil, fmt.Errorf("core: Compact group %d: %w", gi, err)
+		if err := g.buildTables(s, g.members, func(i int) []float32 { return fresh.Row(g.members[i]) }); err != nil {
+			return fmt.Errorf("core: Compact group %d: %w", gi, err)
+		}
+		if opts.ProbeMode == ProbeHierarchy {
+			if err := buildGroupHierarchies(g, opts); err != nil {
+				return fmt.Errorf("core: group %d hierarchy: %w", gi, err)
+			}
 		}
 		groups[gi] = g
-	}
-	if ix.opts.ProbeMode == ProbeHierarchy {
-		if err := buildHierarchies(groups, ix.opts); err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Requantize the surviving rows (still off-lock: one streaming pass
 	// over the fresh matrix). Overlay inserts that only ranked exactly
 	// before now join the quantized scan.
-	quant := buildQuant(ix.opts, fresh, nil)
+	quant := buildQuant(opts, fresh, nil)
 
 	// Phase 3 (under mu, bounded work): swap the fresh base in. Rows
 	// inserted or segments sealed during phase 2 carry ids >= srcTotal;
 	// shift them down by delta so the id space stays dense, and carry every
 	// tombstone over (including deletes that raced the rebuild).
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	cur := ix.loadSnap()
 	delta := live - srcTotal
 
@@ -355,6 +361,13 @@ func (ix *Index) compact() ([]int, error) {
 		}
 	}
 	ix.publish(next)
+	ix.mu.Unlock()
+
+	// The swap has just orphaned a whole base plane — rows, tables, codes.
+	// Left to the pacer it is found only after another live heap's worth of
+	// allocation, so the process's peak would be set by where a cycle
+	// happens to land; collect it now, with no lock held.
+	runtime.GC()
 	return mapping, nil
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -178,26 +181,93 @@ func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 		sketches = sk.SketchAll(data)
 	}
 
-	// Level 2: per-group LSH tables.
+	// Level 2: per-group LSH tables. Splitting advances grng, so every
+	// group's stream is drawn here, in group order, before the groups are
+	// built in whatever order the workers reach them.
 	grng := rng.Split(2)
+	rngs := make([]*xrand.RNG, len(members))
+	for gi := range members {
+		rngs[gi] = grng.Split(int64(gi))
+	}
 	groups := make([]*group, len(members))
-	for gi, m := range members {
-		g, err := buildGroup(data, sketches, m, opts, grng.Split(int64(gi)))
+	err := forEachGroup(members, func(s *hashScratch, gi int) error {
+		g, err := buildGroup(data, sketches, members[gi], opts, rngs[gi], s)
 		if err != nil {
-			return nil, fmt.Errorf("core: group %d: %w", gi, err)
+			return fmt.Errorf("core: group %d: %w", gi, err)
 		}
 		groups[gi] = g
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ix := newIndex(opts, data, nil, buildQuant(opts, data, nil), tree, km, groups)
 	ix.attachHamming(sk, sketches)
 	return ix, nil
 }
 
-func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opts Options, rng *xrand.RNG) (*group, error) {
+// forEachGroup runs build(s, gi) once for every level-1 group, on
+// min(GOMAXPROCS, groups) goroutines that claim groups largest first, and
+// returns when all of them have. The groups share nothing (Section IV-A3:
+// each cell has its own W, family and tables), so build may write only what
+// belongs to group gi; s is the calling worker's scratch. A failure stops
+// further claims — groups already being built run to their end — and of
+// the errors returned the one with the lowest group index is reported.
+func forEachGroup(members [][]int, build func(s *hashScratch, gi int) error) error {
+	order := make([]int, len(members))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(len(members[b]), len(members[a]))
+	})
+
+	var (
+		next atomic.Int64 // position in order of the next unclaimed group
+		wg   sync.WaitGroup
+		errs = make([]error, len(members))
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(members)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s hashScratch
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(order) {
+					return
+				}
+				gi := order[i]
+				if errs[gi] = build(&s, gi); errs[gi] != nil {
+					next.Store(int64(len(order))) // no claim succeeds from here on
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hashScratch is one build worker's reusable state for group.buildTables
+// and its Hamming counterpart: with it, hashing a group allocates per
+// table, not per row.
+type hashScratch struct {
+	proj []float64
+	code []int32
+	keys []byte // one table's keys back to back, reused across tables and groups
+}
+
+func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
 	g := &group{members: members}
 
 	if opts.Metric == MetricHamming {
-		return buildHammingGroup(g, sketches, opts, rng)
+		return buildHammingGroup(g, sketches, opts, rng, s)
 	}
 
 	// Per-group bucket width: either the global W, or tuned from the
@@ -240,7 +310,7 @@ func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opt
 		return nil, err
 	}
 
-	if err := g.buildTables(members, func(i int) []float32 { return data.Row(members[i]) }); err != nil {
+	if err := g.buildTables(s, members, func(i int) []float32 { return data.Row(members[i]) }); err != nil {
 		return nil, err
 	}
 
@@ -255,23 +325,25 @@ func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opt
 // buildTables hashes the group's rows into its L tables with the group's
 // family and lattice: row(i) is the vector stored under ids[i]. It is the
 // one "project, decode, key" loop behind Build, Compact and the
-// out-of-core build, so the three cannot drift; the projection, code and
-// key buffers are reused across rows (the key string handed to the table
-// is the only per-row allocation).
-func (g *group) buildTables(ids []int, row func(i int) []float32) error {
-	proj := make([]float64, g.fam.M())
-	var code []int32
-	var key []byte
-	codes := make([]string, len(ids)) // lshtable.Build keeps the strings, not the slice
+// out-of-core build, so the three cannot drift. A table's keys are written
+// back to back into the worker's scratch and handed to the table as one
+// flat buffer, so nothing is allocated per row.
+func (g *group) buildTables(s *hashScratch, ids []int, row func(i int) []float32) error {
+	if len(s.proj) < g.fam.M() {
+		s.proj = make([]float64, g.fam.M())
+	}
+	proj := s.proj[:g.fam.M()]
+	keyLen := 4 * g.lat.CodeLen()
+	s.keys = slices.Grow(s.keys[:0], len(ids)*keyLen)
 	g.tables = make([]*lshtable.Table, g.fam.L())
 	for t := range g.tables {
+		keys := s.keys[:0]
 		for i := range ids {
 			g.fam.Project(t, row(i), proj)
-			code = g.lat.DecodeInto(code, proj)
-			key = lattice.AppendKey(key[:0], code)
-			codes[i] = string(key)
+			s.code = g.lat.DecodeInto(s.code, proj)
+			keys = lattice.AppendKey(keys, s.code)
 		}
-		tab, err := buildTable(codes, ids)
+		tab, err := buildTable(keys, keyLen, ids)
 		if err != nil {
 			return fmt.Errorf("table %d: %w", t, err)
 		}
@@ -283,7 +355,7 @@ func (g *group) buildTables(ids []int, row func(i int) []float32) error {
 // buildHammingGroup builds one group's bit-sampling tables over the global
 // sketch matrix. The split label 102 matches the Euclidean path's spacing
 // (100 tuner, 101 family), so group streams stay disjoint.
-func buildHammingGroup(g *group, sketches *vec.BinaryMatrix, opts Options, rng *xrand.RNG) (*group, error) {
+func buildHammingGroup(g *group, sketches *vec.BinaryMatrix, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
 	g.w = opts.Params.W // no bucket width in Hamming space; kept for reports
 	bs, err := lshfunc.NewBitSampler(opts.Bits, opts.Params.M, opts.Params.L, rng.Split(102))
 	if err != nil {
@@ -291,17 +363,14 @@ func buildHammingGroup(g *group, sketches *vec.BinaryMatrix, opts Options, rng *
 	}
 	g.bsamp = bs
 
-	key := make([]byte, 0, bs.KeyLen())
+	s.keys = slices.Grow(s.keys[:0], len(g.members)*bs.KeyLen())
 	g.tables = make([]*lshtable.Table, opts.Params.L)
-	for t := 0; t < opts.Params.L; t++ {
-		codes := make([]string, len(g.members))
-		ids := make([]int, len(g.members))
-		for i, id := range g.members {
-			key = bs.AppendKey(key[:0], t, sketches.Row(id))
-			codes[i] = string(key)
-			ids[i] = id
+	for t := range g.tables {
+		keys := s.keys[:0]
+		for _, id := range g.members {
+			keys = bs.AppendKey(keys, t, sketches.Row(id))
 		}
-		tab, err := lshtable.Build(codes, ids)
+		tab, err := buildTable(keys, bs.KeyLen(), g.members)
 		if err != nil {
 			return nil, err
 		}

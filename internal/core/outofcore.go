@@ -239,8 +239,9 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 	}
 
 	// ---- Pass 3: per-group hashing and table construction.
+	var scratch hashScratch
 	for gi, g := range groups {
-		if err := buildGroupFromSpill(g, spillF[gi], dim); err != nil {
+		if err := buildGroupFromSpill(g, spillF[gi], dim, &scratch); err != nil {
 			closeSpills()
 			return 0, fmt.Errorf("core: out-of-core group %d: %w", gi, err)
 		}
@@ -327,7 +328,7 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 
 // buildGroupFromSpill loads one group's spilled (id, vector) records and
 // builds its L tables. Only this group's vectors are resident.
-func buildGroupFromSpill(g *group, spill *os.File, dim int) error {
+func buildGroupFromSpill(g *group, spill *os.File, dim int, s *hashScratch) error {
 	if _, err := spill.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
@@ -347,5 +348,5 @@ func buildGroupFromSpill(g *group, spill *os.File, dim int) error {
 			rows = append(rows, math.Float32frombits(binary.LittleEndian.Uint32(rec[8+4*j:])))
 		}
 	}
-	return g.buildTables(ids, func(i int) []float32 { return rows[i*dim : (i+1)*dim] })
+	return g.buildTables(s, ids, func(i int) []float32 { return rows[i*dim : (i+1)*dim] })
 }

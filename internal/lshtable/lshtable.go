@@ -8,9 +8,11 @@
 package lshtable
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"unsafe"
 
 	"bilsh/internal/cuckoo"
@@ -27,32 +29,108 @@ type Table struct {
 	overflow map[string]int // buckets whose compressed key collided
 }
 
-// Build groups ids by their code keys. codes[i] is the key of ids[i].
+// Build groups ids by their code keys. codes[i] is the key of ids[i]. It
+// is BuildFlat for callers that hold their keys as strings, of any
+// lengths: the keys are laid end to end once and the flat build does the
+// rest.
 func Build(codes []string, ids []int) (*Table, error) {
 	if len(codes) != len(ids) {
 		return nil, fmt.Errorf("lshtable: %d codes but %d ids", len(codes), len(ids))
 	}
+	total := 0
+	for _, c := range codes {
+		total += len(c)
+	}
+	src := keySource{blob: make([]byte, 0, total), ends: make([]int, len(codes))}
+	for i, c := range codes {
+		src.blob = append(src.blob, c...)
+		src.ends[i] = len(src.blob)
+	}
+	return build(src, ids)
+}
+
+// BuildFlat is Build over equal-length keys held back to back: the key of
+// ids[i] is keys[i*keyLen:(i+1)*keyLen]. It is what the index build calls —
+// a group's keys for one table are written into one reused buffer, never
+// into a string each — and it yields exactly the table Build yields for
+// the same keys. Neither keys nor ids is retained: the table copies the
+// ids and each unique key, so the caller may overwrite both buffers as
+// soon as BuildFlat returns.
+func BuildFlat(keys []byte, keyLen int, ids []int) (*Table, error) {
+	if keyLen < 0 || len(keys) != len(ids)*keyLen {
+		return nil, fmt.Errorf("lshtable: %d key bytes for %d ids of key length %d", len(keys), len(ids), keyLen)
+	}
+	return build(keySource{blob: keys, keyLen: keyLen}, ids)
+}
+
+// keySource is the build's view of its input keys: one blob, cut at a
+// fixed stride (BuildFlat) or at explicit end offsets (Build).
+type keySource struct {
+	blob   []byte
+	keyLen int   // stride when ends is nil
+	ends   []int // key i is blob[ends[i-1]:ends[i]]
+}
+
+func (s keySource) at(i int) []byte {
+	if s.ends == nil {
+		return s.blob[i*s.keyLen : (i+1)*s.keyLen]
+	}
+	lo := 0
+	if i > 0 {
+		lo = s.ends[i-1]
+	}
+	return s.blob[lo:s.ends[i]]
+}
+
+func build(src keySource, ids []int) (*Table, error) {
 	order := make([]int, len(ids))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(codes[a], codes[b]); c != 0 {
+		if c := bytes.Compare(src.at(a), src.at(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(ids[a], ids[b])
 	})
+	// opens reports whether sorted position i starts a new bucket.
+	opens := func(i int) bool {
+		return i == 0 || !bytes.Equal(src.at(order[i]), src.at(order[i-1]))
+	}
 
-	t := &Table{ids: make([]int, len(ids))}
+	// Size the bucket arrays exactly before filling them: a table lives as
+	// long as its snapshot, so append's slack would stay resident with it.
+	buckets, keyBytes := 0, 0
+	for i := range order {
+		if opens(i) {
+			buckets++
+			keyBytes += len(src.at(order[i]))
+		}
+	}
+	t := &Table{
+		keys:   make([]string, 0, buckets),
+		starts: make([]int, 0, buckets+1),
+		ids:    make([]int, len(ids)),
+	}
+	// Each unique key is copied once, into one arena per table that t.keys
+	// are substrings of: one allocation instead of one per bucket, and the
+	// caller's blob is not kept alive.
+	var arena strings.Builder
+	arena.Grow(keyBytes)
 	for out, in := range order {
 		t.ids[out] = ids[in]
-		key := codes[in]
-		if len(t.keys) == 0 || t.keys[len(t.keys)-1] != key {
-			t.keys = append(t.keys, key)
+		if opens(out) {
+			arena.Write(src.at(in))
 			t.starts = append(t.starts, out)
 		}
 	}
 	t.starts = append(t.starts, len(t.ids))
+	all := arena.String()
+	for _, at := range t.starts[:buckets] {
+		n := len(src.at(order[at]))
+		t.keys = append(t.keys, all[:n])
+		all = all[n:]
+	}
 
 	t.index = cuckoo.New(len(t.keys))
 	for b, key := range t.keys {
