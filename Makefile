@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-builders fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset contract
+.PHONY: check vet build test race race-builders fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset contract loc
 
 check: vet build race
 
@@ -101,6 +101,27 @@ contract:
 		exit 1; \
 	fi; \
 	echo "contract: ok"
+
+# Non-test Go line counts of the query-path packages, whose simplification
+# items gate on a net-negative delta: per package at the merge base with
+# BASE (a ref, as for contract) and at HEAD, with the difference. Counts
+# committed trees only.
+LOC_PKGS := internal/core internal/lshtable internal/multiprobe internal/wire
+loc:
+	@base=$$(git merge-base HEAD $(BASE)) || exit 1; \
+	count() { \
+		for f in $$(git ls-tree -r --name-only $$1 -- $$2 | grep '\.go$$' | grep -v '_test\.go$$'); do \
+			git show "$$1:$$f"; \
+		done | wc -l; \
+	}; \
+	printf '%-22s %7s %7s %7s\n' package base head delta; \
+	tb=0; th=0; \
+	for p in $(LOC_PKGS); do \
+		b=$$(count $$base $$p); h=$$(count HEAD $$p); \
+		tb=$$((tb + b)); th=$$((th + h)); \
+		printf '%-22s %7d %7d %+7d\n' $$p $$b $$h $$((h - b)); \
+	done; \
+	printf '%-22s %7d %7d %+7d\n' total $$tb $$th $$((th - tb))
 
 # Sharded-serving benchmark (see docs/sharding.md): builds an in-process
 # 4-shard cluster (leaf-aware shard map, id maps, HTTP shard servers +

@@ -182,6 +182,9 @@ func cmdQuery(args []string) error {
 	if *indexPath == "" || *queryPath == "" {
 		return fmt.Errorf("query: -index and -queries are required")
 	}
+	if *k < 1 {
+		return fmt.Errorf("query: -k must be at least 1, got %d", *k)
+	}
 	ix, closeIx, err := openAnyIndex(*indexPath)
 	if err != nil {
 		return fmt.Errorf("loading index: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"bilsh/internal/dataset"
@@ -219,15 +220,36 @@ func TestQueryBatchMedianRule(t *testing.T) {
 	// The batch's candidate floor is the median: every query must have at
 	// least min(median, everything-reachable) candidates.
 	sizes := make([]int, queries.N)
-	sc := ix.getScratch()
+	sn := ix.loadSnap()
+	plain := sn.defaultResolved(5)
+	plain.mode = ProbeSingle
 	for qi := 0; qi < queries.N; qi++ {
-		sizes[qi] = ix.plainShortListSize(queries.Row(qi), sc)
+		sizes[qi] = sn.gatherPlan(queries.Row(qi), &plain, &scratch{}).Candidates
 	}
-	ix.putScratch(sc)
 	median := medianInt(sizes)
 	for i, st := range stats {
 		if st.Candidates < median && st.Candidates < data.N {
 			t.Fatalf("query %d: %d candidates below median %d", i, st.Candidates, median)
+		}
+	}
+
+	// The rule lifts only queries strictly below the median: in a batch
+	// that repeats one query every query sits exactly at it and keeps its
+	// home group. Over buckets wide enough for the plain sizes to vary
+	// (2, 1, 1, 10, 9, 5, 5, 2), both batches must match the reference
+	// protocol.
+	opts.Params.W = 5
+	wide, err := Build(data, opts, xrand.New(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qs := range []*vec.Matrix{queries, queries.Subset([]int{0, 0, 0, 0, 0})} {
+		got, gotSt := wide.QueryBatch(qs, 5)
+		want, wantSt := refQueryBatch(wide, qs, 5)
+		for qi := range want {
+			if !reflect.DeepEqual(got[qi], want[qi]) || !sameStats(gotSt[qi], wantSt[qi]) {
+				t.Fatalf("batch of %d, query %d: got %+v %+v, want %+v %+v", qs.N, qi, got[qi], gotSt[qi], want[qi], wantSt[qi])
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"bilsh/internal/lattice"
 	"bilsh/internal/lshtable"
 	"bilsh/internal/vec"
 )
@@ -111,19 +110,11 @@ func (ix *Index) Insert(v []float32) (int, error) {
 	m.groupOf[n] = int32(gi)
 
 	g := sn.groups[gi]
-	if len(ix.insProj) < ix.opts.Params.M {
-		ix.insProj = make([]float64, ix.opts.Params.M)
-	}
-	proj := ix.insProj
-	code, key := ix.insCode, ix.insKey
 	for t := 0; t < ix.opts.Params.L; t++ {
-		g.fam.Project(t, v, proj)
-		code = g.lat.DecodeInto(code[:0], proj)
-		key = appendOverlayKey(key[:0], gi, t)
-		key = lattice.AppendKey(key, code)
-		m.addToBucket(key, int32(id))
+		key := appendOverlayKey(ix.ins.keys[:0], gi, t)
+		ix.ins.keys = g.appendKeys(key, t, v, 1, &ix.ins)
+		m.addToBucket(ix.ins.keys, int32(id))
 	}
-	ix.insCode, ix.insKey = code, key
 	// Publish the row last: a reader that observes the new count also
 	// observes the fully written row and buckets (atomic store/load pair).
 	m.n.Store(int32(n + 1))

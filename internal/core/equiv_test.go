@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -604,5 +605,154 @@ func TestCompactEquivalentToFreshBuild(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// refGatherHamming is the Hamming gather as it was before every probe mode
+// and both metrics went through one per-table key-block walk: the home key
+// and then each flipped key looked up on its own with BucketBytes. It is
+// kept verbatim but for the stage timers and the flip buffers, which were
+// scratch fields, as the oracle for the unified loop.
+func refGatherHamming(sn *snapshot, q []float32, rp *resolvedPlan, mode ProbeMode, s *scratch) PlanStats {
+	gi := sn.groupOf(q)
+	g := sn.groups[gi]
+	ps := PlanStats{
+		QueryStats:     QueryStats{Group: gi},
+		ResolvedTables: rp.tables,
+		ResolvedProbes: rp.probes,
+	}
+	stats := &ps.QueryStats
+	s.begin(sn)
+
+	// One sketch serves every table; margins are computed unconditionally
+	// (one store per plane) so single- and multiprobe share the code path.
+	sn.sketcher.SketchWithMargins(q, s.qbits, s.qmarg)
+
+	term := rp.term()
+	var ts termState
+	stop := false
+	var key []byte
+	for t := 0; t < rp.tables && !stop; t++ {
+		ps.TablesProbed = t + 1
+		key = g.bsamp.AppendKey(key[:0], t, s.qbits)
+
+		stats.Probes++
+		sn.addCandidates(s, stats, g.tables[t].BucketBytes(key))
+		stop = term && rp.stop(&ts, len(s.cands))
+
+		if mode == ProbeMulti && rp.probes > 1 && !stop {
+			stop = refProbeHammingFlips(sn, s, stats, g, t, rp, term, &ts, key)
+		}
+	}
+	ps.TerminatedEarly = stop
+	stats.Candidates = len(s.cands)
+	return ps
+}
+
+// refProbeHammingFlips runs table t's perturbation sequence: key bits sorted
+// by ascending hyperplane-margin magnitude, probed as single flips and
+// then pairs (in the deterministic order (0,1),(0,2),(1,2),(0,3),... that
+// front-loads low-rank pairs), until rp.probes buckets have been probed,
+// the 1+M+M(M−1)/2 sequence is exhausted, or a termination trigger fires.
+// It reports whether a trigger fired.
+func refProbeHammingFlips(sn *snapshot, s *scratch, stats *QueryStats, g *group, t int, rp *resolvedPlan, term bool, ts *termState, key []byte) bool {
+	m := g.bsamp.M()
+	pos := g.bsamp.Positions(t)
+	bitOrder := make([]int, m)
+	for j := range bitOrder {
+		bitOrder[j] = j
+	}
+	// Insertion sort by |margin| (M is small and the sort must not
+	// allocate; ties keep index order, so the sequence is deterministic).
+	for a := 1; a < m; a++ {
+		j := bitOrder[a]
+		mj := math.Abs(s.qmarg[pos[j]])
+		b := a - 1
+		for b >= 0 && math.Abs(s.qmarg[pos[bitOrder[b]]]) > mj {
+			bitOrder[b+1] = bitOrder[b]
+			b--
+		}
+		bitOrder[b+1] = j
+	}
+
+	flipKey := make([]byte, g.bsamp.KeyLen())
+	probed := 1 // the home bucket
+	for a := 0; a < m && probed < rp.probes; a++ {
+		j := bitOrder[a]
+		copy(flipKey, key)
+		flipKey[j>>3] ^= 1 << (uint(j) & 7)
+		stats.Probes++
+		probed++
+		sn.addCandidates(s, stats, g.tables[t].BucketBytes(flipKey))
+		if term && rp.stop(ts, len(s.cands)) {
+			return true
+		}
+	}
+	for b := 1; b < m && probed < rp.probes; b++ {
+		for a := 0; a < b && probed < rp.probes; a++ {
+			ja, jb := bitOrder[a], bitOrder[b]
+			copy(flipKey, key)
+			flipKey[ja>>3] ^= 1 << (uint(ja) & 7)
+			flipKey[jb>>3] ^= 1 << (uint(jb) & 7)
+			stats.Probes++
+			probed++
+			sn.addCandidates(s, stats, g.tables[t].BucketBytes(flipKey))
+			if term && rp.stop(ts, len(s.cands)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestHammingMatchesReference pins Hamming queries on the one probe loop to
+// refGatherHamming: same ids and distances, same plan stats bar timings,
+// for single and multi probe under default, probe-budget, plateau,
+// candidate-cap and table-cap plans. At M = 8 the flip sequence holds
+// 1+8+28 = 37 keys, so Probes 40 runs it out in every table.
+func TestHammingMatchesReference(t *testing.T) {
+	const k, m = 10, 8
+	const seqLen = 1 + m + m*(m-1)/2
+	plans := []Plan{
+		{K: k},
+		{K: k, Probes: 1},
+		{K: k, Probes: 3},
+		{K: k, Probes: 40},
+		{K: k, StableProbes: 2},
+		{K: k, MaxCandidates: 50},
+		{K: k, Tables: 2},
+	}
+	for _, mode := range []ProbeMode{ProbeSingle, ProbeMulti} {
+		t.Run(mode.String(), func(t *testing.T) {
+			ix, qs := hammingIndexM(t, mode, 24, m)
+			sn := ix.loadSnap()
+			early := 0
+			for _, p := range plans {
+				rp := sn.resolve(p)
+				for qi := 0; qi < qs.N; qi++ {
+					q := qs.Row(qi)
+					got, gotPS := ix.QueryPlan(q, p)
+					s := &scratch{}
+					wantPS := refGatherHamming(sn, q, &rp, mode, s)
+					want := sn.rankHamming(k, s)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("plan %+v query %d: result mismatch\n got %+v\nwant %+v", p, qi, got, want)
+					}
+					gotPS.Timings = StageTimings{}
+					if gotPS != wantPS {
+						t.Fatalf("plan %+v query %d: stats mismatch\n got %+v\nwant %+v", p, qi, gotPS, wantPS)
+					}
+					if gotPS.TerminatedEarly {
+						early++
+					}
+					if mode == ProbeMulti && p.Probes == 40 && gotPS.Probes != rp.tables*seqLen {
+						t.Fatalf("query %d: Probes 40 probed %d buckets, want the whole sequence %d × %d tables", qi, gotPS.Probes, seqLen, rp.tables)
+					}
+				}
+			}
+			if early == 0 {
+				t.Fatal("no plan terminated early: the termination cases exercise nothing")
+			}
+		})
 	}
 }

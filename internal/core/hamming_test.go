@@ -14,6 +14,12 @@ import (
 // hammingIndex builds a small fixed-seed Hamming index over clustered data.
 func hammingIndex(t *testing.T, mode ProbeMode, probes int) (*Index, *vec.Matrix) {
 	t.Helper()
+	return hammingIndexM(t, mode, probes, 16)
+}
+
+// hammingIndexM is hammingIndex with m key bits per table.
+func hammingIndexM(t *testing.T, mode ProbeMode, probes, m int) (*Index, *vec.Matrix) {
+	t.Helper()
 	rng := xrand.New(17)
 	// Clustered data: true neighbors must be genuinely close in Hamming
 	// space for recall against the exact scan to be meaningful. 100
@@ -45,7 +51,7 @@ func hammingIndex(t *testing.T, mode ProbeMode, probes int) (*Index, *vec.Matrix
 		Groups:      4,
 		ProbeMode:   mode,
 		Probes:      probes,
-		Params:      lshfunc.Params{M: 16, L: 8},
+		Params:      lshfunc.Params{M: m, L: 8},
 	}, xrand.New(23))
 	if err != nil {
 		t.Fatal(err)

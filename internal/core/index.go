@@ -14,6 +14,7 @@ import (
 	"bilsh/internal/lattice"
 	"bilsh/internal/lshfunc"
 	"bilsh/internal/lshtable"
+	"bilsh/internal/multiprobe"
 	"bilsh/internal/rptree"
 	"bilsh/internal/tuner"
 	"bilsh/internal/vec"
@@ -48,12 +49,10 @@ type Index struct {
 	// get ErrCompactBusy instead of queuing).
 	compactMu sync.Mutex
 
-	// Insert scratch, guarded by mu (inserts serialize on it): projection,
-	// code and key buffers reused across inserts so the write path does not
-	// feed the garbage collector on every call.
-	insProj []float64
-	insCode []int32
-	insKey  []byte
+	// Insert scratch, guarded by mu (inserts serialize on it), reused
+	// across inserts so the write path does not feed the garbage collector
+	// on every call.
+	ins hashScratch
 
 	// scratchPool recycles per-query scratch state (see scratch.go). The
 	// zero value is usable, so no constructor threading is needed.
@@ -254,13 +253,14 @@ func forEachGroup(members [][]int, build func(s *hashScratch, gi int) error) err
 	return nil
 }
 
-// hashScratch is one build worker's reusable state for group.buildTables
-// and its Hamming counterpart: with it, hashing a group allocates per
-// table, not per row.
+// hashScratch is the reusable state of group.appendKeys and the keys it
+// fills: one per build worker (with it, hashing a group allocates per
+// table, not per row), one for Insert and one inside every query scratch.
 type hashScratch struct {
 	proj []float64
 	code []int32
-	keys []byte // one table's keys back to back, reused across tables and groups
+	mp   multiprobe.Scratch
+	keys []byte // keys back to back: a table's rows, an insert's overlay key or a table's probe block
 }
 
 func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
@@ -322,26 +322,37 @@ func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opt
 	return g, nil
 }
 
-// buildTables hashes the group's rows into its L tables with the group's
-// family and lattice: row(i) is the vector stored under ids[i]. It is the
-// one "project, decode, key" loop behind Build, Compact and the
-// out-of-core build, so the three cannot drift. A table's keys are written
-// back to back into the worker's scratch and handed to the table as one
-// flat buffer, so nothing is allocated per row.
-func (g *group) buildTables(s *hashScratch, ids []int, row func(i int) []float32) error {
-	if len(s.proj) < g.fam.M() {
-		s.proj = make([]float64, g.fam.M())
+// appendKeys appends to dst the keys of the n buckets of table t that v
+// most likely shares with its neighbors, most likely first: the bucket v
+// hashes to and, for n > 1, the rest of its multi-probe sequence
+// (multiprobe.ProbesInto). It is the one "project, decode, key" chain
+// behind Build, Compact, the out-of-core build, Insert and the probe loop,
+// so none of them can hash a vector differently.
+func (g *group) appendKeys(dst []byte, t int, v []float32, n int, s *hashScratch) []byte {
+	if m := g.fam.M(); len(s.proj) != m {
+		s.proj = make([]float64, m)
 	}
-	proj := s.proj[:g.fam.M()]
+	g.fam.Project(t, v, s.proj)
+	if n == 1 {
+		s.code = g.lat.DecodeInto(s.code, s.proj)
+		return lattice.AppendKey(dst, s.code)
+	}
+	multiprobe.ProbesInto(&s.mp, g.lat, s.proj, n)
+	return lattice.AppendKey(dst, s.mp.Codes())
+}
+
+// buildTables hashes the group's rows into its L tables with the group's
+// family and lattice: row(i) is the vector stored under ids[i]. A table's
+// keys are written back to back into the worker's scratch and handed to
+// the table as one flat buffer, so nothing is allocated per row.
+func (g *group) buildTables(s *hashScratch, ids []int, row func(i int) []float32) error {
 	keyLen := 4 * g.lat.CodeLen()
 	s.keys = slices.Grow(s.keys[:0], len(ids)*keyLen)
 	g.tables = make([]*lshtable.Table, g.fam.L())
 	for t := range g.tables {
 		keys := s.keys[:0]
 		for i := range ids {
-			g.fam.Project(t, row(i), proj)
-			s.code = g.lat.DecodeInto(s.code, proj)
-			keys = lattice.AppendKey(keys, s.code)
+			keys = g.appendKeys(keys, t, row(i), 1, s)
 		}
 		tab, err := buildTable(keys, keyLen, ids)
 		if err != nil {

@@ -2,12 +2,32 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
-	"time"
 
 	"bilsh/internal/knn"
 	"bilsh/internal/vec"
 )
+
+// QueryBatch answers a whole query set against one snapshot on one
+// scratch. For ProbeHierarchy it implements the paper's protocol: compute
+// every query's plain short-list size, take the batch median as the
+// threshold, and climb the hierarchy only for queries below it. Other
+// probe modes map Query over the batch.
+func (ix *Index) QueryBatch(queries *vec.Matrix, k int) ([]knn.Result, []QueryStats) {
+	return queryStats(ix.batch(queries, Plan{K: k}, 1))
+}
+
+// QueryBatchPlan is QueryBatch under an explicit plan, returning per-query
+// PlanStats. QueryBatchPlan(queries, Plan{K: k}) matches QueryBatch
+// byte-for-byte. Under ProbeHierarchy the paper's median rule still
+// applies unless the plan sets HierMinCandidates, which replaces the rule
+// with a fixed floor for every query in the batch (the sizing pass is then
+// skipped entirely). The median sizing pass never terminates early: sizes
+// feed the batch-wide threshold, so they must be budget-complete.
+func (ix *Index) QueryBatchPlan(queries *vec.Matrix, p Plan) ([]knn.Result, []PlanStats) {
+	return ix.batch(queries, p, 1)
+}
 
 // QueryBatchParallel is QueryBatch fanned out over workers goroutines
 // (GOMAXPROCS when workers <= 0). Results are identical to QueryBatch: one
@@ -16,53 +36,7 @@ import (
 // holds one pooled scratch for its whole share of the batch, so the
 // parallel path is as allocation-free as the serial one.
 func (ix *Index) QueryBatchParallel(queries *vec.Matrix, k, workers int) ([]knn.Result, []QueryStats) {
-	metBatches.Inc()
-	sn := ix.loadSnap()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]knn.Result, queries.N)
-	stats := make([]QueryStats, queries.N)
-
-	minCounts := make([]int, queries.N)
-	switch sn.opts.ProbeMode {
-	case ProbeHierarchy:
-		sizes := make([]int, queries.N)
-		ix.parallelFor(queries.N, workers, func(qi int, s *scratch) {
-			sizes[qi] = sn.plainShortListSize(queries.Row(qi), s)
-		})
-		median := medianInt(sizes)
-		if median < 1 {
-			median = 1
-		}
-		for qi := range minCounts {
-			if sizes[qi] < median {
-				minCounts[qi] = median
-			} else {
-				minCounts[qi] = 1
-			}
-		}
-	default:
-		floor := sn.opts.HierMinCandidates
-		if floor <= 0 {
-			floor = 2 * k
-		}
-		for qi := range minCounts {
-			minCounts[qi] = floor
-		}
-	}
-
-	ix.parallelFor(queries.N, workers, func(qi int, s *scratch) {
-		start := time.Now()
-		q := queries.Row(qi)
-		st := sn.gather(q, minCounts[qi], s)
-		rankStart := time.Now()
-		results[qi] = sn.rank(q, k, s)
-		st.Timings.Rank = time.Since(rankStart)
-		recordQuery(&st, time.Since(start)) // registry updates are atomic
-		stats[qi] = st
-	})
-	return results, stats
+	return queryStats(ix.batch(queries, Plan{K: k}, workers))
 }
 
 // QueryBatchParallelPlan is QueryBatchPlan fanned out over workers
@@ -71,51 +45,77 @@ func (ix *Index) QueryBatchParallel(queries *vec.Matrix, k, workers int) ([]knn.
 // HierMinCandidates replaces the median rule, and the sizing pass never
 // terminates early.
 func (ix *Index) QueryBatchParallelPlan(queries *vec.Matrix, p Plan, workers int) ([]knn.Result, []PlanStats) {
+	return ix.batch(queries, p, workers)
+}
+
+// batch is the one loop behind the four batch entry points. It pins one
+// snapshot and resolves p once. Under ProbeHierarchy with no floor in the
+// plan it first applies the median rule of Section VI-B4c: a sizing pass
+// gathers every query's plain single-bucket short list (no termination),
+// and queries below the batch median must reach a hierarchy group at
+// least that populated while the rest keep their home bucket group. Then
+// every query runs through queryPlan. Both passes run on parallelFor, so
+// workers <= 1 is the serial loop on one scratch.
+//
+// Like Query, a batch that asks for nothing (K < 1) or carries vectors of
+// the wrong dimension gets one empty result per query, never a panic.
+func (ix *Index) batch(queries *vec.Matrix, p Plan, workers int) ([]knn.Result, []PlanStats) {
 	metBatches.Inc()
 	sn := ix.loadSnap()
+	results := make([]knn.Result, queries.N)
+	stats := make([]PlanStats, queries.N)
+	if p.K < 1 || queries.D != sn.data.D {
+		return results, stats
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results := make([]knn.Result, queries.N)
-	stats := make([]PlanStats, queries.N)
-	if p.K < 1 {
-		return results, stats
-	}
 	rp := sn.resolve(p)
 
-	if sn.opts.ProbeMode != ProbeHierarchy || p.HierMinCandidates > 0 {
+	var floors []int
+	if rp.mode == ProbeHierarchy && p.HierMinCandidates <= 0 {
+		sizeRP := rp
+		sizeRP.mode, sizeRP.stableProbes, sizeRP.maxCandidates = ProbeSingle, 0, 0
+		floors = make([]int, queries.N)
 		ix.parallelFor(queries.N, workers, func(qi int, s *scratch) {
-			results[qi], stats[qi] = sn.queryPlan(queries.Row(qi), &rp, s)
+			floors[qi] = sn.gatherPlan(queries.Row(qi), &sizeRP, s).Candidates
 		})
-		return results, stats
+		median := max(medianInt(floors), 1)
+		for qi, size := range floors {
+			floors[qi] = 1 // at least the home bucket group
+			if size < median {
+				floors[qi] = median
+			}
+		}
 	}
 
-	sizeRP := rp
-	sizeRP.stableProbes, sizeRP.maxCandidates = 0, 0
-	sizes := make([]int, queries.N)
 	ix.parallelFor(queries.N, workers, func(qi int, s *scratch) {
-		sizes[qi] = sn.gatherPlan(queries.Row(qi), &sizeRP, ProbeSingle, 0, s).Candidates
-	})
-	median := medianInt(sizes)
-	if median < 1 {
-		median = 1
-	}
-	ix.parallelFor(queries.N, workers, func(qi int, s *scratch) {
-		start := time.Now()
-		q := queries.Row(qi)
-		minCount := 1
-		if sizes[qi] < median {
-			minCount = median
+		qrp := rp
+		if floors != nil {
+			qrp.hierMin = floors[qi]
 		}
-		ps := sn.gatherPlan(q, &rp, ProbeHierarchy, minCount, s)
-		rankStart := time.Now()
-		results[qi] = sn.rankWith(q, rp.k, rp.rerank, s)
-		ps.Timings.Rank = time.Since(rankStart)
-		recordQuery(&ps.QueryStats, time.Since(start)) // registry updates are atomic
-		recordPlan(&ps)
-		stats[qi] = ps
+		results[qi], stats[qi] = sn.queryPlan(queries.Row(qi), &qrp, s)
 	})
 	return results, stats
+}
+
+// queryStats narrows a batch's PlanStats to the QueryStats the plan-less
+// entry points return.
+func queryStats(results []knn.Result, ps []PlanStats) ([]knn.Result, []QueryStats) {
+	stats := make([]QueryStats, len(ps))
+	for i := range ps {
+		stats[i] = ps[i].QueryStats
+	}
+	return results, stats
+}
+
+func medianInt(xs []int) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
+	return cp[len(cp)/2]
 }
 
 // parallelFor runs body(i, s) for i in [0,n) on up to workers goroutines,

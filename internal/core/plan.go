@@ -145,13 +145,14 @@ type PlanStats struct {
 // resolution must not allocate (Query's ≤2-allocs pin covers it).
 type resolvedPlan struct {
 	k             int
-	probes        int     // ProbeMulti probes per table
-	tables        int     // tables probed, in [1, L]
-	hierMin       int     // ProbeHierarchy floor (0 = 2k at query time)
-	rerank        int     // 0 = index default
-	stableProbes  int     // 0 = off
-	maxCandidates int     // 0 = off
-	target        float64 // resolved SLO (0 = none)
+	mode          ProbeMode // the index's; the median rule's sizing pass runs ProbeSingle
+	probes        int       // ProbeMulti probes per table
+	tables        int       // tables probed, in [1, L]
+	hierMin       int       // ProbeHierarchy floor (0 = 2k at query time)
+	rerank        int       // 0 = index default
+	stableProbes  int       // 0 = off
+	maxCandidates int       // 0 = off
+	target        float64   // resolved SLO (0 = none)
 }
 
 // term reports whether any early-termination trigger is armed; the probe
@@ -166,6 +167,7 @@ func (rp *resolvedPlan) term() bool {
 func (sn *snapshot) defaultResolved(k int) resolvedPlan {
 	return resolvedPlan{
 		k:       k,
+		mode:    sn.opts.ProbeMode,
 		probes:  sn.opts.Probes,
 		tables:  sn.opts.Params.L,
 		hierMin: sn.opts.HierMinCandidates,

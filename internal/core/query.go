@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"bilsh/internal/knn"
-	"bilsh/internal/lattice"
 	"bilsh/internal/lshtable"
-	"bilsh/internal/multiprobe"
 	"bilsh/internal/topk"
 	"bilsh/internal/vec"
 )
@@ -115,11 +113,7 @@ func (ix *Index) QueryPlan(q []float32, p Plan) (knn.Result, PlanStats) {
 // funnels through: gather under the resolved plan, rank, record.
 func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Result, PlanStats) {
 	start := time.Now()
-	minCount := rp.hierMin
-	if minCount <= 0 {
-		minCount = 2 * rp.k
-	}
-	ps := sn.gatherPlan(q, rp, sn.opts.ProbeMode, minCount, s)
+	ps := sn.gatherPlan(q, rp, s)
 	rankStart := time.Now()
 	res := sn.rankWith(q, rp.k, rp.rerank, s)
 	ps.Timings.Rank = time.Since(rankStart)
@@ -128,43 +122,24 @@ func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Re
 	return res, ps
 }
 
-// gather collects the candidate id set for q into s.cands under the
-// index's probe mode. For ProbeHierarchy, hierMinCount is the bucket-size
-// floor for sparse queries.
-func (ix *Index) gather(q []float32, hierMinCount int, s *scratch) QueryStats {
-	return ix.loadSnap().gather(q, hierMinCount, s)
-}
-
-func (sn *snapshot) gather(q []float32, hierMinCount int, s *scratch) QueryStats {
-	return sn.gatherMode(q, hierMinCount, sn.opts.ProbeMode, s)
-}
-
-// gatherMode is the default-plan candidate-collection entry behind gather
-// and plainShortListSize (which forces ProbeSingle regardless of the
-// index's configured mode, per the Section VI-B4c median rule).
-func (sn *snapshot) gatherMode(q []float32, hierMinCount int, mode ProbeMode, s *scratch) QueryStats {
-	rp := sn.defaultResolved(0)
-	ps := sn.gatherPlan(q, &rp, mode, hierMinCount, s)
-	return ps.QueryStats
-}
-
-// gatherPlan is the shared probe loop behind every query path: it walks
-// rp.tables hash tables in build order, probing each under mode and
-// unioning candidates into s.cands. When the plan arms early termination
-// (rp.term()), the shortlist plateau is checked after every bucket probe —
-// per probe inside a ProbeMulti table, per table otherwise — and the loop
-// stops as soon as a trigger fires; the default plan arms nothing and the
-// loop is byte-identical to the fixed-budget one it replaced.
+// gatherPlan is the one probe loop behind every query path, for every
+// probe mode and both metrics. It walks rp.tables hash tables in build
+// order; per table it asks the probe seam (probeKeys) for the table's
+// block of bucket keys in confidence order — one key under ProbeSingle and
+// ProbeHierarchy, up to rp.probes under ProbeMulti — resolves the block
+// with one lshtable.LookupBlock and walks it in probe order: the key's
+// bucket, then its overlay bucket, then the early-termination check. A
+// hierarchy table answers its one key with the bucket group the hierarchy
+// widens it to (Section IV-B2) instead of the bare bucket, at least
+// rp.hierMin ids (2k when unset). Probe time is producing the block, Scan
+// time resolving and walking it.
 //
-// The loop is resumable by construction: all cross-table state lives in
-// the scratch (dedup stamps, candidate list) and the plateau counter in
-// ts, so stopping after table t and continuing at t+1 would produce the
-// same union — which is exactly what early termination exploits by simply
-// not continuing.
-func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, mode ProbeMode, hierMinCount int, s *scratch) PlanStats {
-	if sn.sketches != nil {
-		return sn.gatherHamming(q, rp, mode, s)
-	}
+// When the plan arms early termination (rp.term()), the shortlist plateau
+// is checked after every key and the loop stops as soon as a trigger
+// fires; the default plan arms nothing. All cross-table state lives in the
+// scratch (dedup bitset, candidate list) and the plateau counter in ts, so
+// a stopped loop holds exactly the union of the buckets it walked.
+func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, s *scratch) PlanStats {
 	routeStart := time.Now()
 	gi := sn.groupOf(q)
 	g := sn.groups[gi]
@@ -176,98 +151,92 @@ func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, mode ProbeMode, hi
 	stats := &ps.QueryStats
 	stats.Timings.Route = time.Since(routeStart)
 	s.begin(sn)
+	if sn.sketcher != nil {
+		// One sketch, with the per-plane margins the flip order reads,
+		// serves every table's key block.
+		sketchStart := time.Now()
+		sn.sketcher.SketchWithMargins(q, s.qbits, s.qmarg)
+		stats.Timings.Probe += time.Since(sketchStart)
+	}
+	n := 1
+	if rp.mode == ProbeMulti {
+		n = rp.probes
+	}
+	floor := rp.hierMin
+	if floor <= 0 {
+		floor = 2 * rp.k
+	}
 
 	term := rp.term()
 	var ts termState
-	stop := false
-	for t := 0; t < rp.tables && !stop; t++ {
+	for t := 0; t < rp.tables && !ps.TerminatedEarly; t++ {
 		ps.TablesProbed = t + 1
 		probeStart := time.Now()
-		g.fam.Project(t, q, s.proj)
-		switch mode {
-		case ProbeSingle:
-			s.hier.Code = g.lat.DecodeInto(s.hier.Code, s.proj)
-			s.key = lattice.AppendKey(s.key[:0], s.hier.Code)
-			stats.Timings.Probe += time.Since(probeStart)
-			scanStart := time.Now()
-			stats.Probes++
-			sn.addCandidates(s, stats, g.tables[t].BucketBytes(s.key))
-			sn.addOverlayCandidates(s, stats, gi, t, s.key)
-			stats.Timings.Scan += time.Since(scanStart)
-			stop = term && rp.stop(&ts, len(s.cands))
-
-		case ProbeMulti:
-			multiprobe.ProbesInto(&s.mp, g.lat, s.proj, rp.probes)
-			stats.Timings.Probe += time.Since(probeStart)
-			scanStart := time.Now()
-			// All of the table's probe keys exist before the first lookup,
-			// so they are resolved as one block (misses overlapped, see
-			// lshtable.LookupBlock) and only then walked, in probe order.
-			s.key = lattice.AppendKey(s.key[:0], s.mp.Codes())
-			keyLen := 4 * g.lat.CodeLen()
-			s.ords = g.tables[t].LookupBlock(s.ords[:0], s.key, keyLen)
-			for p, b := range s.ords {
-				stats.Probes++
-				if b != lshtable.NoBucket {
-					_, ids := g.tables[t].BucketByOrdinal(int(b))
-					sn.addCandidates(s, stats, ids)
-				}
-				sn.addOverlayCandidates(s, stats, gi, t, s.key[p*keyLen:(p+1)*keyLen])
-				if term && rp.stop(&ts, len(s.cands)) {
-					stop = true
-					break
-				}
-			}
-			stats.Timings.Scan += time.Since(scanStart)
-
-		case ProbeHierarchy:
-			s.hier.Code = g.lat.DecodeInto(s.hier.Code, s.proj)
-			s.key = lattice.AppendKey(s.key[:0], s.hier.Code)
-			stats.Timings.Probe += time.Since(probeStart)
-			scanStart := time.Now()
-			stats.Probes++
+		keyLen := s.probeKeys(g, t, q, n)
+		scanStart := time.Now()
+		stats.Timings.Probe += scanStart.Sub(probeStart)
+		if rp.mode == ProbeHierarchy {
+			// s.code is the query's home code; the hierarchy only uses
+			// s.hier's buffers for Morton keys and ancestor codes.
 			var level int
-			// s.hier.Code holds the query code; AppendCandidates only
-			// uses s.hier's Key/Code buffers for Morton keys and ancestor
-			// codes, so pass the code itself from the scratch buffer.
-			code := s.hier.Code
 			if g.mortonH != nil {
-				s.hierIDs, level = g.mortonH[t].AppendCandidates(s.hierIDs[:0], code, hierMinCount, &s.hier)
+				s.hierIDs, level = g.mortonH[t].AppendCandidates(s.hierIDs[:0], s.code, floor, &s.hier)
 			} else {
-				s.hierIDs, level = g.e8H[t].AppendCandidates(s.hierIDs[:0], code, hierMinCount, &s.hier)
+				s.hierIDs, level = g.e8H[t].AppendCandidates(s.hierIDs[:0], s.code, floor, &s.hier)
 			}
-			if level > stats.HierarchyLevel {
-				stats.HierarchyLevel = level
-			}
+			stats.HierarchyLevel = max(stats.HierarchyLevel, level)
 			sn.addCandidates32(s, stats, s.hierIDs)
 			// Overlay inserts are only reachable through their exact
-			// bucket code until Compact folds them into the hierarchy.
-			sn.addOverlayCandidates(s, stats, gi, t, s.key)
-			stats.Timings.Scan += time.Since(scanStart)
-			stop = term && rp.stop(&ts, len(s.cands))
+			// bucket key until Compact folds them into the hierarchy.
+			s.ords = append(s.ords[:0], lshtable.NoBucket)
+		} else {
+			s.ords = g.tables[t].LookupBlock(s.ords[:0], s.keys, keyLen)
 		}
+		for p, b := range s.ords {
+			stats.Probes++
+			if b != lshtable.NoBucket {
+				_, ids := g.tables[t].BucketByOrdinal(int(b))
+				sn.addCandidates(s, stats, ids)
+			}
+			sn.addOverlayCandidates(s, stats, gi, t, s.keys[p*keyLen:(p+1)*keyLen])
+			if term && rp.stop(&ts, len(s.cands)) {
+				ps.TerminatedEarly = true
+				break
+			}
+		}
+		stats.Timings.Scan += time.Since(scanStart)
 	}
-	ps.TerminatedEarly = stop
 	stats.Candidates = len(s.cands)
-	// BucketBytes returns slices into pages owned by sn.mapped on mapped
+	// Bucket ids are slices into pages owned by sn.mapped on mapped
 	// snapshots; candidate ids are copied into scratch by now, but the
 	// probe loop itself must not outlive the mapping.
 	runtime.KeepAlive(sn)
 	return ps
 }
 
+// probeKeys is the probe seam: it fills s.keys with table t's block of at
+// most n bucket keys for q, most confident first, and returns the key
+// length. A p-stable group hashes q through appendKeys, the seam Build and
+// Insert hash rows through; a bit-sampling group flips bits of the query
+// sketch gatherPlan computed (flipKeys).
+func (s *scratch) probeKeys(g *group, t int, q []float32, n int) int {
+	if g.bsamp != nil {
+		return s.flipKeys(g.bsamp, t, n)
+	}
+	s.keys = g.appendKeys(s.keys[:0], t, q, n, &s.hashScratch)
+	return 4 * g.lat.CodeLen()
+}
+
 // CandidateList returns the deduplicated, id-sorted candidate list for q
 // under the index's probe mode, for callers that run their own short-list
-// engine (e.g. the Figure 4 harness feeding the parallel engines).
+// engine (e.g. the Figure 4 harness feeding the parallel engines). The
+// hierarchy floor is Options.HierMinCandidates, else 2·TuneK.
 func (ix *Index) CandidateList(q []float32) ([]int, QueryStats) {
 	sn := ix.loadSnap()
 	s := ix.getScratch()
 	defer ix.putScratch(s)
-	minCount := sn.opts.HierMinCandidates
-	if minCount <= 0 {
-		minCount = 2 * sn.opts.TuneK
-	}
-	st := sn.gather(q, minCount, s)
+	rp := sn.defaultResolved(sn.opts.TuneK)
+	st := sn.gatherPlan(q, &rp, s).QueryStats
 	metCandLists.Inc()
 	recordStages(&st)
 	s.sortCands()
@@ -276,20 +245,6 @@ func (ix *Index) CandidateList(q []float32) ([]int, QueryStats) {
 		ids[i] = int(id)
 	}
 	return ids, st
-}
-
-// plainShortListSize returns the candidate count the query would see with
-// single-bucket probing — the quantity whose batch median drives the
-// hierarchical rule of Section VI-B4c. It runs the same collection core as
-// real queries (gatherMode with ProbeSingle), so tombstone filtering and
-// overlay handling cannot drift from the probe path.
-func (ix *Index) plainShortListSize(q []float32, s *scratch) int {
-	return ix.loadSnap().plainShortListSize(q, s)
-}
-
-func (sn *snapshot) plainShortListSize(q []float32, s *scratch) int {
-	st := sn.gatherMode(q, 0, ProbeSingle, s)
-	return st.Candidates
 }
 
 // ExactKNN computes exact k nearest neighbors by linear scan over the
@@ -326,21 +281,12 @@ func (ix *Index) ExactKNN(q []float32, k int) knn.Result {
 	return r
 }
 
-// rank is the serial short-list search over the candidate set in s.cands.
-// Candidates are ranked in ascending id order: ids index a contiguous
-// row-major matrix, so the scan walks memory forward (the linear-array
-// layout of Section V-A) and the result is independent of collection
-// order.
-func (ix *Index) rank(q []float32, k int, s *scratch) knn.Result {
-	return ix.loadSnap().rank(q, k, s)
-}
-
-func (sn *snapshot) rank(q []float32, k int, s *scratch) knn.Result {
-	return sn.rankWith(q, k, 0, s)
-}
-
-// rankWith is rank with a per-plan re-rank factor override (0 keeps the
-// index default; only meaningful under SQ8 quantization).
+// rankWith is the serial short-list search over the candidate set in
+// s.cands, with a per-plan re-rank factor override (0 keeps the index
+// default; only meaningful under SQ8 quantization). Candidates are ranked
+// in ascending id order: ids index a contiguous row-major matrix, so the
+// scan walks memory forward (the linear-array layout of Section V-A) and
+// the result is independent of collection order.
 func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result {
 	if sn.sketches != nil {
 		return sn.rankHamming(k, s)
@@ -447,120 +393,4 @@ func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h 
 			h.Push(int(id), d)
 		}
 	}
-}
-
-// QueryBatch answers a whole query set against one snapshot. For
-// ProbeHierarchy it implements the paper's protocol: compute every query's
-// plain short-list size, take the batch median as the threshold, and climb
-// the hierarchy only for queries below it. Other probe modes map Query
-// over the batch. One scratch serves the whole batch.
-func (ix *Index) QueryBatch(queries *vec.Matrix, k int) ([]knn.Result, []QueryStats) {
-	metBatches.Inc()
-	sn := ix.loadSnap()
-	results := make([]knn.Result, queries.N)
-	stats := make([]QueryStats, queries.N)
-	if k < 1 {
-		return results, stats
-	}
-	s := ix.getScratch()
-	defer ix.putScratch(s)
-
-	if sn.opts.ProbeMode != ProbeHierarchy {
-		for qi := 0; qi < queries.N; qi++ {
-			results[qi], stats[qi] = sn.query(queries.Row(qi), k, s)
-		}
-		return results, stats
-	}
-
-	sizes := make([]int, queries.N)
-	for qi := 0; qi < queries.N; qi++ {
-		sizes[qi] = sn.plainShortListSize(queries.Row(qi), s)
-	}
-	median := medianInt(sizes)
-	if median < 1 {
-		median = 1
-	}
-	for qi := 0; qi < queries.N; qi++ {
-		start := time.Now()
-		q := queries.Row(qi)
-		minCount := 1 // at least the home bucket group
-		if sizes[qi] < median {
-			// Sparse query: demand a group at least as populated as the
-			// batch median.
-			minCount = median
-		}
-		st := sn.gather(q, minCount, s)
-		rankStart := time.Now()
-		results[qi] = sn.rank(q, k, s)
-		st.Timings.Rank = time.Since(rankStart)
-		recordQuery(&st, time.Since(start))
-		stats[qi] = st
-	}
-	return results, stats
-}
-
-// QueryBatchPlan is QueryBatch under an explicit plan, returning per-query
-// PlanStats. QueryBatchPlan(queries, Plan{K: k}) matches QueryBatch
-// byte-for-byte. Under ProbeHierarchy the paper's median rule still
-// applies unless the plan sets HierMinCandidates, which replaces the rule
-// with a fixed floor for every query in the batch (the sizing pass is then
-// skipped entirely). The median sizing pass never terminates early: sizes
-// feed the batch-wide threshold, so they must be budget-complete.
-func (ix *Index) QueryBatchPlan(queries *vec.Matrix, p Plan) ([]knn.Result, []PlanStats) {
-	metBatches.Inc()
-	sn := ix.loadSnap()
-	results := make([]knn.Result, queries.N)
-	stats := make([]PlanStats, queries.N)
-	if p.K < 1 {
-		return results, stats
-	}
-	s := ix.getScratch()
-	defer ix.putScratch(s)
-	rp := sn.resolve(p)
-
-	// The plan's floor (not the index default) decides whether the median
-	// rule runs: QueryBatch applies the rule whenever the mode is
-	// hierarchy, so the default plan must too.
-	if sn.opts.ProbeMode != ProbeHierarchy || p.HierMinCandidates > 0 {
-		for qi := 0; qi < queries.N; qi++ {
-			results[qi], stats[qi] = sn.queryPlan(queries.Row(qi), &rp, s)
-		}
-		return results, stats
-	}
-
-	sizeRP := rp
-	sizeRP.stableProbes, sizeRP.maxCandidates = 0, 0
-	sizes := make([]int, queries.N)
-	for qi := 0; qi < queries.N; qi++ {
-		sizes[qi] = sn.gatherPlan(queries.Row(qi), &sizeRP, ProbeSingle, 0, s).Candidates
-	}
-	median := medianInt(sizes)
-	if median < 1 {
-		median = 1
-	}
-	for qi := 0; qi < queries.N; qi++ {
-		start := time.Now()
-		q := queries.Row(qi)
-		minCount := 1 // at least the home bucket group
-		if sizes[qi] < median {
-			minCount = median
-		}
-		ps := sn.gatherPlan(q, &rp, ProbeHierarchy, minCount, s)
-		rankStart := time.Now()
-		results[qi] = sn.rankWith(q, rp.k, rp.rerank, s)
-		ps.Timings.Rank = time.Since(rankStart)
-		recordQuery(&ps.QueryStats, time.Since(start))
-		recordPlan(&ps)
-		stats[qi] = ps
-	}
-	return results, stats
-}
-
-func medianInt(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := slices.Clone(xs)
-	slices.Sort(cp)
-	return cp[len(cp)/2]
 }

@@ -13,6 +13,34 @@ import (
 // short list is non-empty.
 func benchIndex(b *testing.B, mode ProbeMode) (*Index, *vec.Matrix) {
 	b.Helper()
+	return benchIndexOpts(b, benchConfig{mode: mode})
+}
+
+// benchConfig is one probe configuration of the hot-path benchmarks: a
+// probe mode over a lattice (Z^M when unset) or over Hamming sketches.
+type benchConfig struct {
+	name    string
+	mode    ProbeMode
+	lattice LatticeKind
+	metric  MetricKind
+}
+
+// benchConfigs covers every probe mode on Z^M plus the multi-probe ring on
+// E8 and both Hamming modes. The Z^M configurations are named by the mode
+// alone, the names their earlier results were recorded under.
+func benchConfigs() []benchConfig {
+	return []benchConfig{
+		{name: "single", mode: ProbeSingle},
+		{name: "multiprobe", mode: ProbeMulti},
+		{name: "hierarchy", mode: ProbeHierarchy},
+		{name: "e8-multiprobe", mode: ProbeMulti, lattice: LatticeE8},
+		{name: "hamming-single", mode: ProbeSingle, metric: MetricHamming},
+		{name: "hamming-multiprobe", mode: ProbeMulti, metric: MetricHamming},
+	}
+}
+
+func benchIndexOpts(b *testing.B, cfg benchConfig) (*Index, *vec.Matrix) {
+	b.Helper()
 	const (
 		n       = 4000
 		queries = 256
@@ -41,7 +69,9 @@ func benchIndex(b *testing.B, mode ProbeMode) (*Index, *vec.Matrix) {
 	opts := Options{
 		Partitioner: PartitionRPTree,
 		Groups:      16,
-		ProbeMode:   mode,
+		ProbeMode:   cfg.mode,
+		Lattice:     cfg.lattice,
+		Metric:      cfg.metric,
 		Probes:      16,
 	}
 	ix, err := Build(data, opts, xrand.New(11))
@@ -51,15 +81,12 @@ func benchIndex(b *testing.B, mode ProbeMode) (*Index, *vec.Matrix) {
 	return ix, qs
 }
 
-func benchModes() []ProbeMode {
-	return []ProbeMode{ProbeSingle, ProbeMulti, ProbeHierarchy}
-}
-
-// BenchmarkQueryModes measures end-to-end Query latency per probe mode.
+// BenchmarkQueryModes measures end-to-end Query latency per probe
+// configuration.
 func BenchmarkQueryModes(b *testing.B) {
-	for _, mode := range benchModes() {
-		b.Run(mode.String(), func(b *testing.B) {
-			ix, qs := benchIndex(b, mode)
+	for _, cfg := range benchConfigs() {
+		b.Run(cfg.name, func(b *testing.B) {
+			ix, qs := benchIndexOpts(b, cfg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -70,11 +97,11 @@ func BenchmarkQueryModes(b *testing.B) {
 }
 
 // BenchmarkGather isolates the candidate-collection stage (route + probe +
-// scan, no ranking) per probe mode.
+// scan, no ranking) per probe configuration.
 func BenchmarkGather(b *testing.B) {
-	for _, mode := range benchModes() {
-		b.Run(mode.String(), func(b *testing.B) {
-			ix, qs := benchIndex(b, mode)
+	for _, cfg := range benchConfigs() {
+		b.Run(cfg.name, func(b *testing.B) {
+			ix, qs := benchIndexOpts(b, cfg)
 			s := ix.getScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -110,13 +137,16 @@ func BenchmarkCandidateList(b *testing.B) {
 // benchGather and benchRank adapt the unexported hot-path internals for
 // the stage benchmarks above.
 func benchGather(ix *Index, q []float32, s *scratch) int {
-	st := ix.gather(q, 20, s)
-	return st.Candidates
+	sn := ix.loadSnap()
+	rp := sn.defaultResolved(10)
+	return sn.gatherPlan(q, &rp, s).Candidates
 }
 
 func benchRank(ix *Index, q []float32, k int, s *scratch) int {
-	ix.gather(q, 2*k, s)
-	res := ix.rank(q, k, s)
+	sn := ix.loadSnap()
+	rp := sn.defaultResolved(k)
+	sn.gatherPlan(q, &rp, s)
+	res := sn.rankWith(q, k, 0, s)
 	return len(res.IDs)
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"bilsh/internal/hierarchy"
-	"bilsh/internal/multiprobe"
 	"bilsh/internal/topk"
 )
 
@@ -23,33 +22,33 @@ import (
 // n = 60k, 125 KB at n = 1M), and walking it in word order yields the
 // candidates already sorted by id — the order the row scan wants — so no
 // sort runs (sortCands). The walk clears every bit it visits; a set that
-// was gathered but never drained (plainShortListSize) is cleared by the
-// next begin from the candidate list, in O(candidates).
+// was gathered but never drained (the median rule's sizing pass) is
+// cleared by the next begin from the candidate list, in O(candidates).
 type scratch struct {
-	proj      []float64 // projection buffer (len M)
-	key       []byte    // bucket key byte buffer; under ProbeMulti, all of a table's probe keys back to back
-	ords      []int32   // bucket ordinals of the probe-key block (lshtable.LookupBlock)
-	okey      []byte    // composed overlay key buffer (group+table prefix)
-	cands     []int32   // deduplicated candidate ids: collection order until sortCands, ascending after
-	seen      []uint64  // bit id set <=> id is in cands and not yet drained
-	seenSum   []uint64  // bit w set <=> seen[w] != 0
-	undrained bool      // cands' bits are still set in seen
-	hierIDs   []int32   // raw hierarchy group ids before dedup
+	// The probe seam's state (probeKeys); keys holds one table's
+	// probe-key block.
+	hashScratch
+
+	ords      []int32  // bucket ordinals of the probe-key block (lshtable.LookupBlock)
+	okey      []byte   // composed overlay key buffer (group+table prefix)
+	cands     []int32  // deduplicated candidate ids: collection order until sortCands, ascending after
+	seen      []uint64 // bit id set <=> id is in cands and not yet drained
+	seenSum   []uint64 // bit w set <=> seen[w] != 0
+	undrained bool     // cands' bits are still set in seen
+	hierIDs   []int32  // raw hierarchy group ids before dedup
 
 	hier hierarchy.Scratch
-	mp   multiprobe.Scratch
 
 	heap  *topk.Heap
 	items []topk.Item // reusable sorted-heap output
 	dists []float64   // rank distance buffer
 
-	// Hamming query state (see gatherHamming): the packed query sketch,
-	// per-plane margins, the per-table key-bit flip order (sorted by
-	// ascending |margin|) and the probe key currently being flipped.
+	// Hamming query state (see flipKeys): the packed query sketch,
+	// per-plane margins and the per-table key-bit flip order (sorted by
+	// ascending |margin|).
 	qbits    []uint64
 	qmarg    []float64
 	bitOrder []int
-	flipKey  []byte
 
 	// Quantized-scan re-rank state (see rankBaseQuantized): a second
 	// bounded heap selects the top k×RerankFactor approximate candidates,
@@ -74,15 +73,10 @@ func (ix *Index) getScratch() *scratch {
 func (ix *Index) putScratch(s *scratch) { ix.scratchPool.Put(s) }
 
 // begin readies the scratch for one query against the snapshot sn: sizes
-// the projection and dedup buffers and empties the candidate set. The
-// bitset covers every id sn can ever surface — the active memtable counts
-// at full capacity, so rows published after begin still land in bounds.
+// the sketch and dedup buffers and empties the candidate set. The bitset
+// covers every id sn can ever surface — the active memtable counts at full
+// capacity, so rows published after begin still land in bounds.
 func (s *scratch) begin(sn *snapshot) {
-	if m := sn.opts.Params.M; cap(s.proj) < m {
-		s.proj = make([]float64, m)
-	} else {
-		s.proj = s.proj[:m]
-	}
 	if sn.sketcher != nil {
 		if w := sn.sketcher.Words(); cap(s.qbits) < w {
 			s.qbits = make([]uint64, w)
@@ -96,8 +90,8 @@ func (s *scratch) begin(sn *snapshot) {
 		}
 	}
 	if words := (sn.idCapacity() + 63) >> 6; len(s.seen) < words {
-		s.seen = make([]uint64, words)
-		s.seenSum = make([]uint64, (words+63)>>6)
+		set := make([]uint64, words+(words+63)>>6) // the set and its summary in one allocation
+		s.seen, s.seenSum = set[:words:words], set[words:]
 	} else if s.undrained {
 		for _, id := range s.cands {
 			w := uint32(id) >> 6

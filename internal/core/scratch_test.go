@@ -109,7 +109,7 @@ func TestSortCandsMatchesSortedDedup(t *testing.T) {
 }
 
 // TestGatherWithoutRankLeavesNoStaleBits runs the two real "gather, never
-// rank" paths — the median rule's plainShortListSize and a plan that
+// rank" paths — the median rule's single-probe sizing pass and a plan that
 // terminates early and is then abandoned — ahead of normal queries on the
 // same pinned scratch: results and candidate lists must equal those of a
 // fresh scratch, on a static index and over an overlay with tombstones.
@@ -124,9 +124,11 @@ func TestGatherWithoutRankLeavesNoStaleBits(t *testing.T) {
 				stopped := 0
 				for i := 0; i < qs.N; i++ {
 					other := qs.Row((i + 7) % qs.N)
-					sn.plainShortListSize(other, s)
-					capped := sn.resolve(Plan{K: 5, MaxCandidates: 1})
-					if ps := sn.gatherPlan(other, &capped, mode, 10, s); ps.TerminatedEarly {
+					plain := sn.resolve(Plan{K: 5})
+					plain.mode = ProbeSingle
+					sn.gatherPlan(other, &plain, s)
+					capped := sn.resolve(Plan{K: 5, MaxCandidates: 1, HierMinCandidates: 10})
+					if ps := sn.gatherPlan(other, &capped, s); ps.TerminatedEarly {
 						stopped++
 					}
 
