@@ -102,11 +102,11 @@ contract:
 	fi; \
 	echo "contract: ok"
 
-# Non-test Go line counts of the query-path packages, whose simplification
-# items gate on a net-negative delta: per package at the merge base with
-# BASE (a ref, as for contract) and at HEAD, with the difference. Counts
-# committed trees only.
-LOC_PKGS := internal/core internal/lshtable internal/multiprobe internal/wire
+# Non-test Go line counts of the query-path packages, the CLI and the
+# durability layer, whose simplification items gate on a net-negative
+# delta: per package at the merge base with BASE (a ref, as for contract)
+# and at HEAD, with the difference. Counts committed trees only.
+LOC_PKGS := internal/core internal/lshtable internal/multiprobe internal/wire internal/durable cmd/bilsh
 loc:
 	@base=$$(git merge-base HEAD $(BASE)) || exit 1; \
 	count() { \
@@ -133,15 +133,18 @@ shard:
 
 # Out-of-core gate (see docs/outofcore.md): mapped-vs-heap byte
 # identity and the ≤2-alloc pin, CRC rejection of damaged files at
-# open, v2 backcompat, the -race snapshot-swap stress, a bounded fuzz
-# pass over the paged-layout reader, and the resident-set benchmark
-# (heap vs mapped at uncapped, 1/4 and 1/16 budgets) into
-# BENCH_outofcore.json — which fails unless every mapped side returns
-# results identical to the heap baseline.
+# open, the legacy-format converter (bilsh upgrade), the -race
+# snapshot-swap stress, bounded fuzz passes over the paged-layout reader
+# and the converter, and the resident-set benchmark (heap vs mapped at
+# uncapped, 1/4 and 1/16 budgets) into BENCH_outofcore.json — which
+# fails unless every mapped side returns results identical to the heap
+# baseline. Converter inputs are often new coverage, so its pass gets a
+# short minimize time: otherwise shrinking them fills the 30 s.
 outofcore:
-	$(GO) test ./internal/core -run 'Mapped|DiskLayout|DiskV2|Residency|DurableMmap|DiskIndex' -count=1
+	$(GO) test ./internal/core -run 'Mapped|DiskLayout|Upgrade|Residency|DurableMmap|DiskIndex' -count=1
 	$(GO) test -race ./internal/core -run 'TestMappedSwapUnderLoad|TestDurableMmap' -count=1
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDiskLayout -fuzztime 30s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUpgrade -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) run ./cmd/bilsh outofcore-bench -out BENCH_outofcore.json
 
 # Documentation link check: every relative link and #anchor in every

@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -11,7 +13,6 @@ import (
 	"bilsh/internal/durable"
 	"bilsh/internal/knn"
 	"bilsh/internal/lshfunc"
-	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
 )
 
@@ -185,11 +186,13 @@ func cmdQuery(args []string) error {
 	if *k < 1 {
 		return fmt.Errorf("query: -k must be at least 1, got %d", *k)
 	}
-	ix, closeIx, err := openAnyIndex(*indexPath)
+	ix, di, err := openAnyIndex(*indexPath, 0)
 	if err != nil {
 		return fmt.Errorf("loading index: %w", err)
 	}
-	defer closeIx()
+	if di != nil {
+		defer di.Close()
+	}
 	queries, err := dataset.LoadFvecsFile(*queryPath, *maxQ)
 	if err != nil {
 		return fmt.Errorf("loading queries: %w", err)
@@ -274,42 +277,68 @@ func cmdGroundTruth(args []string) error {
 	return nil
 }
 
-// openAnyIndex loads either index layout, sniffing the disk-backed magic.
-func openAnyIndex(path string) (indexReader, func(), error) {
+// openAnyIndex opens an index file in either current layout, told apart
+// by its magic: a paged bilsh.Disk/3 image is mapped (di is non-nil and
+// owns the mapping; close it when done), anything else is read as a
+// self-contained wire image. rowsBudget caps the mapped exact-row
+// residency (0 = unlimited). Legacy formats fail with an error that
+// names 'bilsh upgrade'.
+func openAnyIndex(path string, rowsBudget int64) (ix *core.Index, di *core.DiskIndex, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer f.Close()
 	var head [16]byte
 	if _, err := f.Read(head[:]); err == nil && string(head[:11]) == "bilsh.Disk/" {
-		f.Close()
-		di, err := core.OpenDisk(path)
+		di, err := core.OpenDiskWith(path, core.DiskOpenOptions{
+			Residency: core.ResidencyPolicy{PinCodes: true, RowsBudget: rowsBudget},
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		return di, func() { di.Close() }, nil
+		return di.Index, di, nil
 	}
-	if _, err := f.Seek(0, 0); err != nil {
-		f.Close()
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, nil, err
 	}
-	ix, err := core.ReadIndex(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	return ix, func() {}, nil
+	ix, err = core.ReadIndex(f)
+	return ix, nil, err
 }
 
-// indexReader is the read-side API shared by both index layouts.
-type indexReader interface {
-	N() int
-	Dim() int
-	NumGroups() int
-	Options() core.Options
-	QueryBatchParallel(queries *vec.Matrix, k, workers int) ([]knn.Result, []core.QueryStats)
-	ExactKNN(q []float32, k int) knn.Result
-	Describe() core.Description
+// cmdUpgrade converts an index file, or the checkpoint of a durable data
+// directory, from a legacy format to the current one (core.Upgrade). A
+// file already current is checked and left unchanged.
+func cmdUpgrade(args []string) error {
+	fs := newFlagSet("upgrade")
+	in := fs.String("in", "", "index file in an older format to convert (self-contained or -disk layout)")
+	out := fs.String("out", "", "where to write the converted file (default: replace -in)")
+	dataDir := fs.String("data-dir", "", "durable data directory whose checkpoint to convert (instead of -in)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *dataDir != "" {
+		*in = filepath.Join(*dataDir, durable.CheckpointFileName)
+	}
+	if *in == "" {
+		return fmt.Errorf("upgrade: -in or -data-dir is required")
+	}
+	if *out == "" {
+		*out = *in
+	}
+	from, to, err := core.Upgrade(*in, *out)
+	if err != nil {
+		return err
+	}
+	switch {
+	case from != to:
+		fmt.Printf("%s: %s -> %s, wrote %s\n", *in, from, to, *out)
+	case *out != *in:
+		fmt.Printf("%s: already %s, copied unchanged to %s\n", *in, from, *out)
+	default:
+		fmt.Printf("%s: already %s, unchanged\n", *in, from)
+	}
+	return nil
 }
 
 // cmdInfo describes a persisted index.
@@ -322,10 +351,12 @@ func cmdInfo(args []string) error {
 	if *indexPath == "" {
 		return fmt.Errorf("info: -index is required")
 	}
-	ix, closeIx, err := openAnyIndex(*indexPath)
+	ix, di, err := openAnyIndex(*indexPath, 0)
 	if err != nil {
 		return err
 	}
-	defer closeIx()
+	if di != nil {
+		defer di.Close()
+	}
 	return ix.Describe().WriteReport(os.Stdout)
 }

@@ -10,6 +10,10 @@
 //	             [-scale tiny|default] [-n N -queries Q -d D -k K -reps R]
 //	bilsh bench  -- alias for "exp -fig all"
 //	bilsh quality [-preset full|small] [-out BENCH_quality.json]
+//	bilsh upgrade -in OLD [-out NEW] | -data-dir DIR
+//
+// Serving commands read only the current formats; upgrade converts an
+// index file or a data directory's checkpoint written in an older one.
 //
 // Every command is deterministic under -seed.
 package main
@@ -41,6 +45,8 @@ func main() {
 		err = cmdGroundTruth(os.Args[2:])
 	case "info":
 		err = cmdInfo(os.Args[2:])
+	case "upgrade":
+		err = cmdUpgrade(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "shard-split":
@@ -85,6 +91,7 @@ commands:
   search       one-shot build + query + quality report
   groundtruth  compute exact k-NN id lists (ivecs)
   info         describe a persisted index
+  upgrade      convert an index file or a data dir's checkpoint from an older format to the current one
   serve        expose an index over an HTTP JSON API (-data-dir for WAL-backed durability)
   shard-split  cut a built index into per-shard datasets and a shard map (docs/sharding.md)
   shard-serve  serve one shard of a cluster (serve + shard id, id map, replica bring-up)

@@ -103,50 +103,26 @@ func runServe(name string, args []string, shard bool) error {
 	// layout and unwrap.
 	var (
 		ix       *core.Index
-		isDisk   bool
-		diskV3   bool
+		di       *core.DiskIndex
 		enforcer interface {
 			EnforceResidency() core.ResidencyStats
 			Mapped() bool
 		}
 	)
 	if *indexPath != "" {
-		f, err := os.Open(*indexPath)
-		if err != nil {
-			if !(os.IsNotExist(err) && *dataDir != "") {
-				return err
+		ix, di, err = openAnyIndex(*indexPath, *rowsBudget)
+		switch {
+		case di != nil:
+			defer di.Close()
+			enforcer = di
+			if di.Mapped() {
+				fmt.Printf("index %s: serving off mmap (rows budget %s)\n", *indexPath, fmtBudget(*rowsBudget))
 			}
+		case os.IsNotExist(err) && *dataDir != "":
 			// First boot may legitimately have only the data dir; the
 			// checkpoint inside it is the index.
-		} else {
-			var head [16]byte
-			if _, err := f.Read(head[:]); err == nil && string(head[:11]) == "bilsh.Disk/" {
-				f.Close()
-				// Paged (v3) files address their rows in place, so they can
-				// re-serialize — checkpoints and /save work; legacy v1/v2
-				// cannot.
-				diskV3 = head[11] == '3'
-				di, err := core.OpenDiskWith(*indexPath, core.DiskOpenOptions{Residency: policy})
-				if err != nil {
-					return err
-				}
-				defer di.Close()
-				ix, isDisk = di.Index, true
-				enforcer = di
-				if di.Mapped() {
-					fmt.Printf("index %s: serving off mmap (rows budget %s)\n", *indexPath, fmtBudget(*rowsBudget))
-				}
-			} else {
-				if _, err := f.Seek(0, 0); err != nil {
-					f.Close()
-					return err
-				}
-				ix, err = core.ReadIndex(f)
-				f.Close()
-				if err != nil {
-					return err
-				}
-			}
+		case err != nil:
+			return err
 		}
 	}
 
@@ -154,9 +130,6 @@ func runServe(name string, args []string, shard bool) error {
 	var d *core.DurableIndex
 	switch {
 	case *dataDir != "":
-		if isDisk && !diskV3 {
-			return fmt.Errorf("serve: -data-dir needs a self-serializable index; %s is the legacy disk-backed layout (rebuild it to get the paged v3 layout)", *indexPath)
-		}
 		d, err = core.OpenDurable(*dataDir, core.DurableOptions{
 			Base:                   ix, // nil is fine once a checkpoint exists
 			Fsync:                  fsync,
@@ -176,7 +149,7 @@ func runServe(name string, args []string, shard bool) error {
 			if d.Mapped() {
 				fmt.Printf("checkpoint: serving off mmap (rows budget %s)\n", fmtBudget(*rowsBudget))
 			} else {
-				fmt.Printf("checkpoint: mmap requested; maps at the next checkpoint (legacy payload or fresh seed)\n")
+				fmt.Printf("checkpoint: mmap requested; maps at the first checkpoint of this fresh seed\n")
 			}
 		}
 		*mutable = !replica // replicas serve reads only
@@ -206,12 +179,12 @@ func runServe(name string, args []string, shard bool) error {
 		ix.ConfigureDynamic(*memtable, *autoCompact)
 		api = server.New(ix, *mutable)
 		switch {
-		case *mutable && diskV3:
+		case *mutable && di != nil:
 			// A paged index re-saves in its own layout; the atomic rename
 			// leaves the currently mapped inode untouched.
 			out := *indexPath
 			api.EnableSave(func() error { return ix.SaveDisk(out) })
-		case *mutable && !isDisk:
+		case *mutable:
 			// Best-effort persistence for the non-durable server: /save
 			// rewrites the index file atomically. It refuses (409) while
 			// overlay state is pending — compact first — because WriteTo

@@ -67,8 +67,8 @@ func main() {
 	}
 	fmt.Printf("saved self-contained index: %.1f MiB\n", float64(selfBytes)/(1<<20))
 
-	// Serve from the disk-backed layout: metadata in memory, vectors on
-	// disk, fetched per candidate.
+	// Serve from the disk-backed layout: the file is mapped read-only and
+	// queried in place, so only the pages queries touch become resident.
 	di, err := core.OpenDisk(diskPath)
 	if err != nil {
 		log.Fatal(err)
@@ -100,7 +100,7 @@ func main() {
 	if _, err := di.Compact(); err != nil {
 		log.Fatal(err)
 	}
-	if err := di.SaveDisk(filepath.Join(dir, "index-v2.disk")); err != nil {
+	if err := di.SaveDisk(filepath.Join(dir, "index-compacted.disk")); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("compacted to %d items and re-saved\n", di.Len())

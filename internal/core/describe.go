@@ -37,7 +37,9 @@ type Description struct {
 	// Epoch is the snapshot epoch (monotone across publications).
 	Epoch          uint64
 	HierarchyStale bool
-	DiskBacked     bool
+	// DiskBacked reports that the base plane is served off a file
+	// mapping (an mmap'd paged index or checkpoint).
+	DiskBacked bool
 }
 
 // Describe collects a consistent structural snapshot (one atomic load; no
@@ -51,7 +53,7 @@ func (ix *Index) Describe() Description {
 		Partitioner: ix.opts.Partitioner,
 		ProbeMode:   ix.opts.ProbeMode,
 		M:           ix.opts.Params.M, L: ix.opts.Params.L,
-		DiskBacked:     sn.fetch != nil,
+		DiskBacked:     sn.mapped != nil && sn.mapped.Mapped(),
 		FrozenSegments: len(sn.frozen),
 		Epoch:          sn.epoch,
 	}

@@ -54,3 +54,52 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 }
+
+// TestDescribeDiskBacked: a paged index served off its mapping describes
+// itself as disk-backed; the heap-loaded copy of the same file, and the
+// index once Compact has moved it to the heap, do not.
+func TestDescribeDiskBacked(t *testing.T) {
+	data := testData(t, 200, 12, 103)
+	ix, err := Build(data, Options{Partitioner: PartitionRPTree, Groups: 4,
+		Params: lshfunc.Params{M: 4, L: 3, W: 1}}, xrand.New(104))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := saveV3(t, ix)
+	heap, err := OpenDiskWith(path, DiskOpenOptions{ForceHeap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heap.Close()
+	if heap.Describe().DiskBacked {
+		t.Fatal("heap-loaded paged index reports DiskBacked")
+	}
+	di, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	if !di.Mapped() {
+		t.Skip("mmap unavailable on this host")
+	}
+	d := di.Describe()
+	if !d.DiskBacked {
+		t.Fatal("mapped paged index does not report DiskBacked")
+	}
+	var buf bytes.Buffer
+	if err := d.WriteReport(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "disk-backed") {
+		t.Fatalf("report does not say disk-backed:\n%s", buf.String())
+	}
+	if _, err := di.Insert(data.Row(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := di.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if di.Describe().DiskBacked {
+		t.Fatal("compacted (heap) index still reports DiskBacked")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,37 +117,23 @@ func TestDiskIndexResaveSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-
-	// A legacy (v2) disk index fetches rows one at a time via ReadAt; it
-	// cannot be re-serialized directly — WriteDiskTo must refuse rather
-	// than write an empty payload.
-	v2Path := filepath.Join(dir, "ix.v2")
-	f, err := os.Create(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.writeDiskV2To(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := OpenDisk(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	if err := legacy.SaveDisk(filepath.Join(dir, "copy.disk")); err == nil {
-		t.Fatal("legacy disk-backed index must refuse direct re-serialization")
-	}
 
 	// A paged (v3) index addresses its rows through the mapping, so a
-	// clean one CAN re-save; the copy must open and query identically.
+	// clean one re-saves; the copy must be byte-identical to the first
+	// save and open and query identically.
 	di := diskRoundTrip(t, ix)
-	copyPath := filepath.Join(dir, "copy.v3")
+	first := filepath.Join(t.TempDir(), "first.v3")
+	copyPath := filepath.Join(t.TempDir(), "copy.v3")
+	if err := ix.SaveDisk(first); err != nil {
+		t.Fatal(err)
+	}
 	if err := di.SaveDisk(copyPath); err != nil {
 		t.Fatalf("paged disk index re-save: %v", err)
+	}
+	a, _ := os.ReadFile(first)
+	b, _ := os.ReadFile(copyPath)
+	if !bytes.Equal(a, b) {
+		t.Fatal("re-saved paged index differs from the original save")
 	}
 	di2, err := OpenDisk(copyPath)
 	if err != nil {

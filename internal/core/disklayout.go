@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"bilsh/internal/kmeans"
-	"bilsh/internal/lshfunc"
 	"bilsh/internal/lshtable"
 	"bilsh/internal/mmap"
 	"bilsh/internal/rptree"
@@ -20,10 +19,8 @@ import (
 
 // Paged disk layout v3 ("bilsh.Disk/3") — the mmap-able index image.
 //
-// The v1/v2 disk format keeps metadata wire-encoded (decoded to heap at
-// open) and only the float32 rows directly addressable. v3 instead lays
-// every large structure out as fixed-width little-endian records in
-// page-aligned sections, so an opened index aliases the mapping in place:
+// Every large structure is laid out as fixed-width little-endian records
+// in page-aligned sections, so an opened index aliases the mapping in place:
 // rows reinterpret as []float32, SQ8 codes are the mapped bytes, bucket
 // tables (ids, starts, key blob, in-place cuckoo index) map via
 // lshtable.ViewMapped, and group member lists reinterpret as []int.
@@ -67,9 +64,10 @@ const (
 	diskSecArrays = 4
 )
 
-const diskMetaMagic = "bilsh.DiskMeta/3"
-
-var diskMagicV3 = [diskMagicLen]byte{'b', 'i', 'l', 's', 'h', '.', 'D', 'i', 's', 'k', '/', '3'}
+const (
+	diskMagicV3   = "bilsh.Disk/3" // zero-padded to diskMagicLen bytes
+	diskMetaMagic = "bilsh.DiskMeta/3"
+)
 
 var diskCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -192,22 +190,13 @@ func writeDiskV3(f io.WriteSeeker, src *diskV3Source) (int64, error) {
 		mw.F32s(src.quant.Min)
 		mw.F32s(src.quant.Scale)
 	}
-	switch {
-	case src.tree != nil:
-		mw.String("rptree")
-		src.tree.Encode(mw)
-	case src.km != nil:
-		mw.String("kmeans")
-		src.km.Encode(mw)
-	default:
-		mw.String("none")
-	}
+	writePartitioner(mw, src.tree, src.km)
 	mw.Int(len(src.groups))
 	for gi, g := range src.groups {
 		mw.U64(memberRefs[gi].off)
 		mw.U64(uint64(len(g.members)))
 		mw.F64(g.w)
-		g.fam.Encode(mw)
+		writeGroupHash(mw, g)
 		mw.Int(len(g.tables))
 		for t := range g.tables {
 			mw.U64(tableRefs[gi][t].off)
@@ -327,7 +316,7 @@ func writeDiskV3(f io.WriteSeeker, src *diskV3Source) (int64, error) {
 
 	// Back-patch the header.
 	hdr := make([]byte, hdrLen)
-	copy(hdr, diskMagicV3[:])
+	copy(hdr, diskMagicV3)
 	binary.LittleEndian.PutUint32(hdr[16:], diskPage)
 	binary.LittleEndian.PutUint32(hdr[20:], uint32(nSec))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(fileSize))
@@ -366,7 +355,7 @@ func readDiskLayout(f *os.File, base int64) (*diskLayout, error) {
 	if _, err := f.ReadAt(fixed[:], base); err != nil {
 		return nil, badLayout("header unreadable: %v", err)
 	}
-	if !bytes.Equal(fixed[:diskMagicLen], diskMagicV3[:]) {
+	if string(bytes.TrimRight(fixed[:diskMagicLen], "\x00")) != diskMagicV3 {
 		return nil, badLayout("bad magic %q", fixed[:diskMagicLen])
 	}
 	if ps := binary.LittleEndian.Uint32(fixed[16:]); ps != diskPage {
@@ -556,27 +545,10 @@ func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
 		quant = &vec.QuantizedMatrix{Codes: secSlice(blob, codesSec), N: n, D: d, Min: qmin, Scale: qscale}
 	}
 
-	var (
-		tree *rptree.Tree
-		km   *kmeans.Model
-	)
-	switch kind := rr.String(); kind {
-	case "rptree":
-		if tree, err = rptree.DecodeTree(rr); err != nil {
-			return nil, badLayout("rptree: %v", err)
-		}
-	case "kmeans":
-		if km, err = kmeans.DecodeModel(rr); err != nil {
-			return nil, badLayout("kmeans: %v", err)
-		}
-	case "none":
-	default:
-		if err := rr.Err(); err != nil {
-			return nil, badLayout("partitioner: %v", err)
-		}
-		return nil, badLayout("unknown partitioner section %q", kind)
+	tree, km, err := readPartitioner(rr)
+	if err != nil {
+		return nil, badLayout("partitioner: %v", err)
 	}
-
 	nGroups := rr.Int()
 	if err := rr.Err(); err != nil {
 		return nil, badLayout("meta: %v", err)
@@ -611,11 +583,10 @@ func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
 				return nil, badLayout("group %d references row %d of %d", gi, id, n)
 			}
 		}
-		if g.fam, err = lshfunc.DecodeFamily(rr); err != nil {
-			return nil, badLayout("group %d family: %v", gi, err)
-		}
-		if g.lat, err = newLattice(o.Lattice, o.Params.M); err != nil {
-			return nil, badLayout("group %d: %v", gi, err)
+		// The meta option block has no Metric field, so this is always a
+		// p-stable family.
+		if err := readGroupHash(rr, o, g); err != nil {
+			return nil, badLayout("group %d %v", gi, err)
 		}
 		nTables := rr.Int()
 		if err := rr.Err(); err != nil {
@@ -653,5 +624,5 @@ func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadDiskLayout, err)
 		}
 	}
-	return newIndex(o, data, nil, quant, tree, km, groups), nil
+	return newIndex(o, data, quant, tree, km, groups), nil
 }

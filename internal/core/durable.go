@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 //
 // A data directory holds two files:
 //
-//	index.ckpt  generation-stamped checkpoint (the serialized base index)
+//	index.ckpt  generation-stamped checkpoint (the base index, paged layout)
 //	wal.log     CRC32C-framed log of overlay mutations since the checkpoint
 //
 // Every mutation is appended to the log and applied to the in-memory
@@ -67,16 +66,14 @@ type DurableOptions struct {
 	// forces off: a bare compaction would remap ids out from under the
 	// log.
 	AutoCheckpointSegments int
-	// Mmap switches the checkpoint payload to the paged disk layout
-	// (bilsh.Disk/3) and serves the base plane straight off a read-only
-	// mapping of index.ckpt instead of heap copies: memory stays
-	// proportional to what queries touch, not to the N×D payload. Every
-	// Checkpoint writes a paged payload and atomically remaps onto the
-	// new generation; the previous mapping is retired to the GC once the
-	// last in-flight query drops its snapshot. Checkpoint payloads are
-	// self-describing, so either mode opens directories written by the
-	// other (a legacy wire payload loads to heap; the next checkpoint
-	// converts it).
+	// Mmap serves the base plane straight off a read-only mapping of
+	// index.ckpt instead of a heap copy: memory stays proportional to what
+	// queries touch, not to the N×D payload. The checkpoint payload is the
+	// paged disk layout (bilsh.Disk/3) either way, so Mmap only chooses how
+	// it is opened, and either mode opens directories written by the
+	// other. Every Checkpoint atomically remaps onto the new generation;
+	// the previous mapping is retired to the GC once the last in-flight
+	// query drops its snapshot.
 	Mmap bool
 	// Residency is the paging policy for mapped checkpoints (Mmap only).
 	Residency ResidencyPolicy
@@ -160,22 +157,19 @@ func OpenDurable(dir string, o DurableOptions) (*DurableIndex, error) {
 		mapping *mmap.Mapping
 		res     *residency
 	)
-	gen, r, err := durable.OpenCheckpoint(ckptPath)
+	gen, f, err := durable.OpenCheckpoint(ckptPath)
 	switch {
 	case err == nil:
-		// The payload is self-describing: a paged (v3) image opens in
-		// place — mapped under o.Mmap, heap-loaded otherwise — while a
-		// legacy wire payload decodes through ReadIndex.
-		f := r.(*os.File)
-		var magic [diskMagicLen]byte
-		if _, err := f.ReadAt(magic[:], durable.CheckpointHeaderLen); err == nil &&
-			bytes.Equal(magic[:], diskMagicV3[:]) {
+		// The payload is a paged image: mapped under o.Mmap, heap-loaded
+		// otherwise. Checkpoints written before the paged layout carry a
+		// wire image, which only Upgrade reads.
+		if format := sniffFormat(f, durable.CheckpointHeaderLen); strings.HasPrefix(format, "bilsh.Index/") {
+			err = legacyFormat(format + " checkpoint payload")
+		} else {
 			ix, mapping, res, err = openDiskV3(f, durable.CheckpointHeaderLen,
 				DiskOpenOptions{ForceHeap: !o.Mmap, Residency: o.Residency})
-		} else {
-			ix, err = ReadIndex(r)
 		}
-		r.Close()
+		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("core: loading checkpoint %s: %w", ckptPath, err)
 		}
@@ -387,19 +381,8 @@ func (d *DurableIndex) checkpoint() ([]int, error) {
 	}
 	newGen := d.gen + 1
 	ckptPath := filepath.Join(d.dir, ckptFileName)
-	err = durable.WriteCheckpoint(ckptPath, newGen, func(w io.Writer) error {
-		if d.useMmap {
-			// Paged payload: the AtomicWrite callback hands us the real
-			// temp *os.File, which seeks — required for the section
-			// header back-patch.
-			ws, ok := w.(io.WriteSeeker)
-			if !ok {
-				return fmt.Errorf("core: paged checkpoint requires a seekable writer, got %T", w)
-			}
-			_, werr := writeDiskV3(ws, d.Index.loadSnap().diskSource(d.Index.opts))
-			return werr
-		}
-		_, werr := d.Index.WriteTo(w)
+	err = durable.WriteCheckpoint(ckptPath, newGen, func(f *os.File) error {
+		_, werr := d.Index.WriteDiskTo(f)
 		return werr
 	})
 	if err != nil {
@@ -454,7 +437,6 @@ func (d *DurableIndex) adoptMappedBase(path string) error {
 	cur := ix.loadSnap()
 	next := cur.clone()
 	next.data = msn.data
-	next.fetch = nil
 	next.quant = msn.quant
 	next.tree = msn.tree
 	next.km = msn.km

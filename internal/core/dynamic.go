@@ -317,7 +317,7 @@ func (ix *Index) compact() ([]int, error) {
 	// Requantize the surviving rows (still off-lock: one streaming pass
 	// over the fresh matrix). Overlay inserts that only ranked exactly
 	// before now join the quantized scan.
-	quant := buildQuant(opts, fresh, nil)
+	quant := buildQuant(opts, fresh)
 
 	// Phase 3 (under mu, bounded work): swap the fresh base in. Rows
 	// inserted or segments sealed during phase 2 carry ids >= srcTotal;

@@ -12,13 +12,13 @@ import (
 )
 
 // hammingIndex builds a small fixed-seed Hamming index over clustered data.
-func hammingIndex(t *testing.T, mode ProbeMode, probes int) (*Index, *vec.Matrix) {
+func hammingIndex(t testing.TB, mode ProbeMode, probes int) (*Index, *vec.Matrix) {
 	t.Helper()
 	return hammingIndexM(t, mode, probes, 16)
 }
 
 // hammingIndexM is hammingIndex with m key bits per table.
-func hammingIndexM(t *testing.T, mode ProbeMode, probes, m int) (*Index, *vec.Matrix) {
+func hammingIndexM(t testing.TB, mode ProbeMode, probes, m int) (*Index, *vec.Matrix) {
 	t.Helper()
 	rng := xrand.New(17)
 	// Clustered data: true neighbors must be genuinely close in Hamming

@@ -79,12 +79,12 @@ type group struct {
 }
 
 // newIndex wraps built structures into an Index with its first snapshot.
-func newIndex(opts Options, data *vec.Matrix, fetch func(id int) []float32,
-	quant *vec.QuantizedMatrix, tree *rptree.Tree, km *kmeans.Model, groups []*group) *Index {
+func newIndex(opts Options, data *vec.Matrix, quant *vec.QuantizedMatrix,
+	tree *rptree.Tree, km *kmeans.Model, groups []*group) *Index {
 	ix := &Index{opts: opts}
 	ix.snap.Store(&snapshot{
 		epoch: 1, opts: opts,
-		data: data, fetch: fetch, quant: quant, tree: tree, km: km, groups: groups,
+		data: data, quant: quant, tree: tree, km: km, groups: groups,
 	})
 	return ix
 }
@@ -99,17 +99,12 @@ func (ix *Index) attachHamming(sk *lshfunc.Sketcher, sketches *vec.BinaryMatrix)
 }
 
 // buildQuant materializes the quantized row store opts asks for (nil for
-// QuantizeNone). fetch supplies rows when the float32 matrix is
-// shape-only (disk-backed); otherwise rows come straight from data.
-func buildQuant(opts Options, data *vec.Matrix, fetch func(id int) []float32) *vec.QuantizedMatrix {
+// QuantizeNone).
+func buildQuant(opts Options, data *vec.Matrix) *vec.QuantizedMatrix {
 	if opts.Quantize != QuantizeSQ8 || data.N == 0 {
 		return nil
 	}
-	row := data.Row
-	if fetch != nil {
-		row = fetch
-	}
-	return vec.QuantizeSQ8Rows(data.N, data.D, row)
+	return vec.QuantizeSQ8Rows(data.N, data.D, data.Row)
 }
 
 // loadSnap returns the current read view.
@@ -200,7 +195,7 @@ func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndex(opts, data, nil, buildQuant(opts, data, nil), tree, km, groups)
+	ix := newIndex(opts, data, buildQuant(opts, data), tree, km, groups)
 	ix.attachHamming(sk, sketches)
 	return ix, nil
 }
@@ -494,7 +489,7 @@ func (ix *Index) SetQuantize(kind QuantizeKind, factor int) error {
 	}
 	src := ix.loadSnap()
 	next := src.clone()
-	next.quant = buildQuant(ix.opts, src.data, src.fetch)
+	next.quant = buildQuant(ix.opts, src.data)
 	ix.publish(next)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"bilsh/internal/durable"
 	"bilsh/internal/lshfunc"
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
@@ -238,51 +239,6 @@ func TestMappedSwapUnderLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDiskV2Backcompat pins that legacy v2 fixed-stride files — minted by
-// the previous on-disk format's writer — keep opening and querying
-// byte-identically to the in-memory index that wrote them.
-func TestDiskV2Backcompat(t *testing.T) {
-	data := testData(t, 350, 12, 940)
-	queries := testData(t, 20, 12, 941)
-	for _, opts := range []Options{
-		{Partitioner: PartitionRPTree, Groups: 3, Params: lshfunc.Params{M: 4, L: 2, W: 2}},
-		{Partitioner: PartitionRPTree, Groups: 3, Quantize: QuantizeSQ8,
-			Params: lshfunc.Params{M: 4, L: 2, W: 2}},
-	} {
-		ix, err := Build(data, opts, xrand.New(942))
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "legacy.v2")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ix.writeDiskV2To(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		di, err := OpenDisk(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer di.Close()
-		if di.Mapped() {
-			t.Fatal("legacy v2 file must not claim to be mapped")
-		}
-		for qi := 0; qi < queries.N; qi++ {
-			q := queries.Row(qi)
-			r1, _ := ix.Query(q, 6)
-			r2, _ := di.Query(q, 6)
-			if !reflect.DeepEqual(r1, r2) {
-				t.Fatalf("query %d: v2 results differ", qi)
-			}
-		}
-	}
-}
-
 // TestResidencyControls exercises the policy surface end to end on a real
 // mapped index: sampling, budget enforcement, and that eviction cannot
 // change results (clean pages refault with identical bytes).
@@ -397,17 +353,32 @@ func TestDurableMmap(t *testing.T) {
 	}
 	d2.Close()
 
-	// Heap mode opens the same (paged) directory.
+	// Heap mode reads the same paged payload into memory, and its own
+	// checkpoints write the paged layout too.
 	d3, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3.Mapped() {
+	defer d3.Close()
+	if d3.Mapped() || d3.Describe().DiskBacked {
 		t.Fatal("heap-mode open claims to be mapped")
 	}
 	r3, _ := d3.Query(inserted[0], 1)
 	if !reflect.DeepEqual(r2, r3) {
 		t.Fatal("heap-mode open queries differently from mapped open")
 	}
-	d3.Close()
+	if _, err := d3.Insert(rng.GaussianVec(8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d3.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.Open(filepath.Join(dir, ckptFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	if got := sniffFormat(ckpt, durable.CheckpointHeaderLen); got != diskMagicV3 {
+		t.Fatalf("heap-mode checkpoint payload is %q, want %q", got, diskMagicV3)
+	}
 }

@@ -12,7 +12,6 @@ import (
 	"bilsh/internal/dataset"
 	"bilsh/internal/durable"
 	"bilsh/internal/kmeans"
-	"bilsh/internal/lattice"
 	"bilsh/internal/lshfunc"
 	"bilsh/internal/rptree"
 	"bilsh/internal/tuner"
@@ -158,15 +157,8 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 			return 0, err
 		}
 		g.fam = fam
-		switch opts.Lattice {
-		case LatticeZM:
-			g.lat = lattice.NewZM(params.M)
-		case LatticeE8:
-			g.lat = lattice.NewE8(params.M)
-		case LatticeDn:
-			g.lat = lattice.NewDn(params.M)
-		default:
-			return 0, fmt.Errorf("core: unknown lattice %v", opts.Lattice)
+		if g.lat, err = newLattice(opts.Lattice, params.M); err != nil {
+			return 0, fmt.Errorf("core: %w", err)
 		}
 		groups[gi] = g
 	}

@@ -177,72 +177,6 @@ func TestQuantizedSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// writeIndexV1 emits the pre-quantization v1 wire image of an unquantized
-// index: v1 magic, the 15-field option block, data, structure.
-func writeIndexV1(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	sn := ix.loadSnap()
-	if err := sn.requireClean(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	ww := wire.NewWriter(&buf)
-	ww.Magic(indexMagicV1)
-	o := ix.opts
-	ww.Int(int(o.Lattice))
-	ww.Int(int(o.Partitioner))
-	ww.Int(o.Groups)
-	ww.Int(int(o.RPRule))
-	ww.Int(o.Params.M)
-	ww.Int(o.Params.L)
-	ww.F64(o.Params.W)
-	ww.Int(int(o.ProbeMode))
-	ww.Int(o.Probes)
-	ww.Bool(o.AutoTuneW)
-	ww.Int(o.TuneK)
-	ww.F64(o.TuneTargetRecall)
-	ww.Int(o.MortonBits)
-	ww.Int(o.HierMinCandidates)
-	ww.Int(o.MinGroupSize)
-	sn.data.Encode(ww)
-	writeStructure(ww, sn.tree, sn.km, sn.groups)
-	if err := ww.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadIndexV1BackCompat: a version-1 file (no quantization fields or
-// section) still loads, defaults to the unquantized scan, and queries
-// byte-identically to the index it was written from.
-func TestReadIndexV1BackCompat(t *testing.T) {
-	data := testData(t, 300, 12, 59)
-	queries := testData(t, 10, 12, 60)
-	ix, err := Build(data, Options{Partitioner: PartitionRPTree, Groups: 4,
-		Params: lshfunc.Params{M: 4, L: 2, W: 2}}, xrand.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(bytes.NewReader(writeIndexV1(t, ix)))
-	if err != nil {
-		t.Fatalf("v1 index rejected: %v", err)
-	}
-	if o := loaded.Options(); o.Quantize != QuantizeNone || o.RerankFactor != defaultRerankFactor {
-		t.Fatalf("v1 defaults wrong: Quantize=%v RerankFactor=%d", o.Quantize, o.RerankFactor)
-	}
-	if loaded.loadSnap().quant != nil {
-		t.Fatal("v1 index grew a quantized matrix")
-	}
-	for qi := 0; qi < queries.N; qi++ {
-		q := queries.Row(qi)
-		r1, s1 := ix.Query(q, 7)
-		r2, s2 := loaded.Query(q, 7)
-		if !reflect.DeepEqual(r1, r2) || s1.Candidates != s2.Candidates {
-			t.Fatalf("query %d: v1 reload changed results", qi)
-		}
-	}
-}
-
 // TestQuantizedInsertDeleteCompact: overlay rows rank exactly alongside
 // the quantized base, and Compact folds them into a rebuilt code matrix.
 func TestQuantizedInsertDeleteCompact(t *testing.T) {

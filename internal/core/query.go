@@ -295,7 +295,7 @@ func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result 
 	h := s.topK(k)
 
 	// Batch the base-matrix distances (ids below data.N, a sorted prefix
-	// of cands); overlay rows and disk-backed fetches go one at a time.
+	// of cands); overlay rows go one at a time.
 	nBase := len(s.cands)
 	if sn.hasOverlay() {
 		nBase, _ = slices.BinarySearch(s.cands, int32(sn.data.N))
@@ -307,13 +307,7 @@ func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result 
 	if sn.quant != nil {
 		sn.rankBaseQuantized(q, k, rerank, s, h, nBase)
 	} else {
-		if sn.fetch == nil {
-			vec.SqDistToRows(s.dists[:nBase], sn.data.Data, sn.data.D, s.cands[:nBase], q)
-		} else {
-			for i := 0; i < nBase; i++ {
-				s.dists[i] = vec.SqDist(sn.fetch(int(s.cands[i])), q)
-			}
-		}
+		vec.SqDistToRows(s.dists[:nBase], sn.data.Data, sn.data.D, s.cands[:nBase], q)
 		for i := 0; i < nBase; i++ {
 			if d := s.dists[i]; h.Accepts(d) {
 				h.Push(int(s.cands[i]), d)
@@ -346,9 +340,9 @@ func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result 
 // float32 re-rank of just those survivors before they enter the result
 // heap. Returned distances are therefore always exact; quantization error
 // can only cost recall at the selection edge, which the re-rank margin
-// (and the golden quality gate) bounds. On a disk-backed index this is
-// also the residency win: the codes are the only resident row bytes, and
-// only the shortlist survivors touch disk.
+// (and the golden quality gate) bounds. On a mapped index this is also
+// the residency win: the codes are the only resident row bytes, and only
+// the shortlist survivors touch the row pages.
 func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h *topk.Heap, nBase int) {
 	vec.SqDistToRowsSQ8(s.dists[:nBase], sn.quant, s.cands[:nBase], q)
 	if rerank <= 0 {
@@ -381,13 +375,7 @@ func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h 
 		s.rdists = make([]float64, len(s.rids))
 	}
 	s.rdists = s.rdists[:len(s.rids)]
-	if sn.fetch == nil {
-		vec.SqDistToRows(s.rdists, sn.data.Data, sn.data.D, s.rids, q)
-	} else {
-		for i, id := range s.rids {
-			s.rdists[i] = vec.SqDist(sn.fetch(int(id)), q)
-		}
-	}
+	vec.SqDistToRows(s.rdists, sn.data.Data, sn.data.D, s.rids, q)
 	for i, id := range s.rids {
 		if d := s.rdists[i]; h.Accepts(d) {
 			h.Push(int(id), d)

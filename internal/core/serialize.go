@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"bilsh/internal/hierarchy"
 	"bilsh/internal/kmeans"
-	"bilsh/internal/lattice"
 	"bilsh/internal/lshfunc"
 	"bilsh/internal/lshtable"
 	"bilsh/internal/rptree"
@@ -18,22 +16,19 @@ import (
 // Index file layout (all sections tagged, see internal/wire):
 //
 //	bilsh.Index/2
-//	  options (v2 appends Quantize and RerankFactor to the v1 block)
+//	  options (the v1 block followed by Quantize and RerankFactor)
 //	  data matrix (the index is self-contained)
-//	  quantized row store (v2 only: presence flag + SQ8 code matrix)
+//	  quantized row store (presence flag + SQ8 code matrix)
 //	  partitioner (none | rptree | kmeans)
 //	  groups: members, width, family, L tables
 //
 // Hierarchies are derived state and are rebuilt on load, which keeps the
-// file format independent of their in-memory representation. The
-// disk-backed variant (see diskindex.go) stores the same metadata but
-// keeps the vector rows in a separate fixed-stride section accessed with
-// ReadAt. Dynamic runtime knobs (memtable threshold, auto-compact) are
-// deliberately not part of the format; they are re-supplied at load time.
-//
-// Version 1 files (no quantization fields or section) still load: the
-// reader branches on the magic and defaults Quantize to none, so a v1
-// index queries byte-identically to how it did when written.
+// file format independent of their in-memory representation. The paged
+// disk layout (disklayout.go) stores the same options, partitioner and
+// per-group hash functions through the same codec below, with the arrays
+// laid out for mapping instead. Dynamic runtime knobs (memtable
+// threshold, auto-compact) are deliberately not part of the format; they
+// are re-supplied at load time.
 //
 // Version 4 ("bilsh.Index/4"; /3 belongs to the paged disk layout, see
 // disklayout.go) carries the Hamming metric family: the option block gains
@@ -41,9 +36,11 @@ import (
 // matrix) follows the quantized-rows section, and each group stores a bit
 // sampler in place of the p-stable family. WriteTo only emits v4 when the
 // metric is non-Euclidean, so every Euclidean index keeps writing v2
-// byte-identically and old readers keep working.
+// byte-identically.
+//
+// Version 1 files predate the quantization fields; only Upgrade reads
+// them (upgrade.go).
 const (
-	indexMagicV1 = "bilsh.Index/1"
 	indexMagic   = "bilsh.Index/2"
 	indexMagicV4 = "bilsh.Index/4"
 )
@@ -149,8 +146,9 @@ func readQuant(rr *wire.Reader, n, d int) (*vec.QuantizedMatrix, error) {
 	return qm, nil
 }
 
-// writeStructure emits the partitioner and the per-group machinery.
-func writeStructure(ww *wire.Writer, tree *rptree.Tree, km *kmeans.Model, groups []*group) {
+// writePartitioner emits the level-1 partitioner section: its kind, then
+// its model. Both layouts write it.
+func writePartitioner(ww *wire.Writer, tree *rptree.Tree, km *kmeans.Model) {
 	switch {
 	case tree != nil:
 		ww.String("rptree")
@@ -161,17 +159,70 @@ func writeStructure(ww *wire.Writer, tree *rptree.Tree, km *kmeans.Model, groups
 	default:
 		ww.String("none")
 	}
+}
+
+// readPartitioner parses the section writePartitioner emits.
+func readPartitioner(rr *wire.Reader) (tree *rptree.Tree, km *kmeans.Model, err error) {
+	switch kind := rr.String(); kind {
+	case "rptree":
+		if tree, err = rptree.DecodeTree(rr); err != nil {
+			err = fmt.Errorf("rptree: %w", err)
+		}
+	case "kmeans":
+		if km, err = kmeans.DecodeModel(rr); err != nil {
+			err = fmt.Errorf("kmeans: %w", err)
+		}
+	case "none":
+	default:
+		if err = rr.Err(); err == nil {
+			err = fmt.Errorf("unknown partitioner section %q", kind)
+		}
+	}
+	return tree, km, err
+}
+
+// writeGroupHash emits a group's hash functions. The section is
+// self-tagged (family vs bit sampler), so readers recover the right
+// decoder from the group itself.
+func writeGroupHash(ww *wire.Writer, g *group) {
+	if g.bsamp != nil {
+		g.bsamp.Encode(ww)
+	} else {
+		g.fam.Encode(ww)
+	}
+}
+
+// readGroupHash parses the section writeGroupHash emits into g: a bit
+// sampler of the options' shape under MetricHamming, else a p-stable
+// family and the options' lattice.
+func readGroupHash(rr *wire.Reader, o Options, g *group) (err error) {
+	if o.Metric != MetricHamming {
+		if g.fam, err = lshfunc.DecodeFamily(rr); err != nil {
+			return fmt.Errorf("family: %w", err)
+		}
+		g.lat, err = newLattice(o.Lattice, o.Params.M)
+		return err
+	}
+	bs, err := lshfunc.DecodeBitSampler(rr)
+	if err != nil {
+		return fmt.Errorf("bit sampler: %w", err)
+	}
+	if bs.Bits() != o.Bits || bs.M() != o.Params.M || bs.L() != o.Params.L {
+		return fmt.Errorf("sampler shape (bits=%d M=%d L=%d) does not match options (bits=%d M=%d L=%d)",
+			bs.Bits(), bs.M(), bs.L(), o.Bits, o.Params.M, o.Params.L)
+	}
+	g.bsamp = bs
+	return nil
+}
+
+// writeStructure emits the partitioner and the per-group machinery.
+func writeStructure(ww *wire.Writer, tree *rptree.Tree, km *kmeans.Model, groups []*group) {
+	writePartitioner(ww, tree, km)
 	ww.Int(len(groups))
 	for _, g := range groups {
 		ww.Ints(g.members)
 		ww.F64(g.w)
-		// The hash-function section is self-tagged (family vs bit sampler),
-		// so readers recover the right decoder from the group itself.
-		if g.bsamp != nil {
-			g.bsamp.Encode(ww)
-		} else {
-			g.fam.Encode(ww)
-		}
+		writeGroupHash(ww, g)
 		ww.Int(len(g.tables))
 		for _, tab := range g.tables {
 			tab.Encode(ww)
@@ -227,31 +278,10 @@ func readOptions(rr *wire.Reader, version int) (Options, error) {
 // state (cuckoo indexes, hierarchies). n is the row count used for member
 // validation.
 func readStructure(rr *wire.Reader, o Options, n int) (*rptree.Tree, *kmeans.Model, []*group, error) {
-	var (
-		tree *rptree.Tree
-		km   *kmeans.Model
-	)
-	switch kind := rr.String(); kind {
-	case "rptree":
-		t, err := rptree.DecodeTree(rr)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: reading rptree: %w", err)
-		}
-		tree = t
-	case "kmeans":
-		m, err := kmeans.DecodeModel(rr)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: reading kmeans: %w", err)
-		}
-		km = m
-	case "none":
-	default:
-		if err := rr.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		return nil, nil, nil, fmt.Errorf("core: unknown partitioner section %q", kind)
+	tree, km, err := readPartitioner(rr)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: reading partitioner: %w", err)
 	}
-
 	nGroups := rr.Int()
 	if err := rr.Err(); err != nil {
 		return nil, nil, nil, err
@@ -265,32 +295,8 @@ func readStructure(rr *wire.Reader, o Options, n int) (*rptree.Tree, *kmeans.Mod
 			members: rr.Ints(),
 			w:       rr.F64(),
 		}
-		if o.Metric == MetricHamming {
-			bs, err := lshfunc.DecodeBitSampler(rr)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("core: group %d bit sampler: %w", gi, err)
-			}
-			if bs.Bits() != o.Bits || bs.M() != o.Params.M || bs.L() != o.Params.L {
-				return nil, nil, nil, fmt.Errorf("core: group %d sampler shape (bits=%d M=%d L=%d) does not match options (bits=%d M=%d L=%d)",
-					gi, bs.Bits(), bs.M(), bs.L(), o.Bits, o.Params.M, o.Params.L)
-			}
-			g.bsamp = bs
-		} else {
-			fam, err := lshfunc.DecodeFamily(rr)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("core: group %d family: %w", gi, err)
-			}
-			g.fam = fam
-			switch o.Lattice {
-			case LatticeZM:
-				g.lat = lattice.NewZM(o.Params.M)
-			case LatticeE8:
-				g.lat = lattice.NewE8(o.Params.M)
-			case LatticeDn:
-				g.lat = lattice.NewDn(o.Params.M)
-			default:
-				return nil, nil, nil, fmt.Errorf("core: decoded lattice kind %d unknown", int(o.Lattice))
-			}
+		if err := readGroupHash(rr, o, g); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: group %d %w", gi, err)
 		}
 		nTables := rr.Int()
 		if err := rr.Err(); err != nil {
@@ -317,42 +323,28 @@ func readStructure(rr *wire.Reader, o Options, n int) (*rptree.Tree, *kmeans.Mod
 	if err := rr.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-
 	if o.ProbeMode == ProbeHierarchy {
-		for gi, g := range groups {
-			switch lat := g.lat.(type) {
-			case *lattice.ZM:
-				g.mortonH = make([]*hierarchy.Morton, len(g.tables))
-				for t, tab := range g.tables {
-					h, err := hierarchy.NewMorton(tab, o.Params.M, o.MortonBits)
-					if err != nil {
-						return nil, nil, nil, fmt.Errorf("core: group %d morton hierarchy: %w", gi, err)
-					}
-					g.mortonH[t] = h
-				}
-			default:
-				g.e8H = make([]*hierarchy.E8Tree, len(g.tables))
-				for t, tab := range g.tables {
-					h, err := hierarchy.NewE8Tree(tab, lat)
-					if err != nil {
-						return nil, nil, nil, fmt.Errorf("core: group %d lattice hierarchy: %w", gi, err)
-					}
-					g.e8H[t] = h
-				}
-			}
+		if err := buildHierarchies(groups, o); err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	return tree, km, groups, nil
 }
 
-// ReadIndex deserializes an index written by WriteTo (current or v1
-// format), rebuilding all derived structures (cuckoo bucket indexes,
-// hierarchies).
-func ReadIndex(r io.Reader) (*Index, error) {
-	rr := wire.NewReader(r)
+// ReadIndex deserializes an index written by WriteTo (bilsh.Index/2 or
+// /4), rebuilding all derived structures (cuckoo bucket indexes,
+// hierarchies). A version 1 file is refused with ErrLegacyFormat.
+func ReadIndex(r io.Reader) (*Index, error) { return readWire(wire.NewReader(r), false) }
+
+// readWire decodes a wire image; legacy admits version 1, which only
+// Upgrade reads.
+func readWire(rr *wire.Reader, legacy bool) (*Index, error) {
 	var version int
 	switch got := rr.String(); got {
 	case indexMagicV1:
+		if !legacy {
+			return nil, legacyFormat(got)
+		}
 		version = 1
 	case indexMagic:
 		version = 2
@@ -402,7 +394,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndex(o, data, nil, quant, tree, km, groups)
+	ix := newIndex(o, data, quant, tree, km, groups)
 	ix.attachHamming(sk, sketches)
 	return ix, nil
 }

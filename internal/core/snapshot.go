@@ -28,15 +28,13 @@ type snapshot struct {
 	epoch uint64
 	opts  Options
 
-	// Base plane: the built structures of index.go / serialize.go. The row
-	// store has three shapes: in-memory float32 (data populated), disk
-	// resident (data carries only the shape, fetch non-nil), and — under
-	// Options.Quantize — an SQ8 code matrix (quant non-nil) scanned in
-	// place of the float32 rows, with data/fetch retained for the exact
-	// re-rank of the final shortlist.
+	// Base plane: the built structures of index.go / serialize.go. The
+	// float32 rows in data (heap or mapped) are always present; under
+	// Options.Quantize an SQ8 code matrix (quant non-nil) is scanned in
+	// their place, with data kept for the exact re-rank of the final
+	// shortlist.
 	data   *vec.Matrix
-	fetch  func(id int) []float32 // non-nil for disk-backed rows
-	quant  *vec.QuantizedMatrix   // non-nil when the scan is quantized
+	quant  *vec.QuantizedMatrix // non-nil when the scan is quantized
 	tree   *rptree.Tree
 	km     *kmeans.Model
 	groups []*group
@@ -112,9 +110,6 @@ func (sn *snapshot) groupOf(v []float32) int {
 // row returns the vector for any id in the snapshot's dense id space.
 func (sn *snapshot) row(id int) []float32 {
 	if id < sn.data.N {
-		if sn.fetch != nil {
-			return sn.fetch(id)
-		}
 		return sn.data.Row(id)
 	}
 	off := id - sn.data.N

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,8 +52,8 @@ func TestAtomicWriteFailureKeepsOld(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "index.ckpt")
 	payload := []byte("serialized index bytes")
-	err := WriteCheckpoint(path, 7, func(w io.Writer) error {
-		_, werr := w.Write(payload)
+	err := WriteCheckpoint(path, 7, func(f *os.File) error {
+		_, werr := f.Write(payload)
 		return werr
 	})
 	if err != nil {

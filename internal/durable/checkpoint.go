@@ -36,8 +36,9 @@ var ErrBadCheckpoint = errors.New("durable: bad checkpoint header")
 // WriteCheckpoint atomically replaces the checkpoint at path: the header
 // and payload stream to path+".tmp", which is fsynced and renamed over
 // path, and the directory is synced (see AtomicWrite). Until the rename
-// lands, the previous checkpoint remains intact.
-func WriteCheckpoint(path string, gen uint64, write func(io.Writer) error) error {
+// lands, the previous checkpoint remains intact. write receives the temp
+// file positioned at the payload (CheckpointHeaderLen).
+func WriteCheckpoint(path string, gen uint64, write func(*os.File) error) error {
 	err := AtomicWrite(path, func(f *os.File) error {
 		var h [ckptHeaderLen]byte
 		copy(h[:], ckptMagic[:])
@@ -68,11 +69,10 @@ const CheckpointFileName = "index.ckpt"
 // Missing files surface the os.Open error (check os.IsNotExist).
 func ExportCheckpoint(dir string) (gen uint64, rc io.ReadCloser, size int64, err error) {
 	path := filepath.Join(dir, CheckpointFileName)
-	gen, rc, err = OpenCheckpoint(path)
+	gen, f, err := OpenCheckpoint(path)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	f := rc.(*os.File)
 	st, err := f.Stat()
 	if err == nil {
 		_, err = f.Seek(0, io.SeekStart)
@@ -85,9 +85,9 @@ func ExportCheckpoint(dir string) (gen uint64, rc io.ReadCloser, size int64, err
 }
 
 // OpenCheckpoint validates the checkpoint at path and returns its
-// generation plus a reader positioned at the payload. Missing files
+// generation plus the open file positioned at the payload. Missing files
 // surface the os.Open error (check os.IsNotExist).
-func OpenCheckpoint(path string) (uint64, io.ReadCloser, error) {
+func OpenCheckpoint(path string) (uint64, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, err

@@ -40,7 +40,7 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if t.dim <= 0 || t.leaves < 1 || n < 1 || n > wire.MaxLen/16 {
+	if t.dim <= 0 || t.leaves < 1 || n < 1 || n > r.Limit()/16 {
 		return nil, fmt.Errorf("rptree: decoded tree shape dim=%d leaves=%d nodes=%d implausible", t.dim, t.leaves, n)
 	}
 	t.nodes = make([]node, n)

@@ -63,26 +63,7 @@ func LoadIDMap(path string) (*IDMap, error) {
 		return nil, err
 	}
 	defer f.Close()
-	m := emptyIDMap()
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var local, global int
-		if _, err := fmt.Sscanf(sc.Text(), "%d %d", &local, &global); err != nil {
-			return nil, fmt.Errorf("server: %s:%d: %v", path, line, err)
-		}
-		if err := m.record(local, global); err != nil {
-			return nil, fmt.Errorf("server: %s:%d: %v", path, line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return readIDMap(f, path)
 }
 
 // OpenIDMap loads path (creating an empty file when missing) and keeps it
@@ -93,29 +74,35 @@ func OpenIDMap(path string) (*IDMap, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := readIDMap(f, path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	m.persist = f
+	return m, nil
+}
+
+// readIDMap parses the map file format: one "local global" pair per line,
+// blank lines skipped. name labels errors.
+func readIDMap(r io.Reader, name string) (*IDMap, error) {
 	m := emptyIDMap()
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var local, global int
 		if _, err := fmt.Sscanf(sc.Text(), "%d %d", &local, &global); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("server: %s:%d: %v", path, line, err)
+			return nil, fmt.Errorf("server: %s:%d: %v", name, line, err)
 		}
 		if err := m.record(local, global); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("server: %s:%d: %v", path, line, err)
+			return nil, fmt.Errorf("server: %s:%d: %v", name, line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("server: %s: %w", name, err)
 	}
-	m.persist = f
 	return m, nil
 }
 

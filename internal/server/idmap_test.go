@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -72,4 +74,33 @@ func TestIDMapPersistenceRoundTrip(t *testing.T) {
 	if l, ok := again.Local(11); !ok || l != 0 {
 		t.Fatalf("re-reopened Local(11) = (%d, %v), want (0, true)", l, ok)
 	}
+}
+
+// FuzzReadIDMap throws arbitrary text at the id-map file parser shared by
+// LoadIDMap and OpenIDMap: it must never panic, and any map it accepts
+// must survive WriteTo and a re-read unchanged.
+func FuzzReadIDMap(f *testing.F) {
+	f.Add([]byte("0 10\n1 11\n\n2 12\n"))
+	f.Add([]byte("3 7\n3 8\n"))   // local id mapped twice
+	f.Add([]byte("0 5\n1 5\n"))   // global id mapped twice
+	f.Add([]byte("-1 -2\n9 x\n")) // negative ids, then a malformed line
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		m, err := readIDMap(bytes.NewReader(raw), "fuzz")
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := readIDMap(&buf, "rewritten")
+		if err != nil {
+			t.Fatalf("accepted map does not re-read: %v", err)
+		}
+		if !reflect.DeepEqual(m.fwd, back.fwd) || m.MaxGlobal() != back.MaxGlobal() {
+			t.Fatalf("map changed across WriteTo: %v (max %d) -> %v (max %d)",
+				m.fwd, m.MaxGlobal(), back.fwd, back.MaxGlobal())
+		}
+	})
 }

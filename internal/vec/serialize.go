@@ -28,7 +28,7 @@ func DecodeMatrix(r *wire.Reader) (*Matrix, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || d <= 0 || n > wire.MaxLen/4 || d > wire.MaxLen/4 || n*d > wire.MaxLen/4 {
+	if lim := r.Limit() / 4; n < 0 || d <= 0 || n > lim || d > lim || n*d > lim {
 		return nil, fmt.Errorf("vec: decoded matrix shape %dx%d implausible", n, d)
 	}
 	m := NewMatrix(n, d)

@@ -171,15 +171,27 @@ func (w *Writer) Strings(xs []string) {
 type Reader struct {
 	r   *bufio.Reader
 	err error
+	max uint64 // bound on any length prefix
 }
 
-// NewReader wraps r.
+// NewReader wraps r. When r reports its size (bytes.Reader,
+// io.SectionReader), no length prefix may exceed it: every element takes
+// at least a byte, so a corrupt prefix fails before it allocates.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	rd := &Reader{r: bufio.NewReader(r), max: MaxLen}
+	if s, ok := r.(interface{ Size() int64 }); ok && s.Size() >= 0 && uint64(s.Size()) < rd.max {
+		rd.max = uint64(s.Size())
+	}
+	return rd
 }
 
 // Err returns the first error encountered.
 func (r *Reader) Err() error { return r.err }
+
+// Limit returns the bound on any length prefix (MaxLen, or the input size
+// when NewReader could learn it). Decoders that read an element count
+// outside a length prefix bound it by this before allocating.
+func (r *Reader) Limit() int { return int(r.max) }
 
 // fail records the first error.
 func (r *Reader) fail(err error) {
@@ -241,7 +253,7 @@ func (r *Reader) F32() float32 {
 // lenPrefix reads and bounds a length prefix.
 func (r *Reader) lenPrefix() int {
 	n := r.U64()
-	if n > MaxLen {
+	if n > r.max {
 		r.fail(fmt.Errorf("wire: length %d exceeds limit", n))
 		return 0
 	}
