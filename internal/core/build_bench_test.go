@@ -64,28 +64,68 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkCompact measures a synchronous Compact that folds one insert
-// and one delete: the smallest overlay that makes it rebuild every group,
-// so the figure is the rebuild's, not the overlay's.
+// compactOverlays are the overlays BenchmarkCompact folds, each left by
+// mutate before iteration i: the smallest overlay that makes every group
+// compact, so the figure is the fold's fixed cost, and the repository
+// benchmark's two churn shapes at its overlay size of 1100 inserts.
+var compactOverlays = []struct {
+	name   string
+	mutate func(b *testing.B, ix *Index, data *vec.Matrix, rng *xrand.RNG, i int)
+}{
+	{"insert=1,delete=1", func(b *testing.B, ix *Index, data *vec.Matrix, _ *xrand.RNG, i int) {
+		ix.Delete(benchInsert(b, ix, data, i))
+	}},
+	{"insert=1100,delete=all", func(b *testing.B, ix *Index, data *vec.Matrix, _ *xrand.RNG, i int) {
+		for j := 0; j < 1100; j++ {
+			ix.Delete(benchInsert(b, ix, data, i*1100+j))
+		}
+	}},
+	{"insert=1100,keep=half,base=-1%", func(b *testing.B, ix *Index, data *vec.Matrix, rng *xrand.RNG, i int) {
+		for j := 0; j < 1100; j++ {
+			if id := benchInsert(b, ix, data, i*1100+j); j%2 == 0 {
+				ix.Delete(id)
+			}
+		}
+		for deleted := 0; deleted < ix.N()/100; {
+			if ix.Delete(rng.Intn(ix.N())) {
+				deleted++
+			}
+		}
+	}},
+}
+
+// benchInsert inserts data's row j (wrapping) and returns its id.
+func benchInsert(b *testing.B, ix *Index, data *vec.Matrix, j int) int {
+	id, err := ix.Insert(data.Row(j % data.N))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return id
+}
+
+// BenchmarkCompact measures a synchronous Compact of each of
+// compactOverlays: the fold, the merged tables and the requantization, not
+// the inserts and deletes that leave the overlay.
 func BenchmarkCompact(b *testing.B) {
 	benchBuildShapes(b, func(b *testing.B, data *vec.Matrix, opts Options) {
-		ix, err := Build(data, opts, xrand.New(11))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			id, err := ix.Insert(data.Row(i % data.N))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ix.Delete(id)
-			b.StartTimer()
-			if _, err := ix.Compact(); err != nil {
-				b.Fatal(err)
-			}
+		for _, overlay := range compactOverlays {
+			b.Run(overlay.name, func(b *testing.B) {
+				ix, err := Build(data, opts, xrand.New(11))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rng := xrand.New(12)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					overlay.mutate(b, ix, data, rng, i)
+					b.StartTimer()
+					if _, err := ix.Compact(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	})
 }

@@ -21,17 +21,18 @@ func setProcs(t testing.TB, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// TestCompactBuildFailureLeavesIndexIntact injects a table-build failure
-// partway through the compaction rebuild (via the buildTable hook) and
-// verifies the published index is untouched: same live count, identical
-// query results, and a subsequent Compact succeeds. This is the regression
-// test for the partial-mutation bug class: a failed rebuild must never
-// publish half-swapped state or leave the compaction latch held. Groups
-// rebuild concurrently, so it also checks that a failure stops the rebuild:
-// the injected error is the one returned and the workers stop claiming
-// groups. Every table build from the fifth on fails, which makes the count
-// exact whatever the scheduler does: a worker's first failed build is its
-// last call, so at most four succeed and one fails per worker.
+// TestCompactBuildFailureLeavesIndexIntact injects a table failure partway
+// through a compaction (via the mergeTable hook, which every table a
+// compaction makes goes through) and verifies the published index is
+// untouched: same live count, identical query results, and a subsequent
+// Compact succeeds. This is the regression test for the partial-mutation
+// bug class: a failed compaction must never publish half-swapped state or
+// leave the compaction latch held. Groups merge concurrently, so it also
+// checks that a failure stops the compaction: the injected error is the one
+// returned and the workers stop claiming groups. Every table merge from the
+// fifth on fails, which makes the count exact whatever the scheduler does:
+// a worker's first failed merge is its last call, so at most four succeed
+// and one fails per worker.
 func TestCompactBuildFailureLeavesIndexIntact(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -74,25 +75,25 @@ func testCompactBuildFailure(t *testing.T) {
 		before[qi] = answer{res.IDs, res.Dists}
 	}
 
-	boom := errors.New("injected table build failure")
-	orig := buildTable
-	defer func() { buildTable = orig }()
+	boom := errors.New("injected table merge failure")
+	orig := mergeTable
+	defer func() { mergeTable = orig }()
 	var calls atomic.Int64
-	buildTable = func(keys []byte, keyLen int, ids []int) (*lshtable.Table, error) {
-		if calls.Add(1) >= failAt { // fail mid-rebuild: some groups already built
+	mergeTable = func(tab *lshtable.Table, remap []int, keys []byte, keyLen int, ids []int) (*lshtable.Table, error) {
+		if calls.Add(1) >= failAt { // fail mid-compaction: some groups already merged
 			return nil, boom
 		}
-		return orig(keys, keyLen, ids)
+		return orig(tab, remap, keys, keyLen, ids)
 	}
 	if _, err := ix.Compact(); !errors.Is(err, boom) {
 		t.Fatalf("Compact error = %v, want injected failure", err)
 	}
 	workers := min(runtime.GOMAXPROCS(0), groups)
 	if got, limit := int(calls.Load()), failAt-1+workers; got > limit {
-		t.Fatalf("rebuild continued after failure: %d build calls with %d workers, want <= %d of %d",
+		t.Fatalf("compaction continued after failure: %d merge calls with %d workers, want <= %d of %d",
 			got, workers, limit, groups*tables)
 	}
-	buildTable = orig
+	mergeTable = orig
 
 	// The failed attempt must not have changed anything observable.
 	if got := ix.Len(); got != wantLen {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"bilsh/internal/lshtable"
@@ -43,10 +44,11 @@ var ErrCompactBusy = errors.New("core: compaction already in progress")
 // tombstone) still works; rebuild the index to fold deletes or add rows.
 var ErrHammingStatic = errors.New("core: Hamming indexes are static; rebuild to add rows or fold deletes")
 
-// buildTable is lshtable.BuildFlat, indirected so tests can inject a build
-// failure into the compaction rebuild (every table build goes through
-// group.buildTables) and verify the old index state survives intact.
-var buildTable = lshtable.BuildFlat
+// mergeTable is (*lshtable.Table).Merge, indirected so tests can inject a
+// table failure into a compaction (every table a compaction makes is a
+// merge, see rebase.mergeGroup) and verify the old index state survives
+// intact.
+var mergeTable = (*lshtable.Table).Merge
 
 // memtableCap returns the configured memtable capacity, defaulting when the
 // option is unset (e.g. on an index loaded from disk, where dynamic knobs
@@ -187,13 +189,13 @@ func (ix *Index) overlayBucket(gi, table int, key string) []int {
 }
 
 // Compact folds inserts and deletes into fresh base structures: a new data
-// matrix, re-grouped members, rebuilt tables and hierarchies. Ids are
-// remapped densely in insertion order over the surviving rows; the
+// matrix, re-grouped members, merged tables and rebuilt hierarchies. Ids
+// are remapped densely in insertion order over the surviving rows; the
 // returned slice maps old ids to new ids (-1 for deleted).
 //
 // Compact never blocks readers and barely blocks writers: it seals the
-// overlay under the index mutex, rebuilds off to the side with no locks
-// held, then swaps the fresh base in under the mutex again, re-basing any
+// overlay under the index mutex, builds the new base off to the side with
+// no locks held, then swaps it in under the mutex again, re-basing any
 // rows inserted meanwhile. On error the index is untouched. At most one
 // compaction runs at a time; concurrent calls fail fast with
 // ErrCompactBusy.
@@ -278,29 +280,34 @@ func (ix *Index) compact() ([]int, error) {
 	// Phase 2 (no locks): build the replacement base plane off to the side.
 	// Concurrent queries keep hitting the old snapshot; concurrent inserts
 	// land in the post-seal memtable and are re-based in phase 3.
+	//
+	// Every surviving row is copied to its new id and routed through level
+	// 1, which recomputes membership (inserted rows included), on every
+	// core: each worker writes the rows of its own block.
 	fresh := vec.NewMatrix(live, src.data.D)
-	for id := 0; id < srcTotal; id++ {
-		if mapping[id] < 0 {
-			continue
+	routed := make([]int32, live)
+	forEachBlock(srcTotal, func(lo, hi int) {
+		for id := lo; id < hi; id++ {
+			if nid := mapping[id]; nid >= 0 {
+				row := fresh.Row(nid)
+				copy(row, src.row(id))
+				routed[nid] = int32(src.groupOf(row))
+			}
 		}
-		copy(fresh.Row(mapping[id]), src.row(id))
-	}
+	})
+	members := groupMembers(routed, len(src.groups))
 
-	// Re-group: membership is recomputed by routing, which also covers
-	// inserted points, and per-group tables are rebuilt from scratch with
-	// the existing hash families (projections are preserved, so queries
-	// keep behaving identically for surviving points).
-	members := make([][]int, len(src.groups))
-	for id := 0; id < live; id++ {
-		gi := src.groupOf(fresh.Row(id))
-		members[gi] = append(members[gi], id)
+	// Each group's tables are merged, not rebuilt (rebase.mergeGroup); its
+	// hierarchies are rebuilt over the merged tables.
+	rb := &rebase{
+		mapping: mapping, fresh: fresh, routed: routed,
+		carry: make([]int, src.data.N), carried: make([]bool, live),
 	}
 	groups := make([]*group, len(src.groups))
 	opts := ix.opts
 	err := forEachGroup(members, func(s *hashScratch, gi int) error {
-		old := src.groups[gi]
-		g := &group{members: members[gi], fam: old.fam, lat: old.lat, w: old.w}
-		if err := g.buildTables(s, g.members, func(i int) []float32 { return fresh.Row(g.members[i]) }); err != nil {
+		g, err := rb.mergeGroup(s, src.groups[gi], gi, members[gi])
+		if err != nil {
 			return fmt.Errorf("core: Compact group %d: %w", gi, err)
 		}
 		if opts.ProbeMode == ProbeHierarchy {
@@ -322,7 +329,7 @@ func (ix *Index) compact() ([]int, error) {
 	// Phase 3 (under mu, bounded work): swap the fresh base in. Rows
 	// inserted or segments sealed during phase 2 carry ids >= srcTotal;
 	// shift them down by delta so the id space stays dense, and carry every
-	// tombstone over (including deletes that raced the rebuild).
+	// tombstone over (including deletes that raced phase 2).
 	ix.mu.Lock()
 	cur := ix.loadSnap()
 	delta := live - srcTotal
@@ -340,7 +347,7 @@ func (ix *Index) compact() ([]int, error) {
 	next.dead = newTombstones(next.idCapacity())
 	for id := 0; id < srcTotal; id++ {
 		if mapping[id] >= 0 && cur.isDeleted(id) {
-			// Deleted while the rebuild ran: the row made it into the new
+			// Deleted while phase 2 ran: the row made it into the new
 			// base, so tombstone it there and report it gone.
 			next.dead.set(mapping[id])
 			mapping[id] = -1
@@ -362,8 +369,86 @@ func (ix *Index) compact() ([]int, error) {
 	return mapping, nil
 }
 
+// forEachBlock runs body over [0,n) cut into one contiguous block per
+// worker, on min(GOMAXPROCS, n) goroutines, and returns when every block is
+// done.
+func forEachBlock(n int, body func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(n*w/workers, n*(w+1)/workers)
+	}
+	wg.Wait()
+}
+
+// groupMembers lists each group's ids, ascending, from the group of every
+// id, each list sized exactly.
+func groupMembers(routed []int32, groups int) [][]int {
+	counts := make([]int, groups)
+	for _, gi := range routed {
+		counts[gi]++
+	}
+	members := make([][]int, groups)
+	for gi, c := range counts {
+		if c > 0 {
+			members[gi] = make([]int, 0, c)
+		}
+	}
+	for id, gi := range routed {
+		members[gi] = append(members[gi], id)
+	}
+	return members
+}
+
+// rebase is what the groups of one compaction share: the renumbering, the
+// surviving rows under their new ids and the group each routes to, and the
+// record of which rows each group carries. The groups are disjoint, so the
+// workers merging them write disjoint entries of carry and carried.
+type rebase struct {
+	mapping []int       // old id -> new id, -1 for a deleted row
+	fresh   *vec.Matrix // surviving rows, by new id
+	routed  []int32     // new id -> level-1 group
+	carry   []int       // old base id -> new id if its group carries it, else -1
+	carried []bool      // new id -> whether its group carries it
+}
+
+// mergeGroup returns the successor of group gi, old, over members (new ids,
+// ascending): the same family, lattice and w, and tables merged from old's.
+// A carried row is one in old's tables that routes back to gi. It keeps its
+// postings, renumbered, and is not hashed again: its family, lattice, w and
+// bytes are unchanged, so its key is the key it is already stored under.
+// Only the arrivals are hashed: overlay rows, and base rows that routing
+// moved into the group, where routing and the stored membership disagree.
+// The renumbering ascends in old id order, so the merged tables are the
+// ones buildTables would build over members.
+func (rb *rebase) mergeGroup(s *hashScratch, old *group, gi int, members []int) (*group, error) {
+	for _, id := range old.members {
+		rb.carry[id] = -1
+		if nid := rb.mapping[id]; nid >= 0 && rb.routed[nid] == int32(gi) {
+			rb.carry[id] = nid
+			rb.carried[nid] = true
+		}
+	}
+	var arrivals []int
+	for _, nid := range members {
+		if !rb.carried[nid] {
+			arrivals = append(arrivals, nid)
+		}
+	}
+	g := &group{members: members, fam: old.fam, lat: old.lat, w: old.w}
+	err := g.hashTables(s, arrivals, func(i int) []float32 { return rb.fresh.Row(arrivals[i]) },
+		func(t int, keys []byte, keyLen int) (*lshtable.Table, error) {
+			return mergeTable(old.tables[t], rb.carry, keys, keyLen, arrivals)
+		})
+	return g, err
+}
+
 // RebuildHierarchies reconstructs the bucket hierarchies over the current
-// base tables. Compact builds hierarchies as part of its rebuild; calling
+// base tables. Compact rebuilds them as part of every compaction; calling
 // this directly is only useful after external table surgery, and it cannot
 // fold overlay inserts (those require Compact), so HierarchyStale persists
 // while overlay rows are pending.

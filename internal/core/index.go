@@ -28,8 +28,8 @@ import (
 // (Query, QueryBatch, QueryBatchParallel, CandidateList, ExactKNN,
 // Describe, Len, Epoch, ...) load the current snapshot once and never take
 // a lock. Writers (Insert, Delete, Compact, RebuildHierarchies) serialize
-// on a short-held mutex; Compact additionally runs its rebuild outside the
-// mutex, so reads and writes keep flowing while it works. See
+// on a short-held mutex; Compact additionally builds its new base outside
+// the mutex, so reads and writes keep flowing while it works. See
 // docs/concurrency.md.
 type Index struct {
 	// opts are the (filled) build options. The struct is immutable after
@@ -42,7 +42,7 @@ type Index struct {
 
 	// mu serializes all mutators (insert, delete, seal, snapshot swap).
 	// It is held only for short, bounded sections — never across a
-	// compaction rebuild or a query.
+	// compaction's phase 2 or a query.
 	mu sync.Mutex
 
 	// compactMu admits at most one Compact at a time (TryLock, so callers
@@ -337,10 +337,20 @@ func (g *group) appendKeys(dst []byte, t int, v []float32, n int, s *hashScratch
 }
 
 // buildTables hashes the group's rows into its L tables with the group's
-// family and lattice: row(i) is the vector stored under ids[i]. A table's
-// keys are written back to back into the worker's scratch and handed to
-// the table as one flat buffer, so nothing is allocated per row.
+// family and lattice: row(i) is the vector stored under ids[i].
 func (g *group) buildTables(s *hashScratch, ids []int, row func(i int) []float32) error {
+	return g.hashTables(s, ids, row, func(_ int, keys []byte, keyLen int) (*lshtable.Table, error) {
+		return lshtable.BuildFlat(keys, keyLen, ids)
+	})
+}
+
+// hashTables sets each of the group's L tables to table(t, keys, keyLen),
+// where keys holds the table-t keys of the rows ids, in order: row(i) is
+// the vector stored under ids[i]. The keys are written back to back into
+// the worker's scratch and handed over as one flat buffer, so nothing is
+// allocated per row.
+func (g *group) hashTables(s *hashScratch, ids []int, row func(i int) []float32,
+	table func(t int, keys []byte, keyLen int) (*lshtable.Table, error)) error {
 	keyLen := 4 * g.lat.CodeLen()
 	s.keys = slices.Grow(s.keys[:0], len(ids)*keyLen)
 	g.tables = make([]*lshtable.Table, g.fam.L())
@@ -349,7 +359,7 @@ func (g *group) buildTables(s *hashScratch, ids []int, row func(i int) []float32
 		for i := range ids {
 			keys = g.appendKeys(keys, t, row(i), 1, s)
 		}
-		tab, err := buildTable(keys, keyLen, ids)
+		tab, err := table(t, keys, keyLen)
 		if err != nil {
 			return fmt.Errorf("table %d: %w", t, err)
 		}
@@ -376,7 +386,7 @@ func buildHammingGroup(g *group, sketches *vec.BinaryMatrix, opts Options, rng *
 		for _, id := range g.members {
 			keys = bs.AppendKey(keys, t, sketches.Row(id))
 		}
-		tab, err := buildTable(keys, bs.KeyLen(), g.members)
+		tab, err := lshtable.BuildFlat(keys, bs.KeyLen(), g.members)
 		if err != nil {
 			return nil, err
 		}

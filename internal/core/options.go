@@ -20,7 +20,7 @@
 // batch queries (QueryBatchParallel) and introspection (Describe). An
 // Index is safe for unrestricted concurrent use: readers run lock-free
 // against immutable published snapshots, mutators serialize internally,
-// and Compact rebuilds in the background without blocking either (see
+// and Compact merges in the background without blocking either (see
 // docs/concurrency.md for the full contract).
 package core
 

@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 	"unsafe"
 
 	"bilsh/internal/cuckoo"
@@ -83,6 +82,21 @@ func (s keySource) at(i int) []byte {
 }
 
 func build(src keySource, ids []int) (*Table, error) {
+	order := sortedOrder(src, ids)
+	return assemble(func(a *assembler) error {
+		for out, in := range order {
+			if out == 0 || !bytes.Equal(src.at(in), src.at(order[out-1])) {
+				openBucket(a, src.at(in))
+			}
+			a.add(ids[in])
+		}
+		return nil
+	})
+}
+
+// sortedOrder returns the positions of src's keys sorted by (key, id): the
+// order their pairs take in a table.
+func sortedOrder(src keySource, ids []int) []int {
 	order := make([]int, len(ids))
 	for i := range order {
 		order[i] = i
@@ -93,45 +107,150 @@ func build(src keySource, ids []int) (*Table, error) {
 		}
 		return cmp.Compare(ids[a], ids[b])
 	})
-	// opens reports whether sorted position i starts a new bucket.
-	opens := func(i int) bool {
-		return i == 0 || !bytes.Equal(src.at(order[i]), src.at(order[i-1]))
-	}
+	return order
+}
 
-	// Size the bucket arrays exactly before filling them: a table lives as
-	// long as its snapshot, so append's slack would stay resident with it.
-	buckets, keyBytes := 0, 0
-	for i := range order {
-		if opens(i) {
-			buckets++
-			keyBytes += len(src.at(order[i]))
+// Merge returns the table BuildFlat would build over t's postings with
+// each id i replaced by remap[i] (dropped where remap[i] < 0) plus the
+// added pairs: the key of ids[j] is keys[j*keyLen:(j+1)*keyLen]. Only the
+// additions are sorted. The postings are walked in t's bucket order with
+// the additions merged into them, never re-sorted, so each bucket's
+// remapped ids must come out strictly ascending: Merge returns an error
+// where they do not, and for a posting outside remap. A bucket left with no id is dropped.
+// Like BuildFlat it retains neither keys nor ids, and nothing of t, which
+// may be a mapped view.
+func (t *Table) Merge(remap []int, keys []byte, keyLen int, ids []int) (*Table, error) {
+	if keyLen < 0 || len(keys) != len(ids)*keyLen {
+		return nil, fmt.Errorf("lshtable: %d key bytes for %d ids of key length %d", len(keys), len(ids), keyLen)
+	}
+	add := keySource{blob: keys, keyLen: keyLen}
+	order := sortedOrder(add, ids)
+	return assemble(func(a *assembler) error {
+		next := 0 // position in order of the first addition not yet placed
+		// newBucket places the run of additions at next, which share a key
+		// t does not hold, as a bucket of its own.
+		newBucket := func() {
+			key := add.at(order[next])
+			openBucket(a, key)
+			for ; next < len(order) && bytes.Equal(add.at(order[next]), key); next++ {
+				a.add(ids[order[next]])
+			}
 		}
-	}
-	t := &Table{
-		keys:   make([]string, 0, buckets),
-		starts: make([]int, 0, buckets+1),
-		ids:    make([]int, len(ids)),
-	}
-	// Each unique key is copied once, into one arena per table that t.keys
-	// are substrings of: one allocation instead of one per bucket, and the
-	// caller's blob is not kept alive.
-	var arena strings.Builder
-	arena.Grow(keyBytes)
-	for out, in := range order {
-		t.ids[out] = ids[in]
-		if opens(out) {
-			arena.Write(src.at(in))
-			t.starts = append(t.starts, out)
+		for b, key := range t.keys {
+			for next < len(order) && string(add.at(order[next])) < key {
+				newBucket()
+			}
+			end := next
+			for end < len(order) && string(add.at(order[end])) == key {
+				end++
+			}
+			if err := a.mergeBucket(key, t.ids[t.starts[b]:t.starts[b+1]], remap, ids, order[next:end]); err != nil {
+				return err
+			}
+			next = end
 		}
+		for next < len(order) {
+			newBucket()
+		}
+		return nil
+	})
+}
+
+// assembler lays a table out bucket by bucket in key order. A walk that
+// emits the buckets runs over it twice: while t is nil it only counts, so
+// that the second run writes into arrays of exactly the size they end at —
+// a table lives as long as its snapshot, so append's slack would stay
+// resident with it.
+type assembler struct {
+	t *Table
+	// arena holds the unique keys back to back, each copied once: t.keys
+	// are views of it, so a table makes one key allocation, not one per
+	// bucket, and keeps no caller's buffer alive.
+	arena                    []byte
+	buckets, items, keyBytes int
+}
+
+// assemble runs walk to size a table, then again to fill it, and indexes
+// the result. It is the one writer of the table layout, behind both
+// BuildFlat (and Build) and Merge.
+func assemble(walk func(a *assembler) error) (*Table, error) {
+	var a assembler
+	if err := walk(&a); err != nil {
+		return nil, err
 	}
+	a.t = &Table{
+		keys:   make([]string, 0, a.buckets),
+		starts: make([]int, 0, a.buckets+1),
+		ids:    make([]int, 0, a.items),
+	}
+	a.arena = make([]byte, 0, a.keyBytes)
+	if err := walk(&a); err != nil {
+		return nil, err
+	}
+	return a.finish()
+}
+
+// openBucket starts a bucket under key; the ids added next are its ids.
+func openBucket[K string | []byte](a *assembler, key K) {
+	if a.t == nil {
+		a.buckets++
+		a.keyBytes += len(key)
+		return
+	}
+	at := len(a.arena)
+	a.arena = append(a.arena, key...) // within capacity: earlier views stay put
+	a.t.keys = append(a.t.keys, unsafe.String(unsafe.SliceData(a.arena[at:]), len(key)))
+	a.t.starts = append(a.t.starts, len(a.t.ids))
+}
+
+// add appends id to the open bucket.
+func (a *assembler) add(id int) {
+	if a.t == nil {
+		a.items++
+		return
+	}
+	a.t.ids = append(a.t.ids, id)
+}
+
+// mergeBucket emits the bucket under key: the postings old, remapped and
+// kept, merged by value with the added ids ids[at] for at in adds, which
+// ascend. Nothing is emitted when no id remains.
+func (a *assembler) mergeBucket(key string, old, remap, ids, adds []int) error {
+	opened, prev := len(adds) > 0, -1
+	if opened {
+		openBucket(a, key)
+	}
+	for _, id := range old {
+		if id < 0 || id >= len(remap) {
+			return fmt.Errorf("lshtable: posting %d outside a remap of %d ids", id, len(remap))
+		}
+		r := remap[id]
+		if r < 0 {
+			continue
+		}
+		if r <= prev {
+			return fmt.Errorf("lshtable: remap not increasing within bucket %q: %d maps to %d after %d", key, id, r, prev)
+		}
+		prev = r
+		if !opened {
+			openBucket(a, key)
+			opened = true
+		}
+		for ; len(adds) > 0 && ids[adds[0]] < r; adds = adds[1:] {
+			a.add(ids[adds[0]])
+		}
+		a.add(r)
+	}
+	for _, at := range adds {
+		a.add(ids[at])
+	}
+	return nil
+}
+
+// finish closes the last bucket and builds the cuckoo index over the keys.
+func (a *assembler) finish() (*Table, error) {
+	t := a.t
 	t.starts = append(t.starts, len(t.ids))
-	all := arena.String()
-	for _, at := range t.starts[:buckets] {
-		n := len(src.at(order[at]))
-		t.keys = append(t.keys, all[:n])
-		all = all[n:]
-	}
-
 	t.index = cuckoo.New(len(t.keys))
 	for b, key := range t.keys {
 		ck := compress(key)
