@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-builders fmt quality quality-sq8 quality-adaptive bench bench-adaptive bench-concurrency durability shard outofcore linkcheck noasm dataset contract loc
+.PHONY: check vet build test race race-builders fmt quality quality-sq8 quality-adaptive bench bench-concurrency durability outofcore linkcheck noasm dataset contract loc
 
 check: vet build race
 
@@ -106,7 +106,7 @@ contract:
 # durability layer, whose simplification items gate on a net-negative
 # delta: per package at the merge base with BASE (a ref, as for contract)
 # and at HEAD, with the difference. Counts committed trees only.
-LOC_PKGS := internal/core internal/lshtable internal/multiprobe internal/wire internal/durable cmd/bilsh
+LOC_PKGS := internal/core internal/lshtable internal/multiprobe internal/lattice internal/wire internal/durable cmd/bilsh
 loc:
 	@base=$$(git merge-base HEAD $(BASE)) || exit 1; \
 	count() { \
@@ -123,29 +123,18 @@ loc:
 	done; \
 	printf '%-22s %7d %7d %+7d\n' total $$tb $$th $$((th - tb))
 
-# Sharded-serving benchmark (see docs/sharding.md): builds an in-process
-# 4-shard cluster (leaf-aware shard map, id maps, HTTP shard servers +
-# router) and a single-node server over the same data, drives identical
-# queries through both, and writes q/s, p50/p99 latency, recall and mean
-# shard fan-out to BENCH_shard.json.
-shard:
-	$(GO) run ./cmd/bilsh shard-bench -out BENCH_shard.json
-
 # Out-of-core gate (see docs/outofcore.md): mapped-vs-heap byte
-# identity and the ≤2-alloc pin, CRC rejection of damaged files at
-# open, the legacy-format converter (bilsh upgrade), the -race
-# snapshot-swap stress, bounded fuzz passes over the paged-layout reader
-# and the converter, and the resident-set benchmark (heap vs mapped at
-# uncapped, 1/4 and 1/16 budgets) into BENCH_outofcore.json — which
-# fails unless every mapped side returns results identical to the heap
-# baseline. Converter inputs are often new coverage, so its pass gets a
+# identity (uncapped, and under a resident-set cap of 1/16 of the rows
+# section) and the ≤2-alloc pin, CRC rejection of damaged files at open,
+# the legacy-format converter (bilsh upgrade), the -race snapshot-swap
+# stress, and bounded fuzz passes over the paged-layout reader and the
+# converter. Converter inputs are often new coverage, so its pass gets a
 # short minimize time: otherwise shrinking them fills the 30 s.
 outofcore:
 	$(GO) test ./internal/core -run 'Mapped|DiskLayout|Upgrade|Residency|DurableMmap|DiskIndex' -count=1
 	$(GO) test -race ./internal/core -run 'TestMappedSwapUnderLoad|TestDurableMmap' -count=1
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDiskLayout -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUpgrade -fuzztime 30s -fuzzminimizetime 2s
-	$(GO) run ./cmd/bilsh outofcore-bench -out BENCH_outofcore.json
 
 # Documentation link check: every relative link and #anchor in every
 # markdown file must resolve (internal/doccheck; external URLs are not
@@ -175,14 +164,6 @@ bench:
 		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkBuild$$|BenchmarkCompact$$' \
 		-benchmem -count=1 -json > BENCH_query.json
 	@echo "wrote BENCH_query.json"
-
-# Adaptive-plan benchmark (see docs/adaptive.md): fixed-budget vs
-# adaptive plan (recall SLO + plateau termination + tuner-style
-# max-candidates cap + deeper re-rank) over a heterogeneous SQ8
-# workload. Fails unless adaptive p99 is lower at equal-or-better
-# measured recall; writes both sides to BENCH_adaptive.json.
-bench-adaptive:
-	$(GO) run ./cmd/bilsh adaptive-bench -out BENCH_adaptive.json
 
 # Concurrency benchmarks: per-op latency under mixed read/write load on the
 # snapshot-based index, the global-RWMutex baseline it replaced, and read

@@ -181,7 +181,7 @@ func BenchmarkRPRule(b *testing.B) { runFigureBench(b, experiments.RPRuleCompari
 // (Section IV-B).
 func BenchmarkTunerAblation(b *testing.B) { runFigureBench(b, experiments.TunerAblation) }
 
-// BenchmarkLatticeCmp is the quantizer density ablation (Z^M vs D_n vs E8).
+// BenchmarkLatticeCmp is the quantizer density ablation (Z^M vs E8).
 func BenchmarkLatticeCmp(b *testing.B) { runFigureBench(b, experiments.LatticeComparison) }
 
 // BenchmarkGroupRouting measures the level-1 routing recall ceiling.

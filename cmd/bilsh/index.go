@@ -16,7 +16,9 @@ import (
 	"bilsh/internal/xrand"
 )
 
-// parseMethodFlags is shared by the build and search commands.
+// methodFlags is the method half of the build and search commands' flags;
+// options turns it into core.Options. quantize and rerank are nil for a
+// command that does not offer them.
 type methodFlags struct {
 	bilevel  *bool
 	lattice  *string
@@ -38,16 +40,12 @@ func (mf methodFlags) options() (core.Options, error) {
 		Groups:      *mf.groups,
 		Params:      lshfunc.Params{M: *mf.m, L: *mf.l, W: *mf.w},
 	}
-	if mf.metric != nil {
-		metric, err := core.ParseMetricKind(*mf.metric)
-		if err != nil {
-			return opts, err
-		}
-		opts.Metric = metric
-		if mf.bits != nil {
-			opts.Bits = *mf.bits
-		}
+	metric, err := core.ParseMetricKind(*mf.metric)
+	if err != nil {
+		return opts, err
 	}
+	opts.Metric = metric
+	opts.Bits = *mf.bits
 	if mf.quantize != nil {
 		q, err := core.ParseQuantizeKind(*mf.quantize)
 		if err != nil {
@@ -66,10 +64,8 @@ func (mf methodFlags) options() (core.Options, error) {
 		opts.Lattice = core.LatticeZM
 	case "E8":
 		opts.Lattice = core.LatticeE8
-	case "DN":
-		opts.Lattice = core.LatticeDn
 	default:
-		return opts, fmt.Errorf("unknown lattice %q (want ZM, Dn or E8)", *mf.lattice)
+		return opts, fmt.Errorf("unknown lattice %q (want ZM or E8)", *mf.lattice)
 	}
 	switch strings.ToLower(*mf.probe) {
 	case "single":
@@ -95,7 +91,7 @@ func cmdBuild(args []string) error {
 	maxN := fs.Int("maxn", 0, "cap on vectors read (0 = all; ignored with -stream)")
 	mf := methodFlags{
 		bilevel: fs.Bool("bilevel", true, "use the bi-level scheme"),
-		lattice: fs.String("lattice", "ZM", "lattice: ZM, Dn or E8"),
+		lattice: fs.String("lattice", "ZM", "lattice: ZM or E8"),
 		probe:   fs.String("probe", "single", "probe mode: single, multi, hierarchy"),
 		groups:  fs.Int("groups", 16, "level-1 partitions"),
 		m:       fs.Int("m", 8, "hash code length M"),

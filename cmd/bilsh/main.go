@@ -8,7 +8,6 @@
 //	bilsh search -data data.fvecs -queries q.fvecs -k 10 [-bilevel] [-lattice E8]
 //	bilsh exp    -fig fig5|fig6|...|fig13c|fig4|rp-rule|tuner-ablation|all
 //	             [-scale tiny|default] [-n N -queries Q -d D -k K -reps R]
-//	bilsh bench  -- alias for "exp -fig all"
 //	bilsh quality [-preset full|small] [-out BENCH_quality.json]
 //	bilsh upgrade -in OLD [-out NEW] | -data-dir DIR
 //
@@ -55,18 +54,10 @@ func main() {
 		err = cmdShardServe(os.Args[2:])
 	case "router":
 		err = cmdRouter(os.Args[2:])
-	case "shard-bench":
-		err = cmdShardBench(os.Args[2:])
-	case "adaptive-bench":
-		err = cmdAdaptiveBench(os.Args[2:])
-	case "outofcore-bench":
-		err = cmdOutOfCoreBench(os.Args[2:])
 	case "exp":
 		err = cmdExp(os.Args[2:])
 	case "quality":
 		err = cmdQuality(os.Args[2:])
-	case "bench":
-		err = cmdExp(append([]string{"-fig", "all"}, os.Args[2:]...))
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -96,11 +87,7 @@ commands:
   shard-split  cut a built index into per-shard datasets and a shard map (docs/sharding.md)
   shard-serve  serve one shard of a cluster (serve + shard id, id map, replica bring-up)
   router       scatter-gather front end over running shards (leaf-aware routing, hedging)
-  shard-bench  in-process cluster vs single-node benchmark -> BENCH_shard.json
-  adaptive-bench  adaptive plan vs fixed-budget benchmark -> BENCH_adaptive.json
-  outofcore-bench  mapped vs heap q/s at capped resident set -> BENCH_outofcore.json
   exp          run a paper experiment and print its table (-fig fig4..fig13c, all)
-  bench        run every experiment (alias for exp -fig all)
   quality      run the deterministic quality-regression matrix against golden thresholds
 
 run "bilsh <command> -h" for the command's flags

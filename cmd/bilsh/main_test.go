@@ -107,3 +107,39 @@ func TestUpgradeAndInfoCommands(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchAndBuildShareMethodFlags: search parses its method flags with
+// build's parser, so -lattice E8 -probe multi reaches the method line, and
+// a lattice neither knows is refused by both with an error naming the two
+// that exist.
+func TestSearchAndBuildShareMethodFlags(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data.fvecs")
+	queries := filepath.Join(dir, "q.fvecs")
+	if err := cmdGen([]string{"-n", "300", "-d", "8", "-clusters", "4", "-intrinsic", "2",
+		"-out", data, "-queries", queries, "-nq", "5"}); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	search := []string{"-data", data, "-queries", queries, "-groups", "2", "-l", "3"}
+	out, err := stdout(t, func() error {
+		return cmdSearch(append(search, "-lattice", "E8", "-probe", "multi"))
+	})
+	if err != nil {
+		t.Fatalf("search -lattice E8 -probe multi: %v", err)
+	}
+	if want := "method: bilevel=true lattice=E8 probe=multiprobe groups=2 M=8 L=3 Wx=1\n"; !strings.Contains(out, want) {
+		t.Fatalf("search printed no %q line:\n%s", want, out)
+	}
+
+	build := []string{"-data", data, "-out", filepath.Join(dir, "index.bilsh")}
+	for _, c := range []struct {
+		name string
+		run  func([]string) error
+		args []string
+	}{{"search", cmdSearch, search}, {"build", cmdBuild, build}} {
+		err := c.run(append(c.args, "-lattice", "Dn"))
+		if err == nil || !strings.Contains(err.Error(), "ZM") || !strings.Contains(err.Error(), "E8") {
+			t.Fatalf("%s -lattice Dn: got %v, want an error naming ZM and E8", c.name, err)
+		}
+	}
+}

@@ -2,13 +2,11 @@ package main
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"bilsh/internal/core"
 	"bilsh/internal/dataset"
 	"bilsh/internal/knn"
-	"bilsh/internal/lshfunc"
 	"bilsh/internal/xrand"
 )
 
@@ -19,18 +17,21 @@ func cmdSearch(args []string) error {
 	dataPath := fs.String("data", "", "fvecs file with the indexed vectors (required)")
 	queryPath := fs.String("queries", "", "fvecs file with query vectors (required)")
 	k := fs.Int("k", 10, "neighbors per query")
-	bilevel := fs.Bool("bilevel", true, "use the bi-level scheme (false = standard LSH)")
-	latName := fs.String("lattice", "ZM", "lattice: ZM or E8")
-	probeName := fs.String("probe", "single", "probe mode: single, multi, hierarchy")
-	groups := fs.Int("groups", 16, "level-1 partitions")
-	m := fs.Int("m", 8, "hash code length M")
-	l := fs.Int("l", 10, "hash tables L")
-	w := fs.Float64("w", 1.0, "bucket width multiplier over the tuned base")
+	mf := methodFlags{
+		bilevel: fs.Bool("bilevel", true, "use the bi-level scheme (false = standard LSH)"),
+		lattice: fs.String("lattice", "ZM", "lattice: ZM or E8"),
+		probe:   fs.String("probe", "single", "probe mode: single, multi, hierarchy"),
+		groups:  fs.Int("groups", 16, "level-1 partitions"),
+		m:       fs.Int("m", 8, "hash code length M"),
+		l:       fs.Int("l", 10, "hash tables L"),
+		w:       fs.Float64("w", 1.0, "bucket width multiplier over the tuned base"),
+		seed:    fs.Int64("seed", 1, "random seed"),
+		metric: fs.String("metric", "euclidean",
+			"distance metric: euclidean (l2) or hamming (sketch + bit-sampling LSH; truth is the exact Hamming scan)"),
+		bits: fs.Int("bits", 0, "hamming: sketch width in bits (0 = default 256)"),
+	}
 	maxN := fs.Int("maxn", 0, "cap on vectors read (0 = all)")
 	maxQ := fs.Int("maxq", 1000, "cap on queries evaluated")
-	seed := fs.Int64("seed", 1, "random seed")
-	metricName := fs.String("metric", "euclidean", "distance metric: euclidean (l2) or hamming (sketch + bit-sampling LSH; truth is the exact Hamming scan)")
-	bits := fs.Int("bits", 0, "hamming: sketch width in bits (0 = default 256)")
 	verbose := fs.Bool("v", false, "print each query's neighbors")
 	recall := fs.Float64("recall", 0, "per-query recall SLO in (0,1): resolve the table budget from the collision model (0 = probe all L tables)")
 	stableProbes := fs.Int("stable-probes", 0, "stop probing after this many consecutive probes without shortlist growth (0 = off)")
@@ -40,6 +41,10 @@ func cmdSearch(args []string) error {
 	}
 	if *dataPath == "" || *queryPath == "" {
 		return fmt.Errorf("search: -data and -queries are required")
+	}
+	opts, err := mf.options()
+	if err != nil {
+		return err
 	}
 
 	data, err := dataset.LoadFvecsFile(*dataPath, *maxN)
@@ -54,42 +59,8 @@ func cmdSearch(args []string) error {
 		return fmt.Errorf("dimension mismatch: data %d vs queries %d", data.D, queries.D)
 	}
 
-	metric, err := core.ParseMetricKind(*metricName)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{
-		Metric:      metric,
-		Bits:        *bits,
-		Partitioner: core.PartitionNone,
-		AutoTuneW:   true,
-		Groups:      *groups,
-		Params:      lshfunc.Params{M: *m, L: *l, W: *w},
-	}
-	if *bilevel {
-		opts.Partitioner = core.PartitionRPTree
-	}
-	switch strings.ToUpper(*latName) {
-	case "ZM":
-		opts.Lattice = core.LatticeZM
-	case "E8":
-		opts.Lattice = core.LatticeE8
-	default:
-		return fmt.Errorf("unknown lattice %q", *latName)
-	}
-	switch strings.ToLower(*probeName) {
-	case "single":
-		opts.ProbeMode = core.ProbeSingle
-	case "multi":
-		opts.ProbeMode = core.ProbeMulti
-	case "hierarchy":
-		opts.ProbeMode = core.ProbeHierarchy
-	default:
-		return fmt.Errorf("unknown probe mode %q", *probeName)
-	}
-
 	start := time.Now()
-	ix, err := core.Build(data, opts, xrand.New(*seed))
+	ix, err := core.Build(data, opts, xrand.New(*mf.seed))
 	if err != nil {
 		return err
 	}
@@ -116,7 +87,7 @@ func cmdSearch(args []string) error {
 	// Ground truth in the index's own metric: brute-force Euclidean over
 	// the raw rows, or the exact Hamming scan over the index's sketches.
 	var truth []knn.Result
-	if metric == core.MetricHamming {
+	if opts.Metric == core.MetricHamming {
 		truth = make([]knn.Result, queries.N)
 		for qi := range truth {
 			truth[qi] = ix.ExactKNN(queries.Row(qi), *k)
@@ -138,7 +109,7 @@ func cmdSearch(args []string) error {
 		data.N, data.D, buildDur.Round(time.Millisecond), queries.N,
 		queryDur.Round(time.Millisecond), nq/queryDur.Seconds())
 	fmt.Printf("method: bilevel=%v lattice=%v probe=%v groups=%d M=%d L=%d Wx=%g\n",
-		*bilevel, opts.Lattice, opts.ProbeMode, ix.NumGroups(), *m, *l, *w)
+		*mf.bilevel, opts.Lattice, opts.ProbeMode, ix.NumGroups(), *mf.m, *mf.l, *mf.w)
 	if planned {
 		var tables, early float64
 		for i := range planStats {
@@ -148,7 +119,7 @@ func cmdSearch(args []string) error {
 			}
 		}
 		fmt.Printf("plan: target-recall=%g stable-probes=%d max-candidates=%d  mean-tables-probed=%.2f/%d  early-terminated=%.1f%%\n",
-			*recall, *stableProbes, *maxCands, tables/nq, *l, 100*early/nq)
+			*recall, *stableProbes, *maxCands, tables/nq, *mf.l, 100*early/nq)
 	}
 	fmt.Printf("recall=%.4f  error-ratio=%.4f  selectivity=%.4f\n",
 		gotRecall/nq, errRatio/nq, sel/nq)

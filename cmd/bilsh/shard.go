@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -18,13 +17,8 @@ import (
 	"bilsh/internal/core"
 	"bilsh/internal/dataset"
 	"bilsh/internal/durable"
-	"bilsh/internal/knn"
-	"bilsh/internal/lshfunc"
-	"bilsh/internal/metrics"
 	"bilsh/internal/router"
-	"bilsh/internal/server"
 	"bilsh/internal/vec"
-	"bilsh/internal/xrand"
 )
 
 // The sharding commands (docs/sharding.md):
@@ -32,7 +26,6 @@ import (
 //	shard-split  cut a built index into per-shard datasets + a shard map
 //	shard-serve  serve one shard (serve.go; cmdShardServe)
 //	router       scatter-gather front end over running shards
-//	shard-bench  in-process cluster benchmark -> BENCH_shard.json
 
 // cmdShardSplit cuts a built index into S shard datasets along its
 // level-1 leaves (LPT-balanced), writing per shard an fvecs file and an
@@ -250,240 +243,4 @@ func cmdRouter(args []string) error {
 		err = nil
 	}
 	return err
-}
-
-// shardBenchSide is one side of the BENCH_shard.json comparison.
-type shardBenchSide struct {
-	QPS        float64 `json:"qps"`
-	P50Millis  float64 `json:"p50_ms"`
-	P99Millis  float64 `json:"p99_ms"`
-	Recall     float64 `json:"recall"`
-	MeanFanout float64 `json:"mean_fanout,omitempty"`
-}
-
-// cmdShardBench benchmarks an in-process cluster against a single node:
-// it builds one bi-level index, splits it along its leaves into S shard
-// servers on loopback ports, fronts them with a router, and measures
-// q/s, latency percentiles and recall over the same queries for both
-// deployments, plus the router's mean shard fan-out (the leaf-aware
-// routing win: fan-out < S means most shards never saw the query).
-func cmdShardBench(args []string) error {
-	fs := newFlagSet("shard-bench")
-	n := fs.Int("n", 8000, "dataset size")
-	d := fs.Int("d", 32, "dimensionality")
-	nq := fs.Int("queries", 200, "query count")
-	k := fs.Int("k", 10, "neighbors per query")
-	shards := fs.Int("shards", 4, "shard count")
-	spill := fs.Int("spill", 2, "router leaf probe budget")
-	seed := fs.Int64("seed", 1, "random seed")
-	out := fs.String("out", "BENCH_shard.json", "output JSON path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rng := xrand.New(*seed)
-	data, _, err := dataset.Clustered(dataset.DefaultClusteredSpec(*n+*nq, *d), rng)
-	if err != nil {
-		return err
-	}
-	train, queries := dataset.Split(data, *nq, rng)
-	truth := knn.ExactAll(train, queries, *k)
-
-	opts := core.Options{
-		Partitioner: core.PartitionRPTree,
-		Groups:      4 * *shards, // a few leaves per shard so LPT can balance
-		AutoTuneW:   true,
-		Params:      lshfunc.Params{M: 8, L: 10, W: 1},
-	}
-	mono, err := core.Build(train, opts, xrand.New(*seed+1))
-	if err != nil {
-		return err
-	}
-
-	// Split along leaves, exactly as shard-split does on disk.
-	md := mono.Describe()
-	sizes := make([]int, md.Groups)
-	for g := range sizes {
-		sizes[g] = len(mono.GroupMembers(g))
-	}
-	leafToShard := router.AssignLeaves(sizes, *shards)
-	smap, err := router.NewShardMap(mono.Tree(), leafToShard, *shards)
-	if err != nil {
-		return err
-	}
-	perShard := make([][]int, *shards)
-	for g := 0; g < md.Groups; g++ {
-		s := leafToShard[g]
-		perShard[s] = append(perShard[s], mono.GroupMembers(g)...)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	shardOpts := opts
-	shardOpts.Partitioner = core.PartitionNone
-	sets := make([]router.ShardSet, *shards)
-	for s := 0; s < *shards; s++ {
-		gids := perShard[s]
-		sort.Ints(gids)
-		six, err := core.Build(train.Subset(gids), shardOpts, xrand.New(*seed+2+int64(s)))
-		if err != nil {
-			return err
-		}
-		locals := make([]int, len(gids))
-		for i := range locals {
-			locals[i] = i
-		}
-		im, err := server.NewIDMap(locals, gids)
-		if err != nil {
-			return err
-		}
-		api := server.New(six, false)
-		api.SetShardID(s)
-		api.SetIDMap(im)
-		api.SetRegistry(metrics.NewRegistry())
-		addr, err := serveInProcess(ctx, api)
-		if err != nil {
-			return err
-		}
-		sets[s] = router.ShardSet{Addrs: []string{addr}}
-		fmt.Printf("shard %d: %d vectors on %s\n", s, len(gids), addr)
-	}
-	single := server.New(mono, false)
-	single.SetRegistry(metrics.NewRegistry())
-	singleAddr, err := serveInProcess(ctx, single)
-	if err != nil {
-		return err
-	}
-
-	rt, err := router.New(router.Options{
-		Map: smap, Shards: sets, Spill: *spill, Registry: metrics.NewRegistry(),
-	})
-	if err != nil {
-		return err
-	}
-	routerAddr, err := serveHandlerInProcess(ctx, rt.Handler())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("router on %s (spill %d), single node on %s\n", routerAddr, *spill, singleAddr)
-
-	singleSide, err := benchQueries(singleAddr, queries, *k, 0, truth)
-	if err != nil {
-		return err
-	}
-	routerSide, err := benchQueries(routerAddr, queries, *k, *spill, truth)
-	if err != nil {
-		return err
-	}
-
-	report := map[string]interface{}{
-		"bench": "shard",
-		"config": map[string]interface{}{
-			"n": *n, "d": *d, "queries": *nq, "k": *k,
-			"shards": *shards, "spill": *spill, "seed": *seed,
-			"m": opts.Params.M, "l": opts.Params.L, "leaves": md.Groups,
-		},
-		"single": singleSide,
-		"router": routerSide,
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\n%-8s %10s %10s %10s %8s %8s\n", "side", "q/s", "p50 ms", "p99 ms", "recall", "fanout")
-	fmt.Printf("%-8s %10.0f %10.3f %10.3f %8.3f %8s\n", "single",
-		singleSide.QPS, singleSide.P50Millis, singleSide.P99Millis, singleSide.Recall, "-")
-	fmt.Printf("%-8s %10.0f %10.3f %10.3f %8.3f %8.2f\n", "router",
-		routerSide.QPS, routerSide.P50Millis, routerSide.P99Millis, routerSide.Recall, routerSide.MeanFanout)
-	fmt.Printf("wrote %s\n", *out)
-	return nil
-}
-
-// serveInProcess starts api on a loopback ephemeral port, returning its
-// base URL; the server dies with ctx.
-func serveInProcess(ctx context.Context, api *server.Server) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	go api.Serve(ctx, ln)
-	return "http://" + ln.Addr().String(), nil
-}
-
-func serveHandlerInProcess(ctx context.Context, h http.Handler) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
-	go func() { <-ctx.Done(); srv.Close() }()
-	return "http://" + ln.Addr().String(), nil
-}
-
-// benchQueries runs the query set once over HTTP (sequentially — both
-// sides pay the same per-request overhead) and aggregates throughput,
-// latency percentiles, recall against truth, and mean fan-out when the
-// responses carry one.
-func benchQueries(base string, queries *vec.Matrix, k, spill int, truth []knn.Result) (*shardBenchSide, error) {
-	hc := &http.Client{Timeout: 30 * time.Second}
-	durs := make([]float64, 0, queries.N)
-	var recallSum, fanoutSum float64
-	fanouts := 0
-	wall := time.Now()
-	for i := 0; i < queries.N; i++ {
-		req := map[string]interface{}{"vector": queries.Row(i), "k": k}
-		if spill > 0 {
-			req["spill"] = spill
-		}
-		blob, _ := json.Marshal(req)
-		t0 := time.Now()
-		resp, err := hc.Post(base+"/query", "application/json", strings.NewReader(string(blob)))
-		if err != nil {
-			return nil, err
-		}
-		var body struct {
-			Neighbors []struct {
-				ID int `json:"id"`
-			} `json:"neighbors"`
-			ShardsContacted int `json:"shards_contacted"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		durs = append(durs, time.Since(t0).Seconds()*1000)
-		got := make([]int, len(body.Neighbors))
-		for j, nb := range body.Neighbors {
-			got[j] = nb.ID
-		}
-		recallSum += knn.Recall(truth[i].IDs, got)
-		if body.ShardsContacted > 0 {
-			fanoutSum += float64(body.ShardsContacted)
-			fanouts++
-		}
-	}
-	elapsed := time.Since(wall).Seconds()
-	sort.Float64s(durs)
-	side := &shardBenchSide{
-		QPS:       float64(queries.N) / elapsed,
-		P50Millis: percentile(durs, 0.50),
-		P99Millis: percentile(durs, 0.99),
-		Recall:    recallSum / float64(queries.N),
-	}
-	if fanouts > 0 {
-		side.MeanFanout = fanoutSum / float64(fanouts)
-	}
-	return side, nil
-}
-
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }

@@ -32,7 +32,7 @@ func indexBytes(t *testing.T, ix *Index) []byte {
 func TestBuildIndependentOfWorkerCount(t *testing.T) {
 	data := testData(t, 700, 16, 61)
 	extra := testData(t, 40, 16, 62)
-	for _, lat := range []LatticeKind{LatticeZM, LatticeE8, LatticeDn} {
+	for _, lat := range []LatticeKind{LatticeZM, LatticeE8} {
 		for _, mode := range []ProbeMode{ProbeSingle, ProbeMulti, ProbeHierarchy} {
 			for _, part := range []PartitionerKind{PartitionRPTree, PartitionKMeans, PartitionNone} {
 				for _, quant := range []QuantizeKind{QuantizeNone, QuantizeSQ8} {

@@ -175,7 +175,7 @@ func TestCompactMatchesRebuild(t *testing.T) {
 		return m
 	}
 	data, extra, queries := gaussian(400), gaussian(80), gaussian(8)
-	for _, lat := range []LatticeKind{LatticeZM, LatticeE8, LatticeDn} {
+	for _, lat := range []LatticeKind{LatticeZM, LatticeE8} {
 		for _, mode := range []ProbeMode{ProbeSingle, ProbeMulti, ProbeHierarchy} {
 			for _, part := range []PartitionerKind{PartitionRPTree, PartitionKMeans, PartitionNone} {
 				for _, quant := range []QuantizeKind{QuantizeNone, QuantizeSQ8} {

@@ -39,12 +39,8 @@ func TestBuildVariants(t *testing.T) {
 			ProbeMode: ProbeHierarchy, Params: lshfunc.Params{M: 8, L: 2, W: 2}},
 		{Partitioner: PartitionRPTree, Groups: 4, AutoTuneW: true,
 			Params: lshfunc.Params{M: 4, L: 2, W: 1}},
-		{Partitioner: PartitionRPTree, Groups: 4, Lattice: LatticeDn,
-			Params: lshfunc.Params{M: 8, L: 2, W: 2}},
-		{Partitioner: PartitionRPTree, Groups: 4, Lattice: LatticeDn,
+		{Partitioner: PartitionRPTree, Groups: 4, Lattice: LatticeE8,
 			ProbeMode: ProbeMulti, Probes: 20, Params: lshfunc.Params{M: 8, L: 2, W: 2}},
-		{Partitioner: PartitionRPTree, Groups: 4, Lattice: LatticeDn,
-			ProbeMode: ProbeHierarchy, Params: lshfunc.Params{M: 8, L: 2, W: 2}},
 	}
 	for i, opts := range variants {
 		ix, err := Build(data, opts, xrand.New(int64(i)))
@@ -100,8 +96,6 @@ func TestStoredPointFindsItself(t *testing.T) {
 	for _, opts := range []Options{
 		{Partitioner: PartitionRPTree, Groups: 8, Params: lshfunc.Params{M: 4, L: 4, W: 4}},
 		{Partitioner: PartitionRPTree, Groups: 8, Lattice: LatticeE8,
-			Params: lshfunc.Params{M: 8, L: 4, W: 4}},
-		{Partitioner: PartitionRPTree, Groups: 8, Lattice: LatticeDn,
 			Params: lshfunc.Params{M: 8, L: 4, W: 4}},
 	} {
 		ix, err := Build(data, opts, xrand.New(5))

@@ -58,9 +58,7 @@ func refGather(ix *Index, q []float32, hierMinCount int) (map[int]struct{}, Quer
 			case *lattice.ZM:
 				probes = refZMProbes(lat, proj, ix.opts.Probes)
 			case *lattice.E8:
-				probes = refRingProbes(lat.Decode(proj), proj, 8, refE8Mins(), ix.opts.Probes)
-			case *lattice.Dn:
-				probes = refRingProbes(lat.Decode(proj), proj, lat.BlockDim(), lattice.DnMinVectors(lat.BlockDim()), ix.opts.Probes)
+				probes = refRingProbes(lat.Decode(proj), proj, ix.opts.Probes)
 			}
 			for _, code := range probes {
 				stats.Probes++
@@ -261,17 +259,8 @@ func (h *refSetHeap) Pop() interface{} {
 	return it
 }
 
-func refE8Mins() [][]int32 {
-	mins := lattice.MinVectors()
-	out := make([][]int32, len(mins))
-	for i := range mins {
-		out[i] = mins[i][:]
-	}
-	return out
-}
-
-// refRingProbes is the old string-keyed ring expansion for E8/Dn.
-func refRingProbes(home []int32, y []float64, blockDim int, mins [][]int32, count int) [][]int32 {
+// refRingProbes is the old string-keyed E8 ring expansion.
+func refRingProbes(home []int32, y []float64, count int) [][]int32 {
 	if count <= 0 {
 		return nil
 	}
@@ -292,11 +281,11 @@ func refRingProbes(home []int32, y []float64, blockDim int, mins [][]int32, coun
 	for len(probes) < count && len(frontier) > 0 {
 		var ring []cand
 		for _, base := range frontier {
-			for b := 0; b+blockDim <= codeLen; b += blockDim {
-				for _, mv := range mins {
+			for b := 0; b+8 <= codeLen; b += 8 {
+				for _, mv := range lattice.MinVectors() {
 					nb := make([]int32, codeLen)
 					copy(nb, base)
-					for j := 0; j < blockDim; j++ {
+					for j := 0; j < 8; j++ {
 						nb[b+j] += mv[j]
 					}
 					key := lattice.Key(nb)
@@ -402,7 +391,7 @@ func sameStats(a, b QueryStats) bool {
 // deterministic stats, for every lattice × probe mode, static and with a
 // dynamic overlay.
 func TestQueryMatchesReference(t *testing.T) {
-	lattices := []LatticeKind{LatticeZM, LatticeE8, LatticeDn}
+	lattices := []LatticeKind{LatticeZM, LatticeE8}
 	modes := []ProbeMode{ProbeSingle, ProbeMulti, ProbeHierarchy}
 	for _, lat := range lattices {
 		for _, mode := range modes {
@@ -501,7 +490,7 @@ func TestQueryBatchMatchesReference(t *testing.T) {
 // in original id order, which is exactly row order in the fresh build's
 // matrix.)
 func TestCompactEquivalentToFreshBuild(t *testing.T) {
-	lattices := []LatticeKind{LatticeZM, LatticeE8, LatticeDn}
+	lattices := []LatticeKind{LatticeZM, LatticeE8}
 	modes := []ProbeMode{ProbeSingle, ProbeMulti, ProbeHierarchy}
 	for _, lat := range lattices {
 		for _, mode := range modes {

@@ -402,8 +402,6 @@ func newLattice(kind LatticeKind, m int) (lattice.Lattice, error) {
 		return lattice.NewZM(m), nil
 	case LatticeE8:
 		return lattice.NewE8(m), nil
-	case LatticeDn:
-		return lattice.NewDn(m), nil
 	default:
 		return nil, fmt.Errorf("unknown lattice %v", kind)
 	}
@@ -423,8 +421,7 @@ func buildGroupHierarchies(g *group, opts Options) error {
 			}
 			g.mortonH[t] = h
 		}
-	default:
-		// E8 and D_n share the explicit lattice hierarchy.
+	case *lattice.E8:
 		g.e8H = make([]*hierarchy.E8Tree, len(g.tables))
 		g.mortonH = nil
 		for t, tab := range g.tables {

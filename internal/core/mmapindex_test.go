@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bilsh/internal/durable"
+	"bilsh/internal/knn"
 	"bilsh/internal/lshfunc"
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
@@ -38,8 +39,8 @@ func TestMappedHeapEquivalence(t *testing.T) {
 			Params: lshfunc.Params{M: 4, L: 3, W: 2}},
 		{Partitioner: PartitionRPTree, Groups: 4, Lattice: LatticeE8,
 			ProbeMode: ProbeHierarchy, Params: lshfunc.Params{M: 8, L: 2, W: 2}},
-		{Partitioner: PartitionNone, Lattice: LatticeDn, ProbeMode: ProbeMulti,
-			Probes: 12, Params: lshfunc.Params{M: 4, L: 2, W: 2}},
+		{Partitioner: PartitionNone, Lattice: LatticeE8, ProbeMode: ProbeMulti,
+			Probes: 12, Params: lshfunc.Params{M: 8, L: 2, W: 2}},
 		{Partitioner: PartitionKMeans, Groups: 3, Quantize: QuantizeSQ8,
 			Params: lshfunc.Params{M: 4, L: 3, W: 2}},
 		{Partitioner: PartitionRPTree, Groups: 4, Lattice: LatticeE8, Quantize: QuantizeSQ8,
@@ -241,7 +242,8 @@ func TestMappedSwapUnderLoad(t *testing.T) {
 
 // TestResidencyControls exercises the policy surface end to end on a real
 // mapped index: sampling, budget enforcement, and that eviction cannot
-// change results (clean pages refault with identical bytes).
+// change results (clean pages refault with identical bytes) — for one
+// query, and for a batch served under a cap of 1/16 of the rows section.
 func TestResidencyControls(t *testing.T) {
 	data := testData(t, 800, 32, 950)
 	ix, err := Build(data, Options{Partitioner: PartitionRPTree, Groups: 3,
@@ -249,7 +251,8 @@ func TestResidencyControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	di, err := OpenDiskWith(saveV3(t, ix), DiskOpenOptions{
+	path := saveV3(t, ix)
+	di, err := OpenDiskWith(path, DiskOpenOptions{
 		Residency: ResidencyPolicy{PinCodes: true, RowsBudget: 4096},
 	})
 	if err != nil {
@@ -277,6 +280,36 @@ func TestResidencyControls(t *testing.T) {
 	di.SetRowsBudget(1 << 30)
 	if st := di.EnforceResidency(); st.RowsBudget != 1<<30 {
 		t.Fatalf("SetRowsBudget not applied: %+v", st)
+	}
+
+	// A batch under a cap of 1/16 of the rows section, enforced every 64
+	// queries the way the serve ticker interleaves it with traffic, answers
+	// exactly as a heap open of the same file.
+	capped, err := OpenDiskWith(path, DiskOpenOptions{
+		Residency: ResidencyPolicy{PinCodes: true, RowsBudget: st.RowsBytes / 16},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capped.Close()
+	heap, err := OpenDiskWith(path, DiskOpenOptions{ForceHeap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heap.Close()
+	queries := testData(t, 256, 32, 952)
+	var got, want []knn.Result
+	for qi := 0; qi < queries.N; qi++ {
+		r, _ := capped.Query(queries.Row(qi), 10)
+		got = append(got, r)
+		if qi%64 == 63 {
+			capped.EnforceResidency()
+		}
+		r, _ = heap.Query(queries.Row(qi), 10)
+		want = append(want, r)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a mapped open capped at 1/16 of the rows section diverged from the heap open")
 	}
 }
 

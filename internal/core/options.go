@@ -5,9 +5,9 @@
 // using a random projection tree (or, for the paper's Fig. 13c baseline,
 // K-means; or no partitioning at all, which makes the index a standard
 // p-stable LSH — the paper's main baseline). Level 2 builds, per group, L
-// locality-sensitive hash tables over a Z^M, D_n or E8 lattice quantizer,
+// locality-sensitive hash tables over a Z^M or E8 lattice quantizer,
 // with optional multi-probe querying and an optional bucket hierarchy
-// (Morton curve for Z^M, explicit tree for D_n/E8) that adapts bucket
+// (Morton curve for Z^M, explicit tree for E8) that adapts bucket
 // size per query.
 //
 // The bi-level hash code of an item v is H~(v) = (RP-tree(v), H(v)): the
@@ -66,9 +66,6 @@ const (
 	LatticeZM LatticeKind = iota
 	// LatticeE8 is the E8 lattice of Section IV-B2b.
 	LatticeE8
-	// LatticeDn is the checkerboard lattice D_n — an extension ablation
-	// between Z^M and E8 on the density axis (see internal/lattice).
-	LatticeDn
 )
 
 // String implements fmt.Stringer.
@@ -78,8 +75,6 @@ func (l LatticeKind) String() string {
 		return "ZM"
 	case LatticeE8:
 		return "E8"
-	case LatticeDn:
-		return "Dn"
 	default:
 		return fmt.Sprintf("LatticeKind(%d)", int(l))
 	}
@@ -362,7 +357,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: unknown metric kind %d", int(o.Metric))
 	}
 	switch o.Lattice {
-	case LatticeZM, LatticeE8, LatticeDn:
+	case LatticeZM, LatticeE8:
 	default:
 		return fmt.Errorf("core: unknown lattice kind %d", int(o.Lattice))
 	}

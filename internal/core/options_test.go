@@ -33,6 +33,7 @@ func TestReadOptionsRejectsInvalid(t *testing.T) {
 		mutate func(*Options)
 	}{
 		{"unknown lattice", func(o *Options) { o.Lattice = 99 }},
+		{"retired lattice 2", func(o *Options) { o.Lattice = 2 }},
 		{"unknown partitioner", func(o *Options) { o.Partitioner = -1 }},
 		{"unknown probe mode", func(o *Options) { o.ProbeMode = 7 }},
 		{"unknown rp rule", func(o *Options) { o.RPRule = rptree.Rule(9) }},
@@ -85,6 +86,40 @@ func TestReadOptionsRejectsInvalid(t *testing.T) {
 	if got.Lattice != o.Lattice || got.Groups != o.Groups || got.Params != o.Params ||
 		got.Quantize != o.Quantize || got.RerankFactor != o.RerankFactor {
 		t.Fatalf("options changed across encode/decode: %+v vs %+v", got, o)
+	}
+}
+
+// TestReadIndexRejectsRetiredLattice: lattice kind 2 once named a third
+// quantizer; a bilsh.Index/2 stream whose option block still carries it is
+// refused with an error, while the same stream naming E8 loads.
+func TestReadIndexRejectsRetiredLattice(t *testing.T) {
+	data := testData(t, 120, 8, 44)
+	ix, err := Build(data, Options{Partitioner: PartitionRPTree, Groups: 2, Lattice: LatticeE8,
+		Params: lshfunc.Params{M: 8, L: 2, W: 2}}, xrand.New(45))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(lat LatticeKind) *bytes.Buffer {
+		sn := ix.loadSnap()
+		o := ix.opts
+		o.Lattice = lat
+		var buf bytes.Buffer
+		ww := wire.NewWriter(&buf)
+		ww.Magic(indexMagic)
+		writeOptions(ww, o)
+		sn.data.Encode(ww)
+		writeQuant(ww, sn.quant)
+		writeStructure(ww, sn.tree, sn.km, sn.groups)
+		if err := ww.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	if _, err := ReadIndex(stream(LatticeE8)); err != nil {
+		t.Fatalf("E8 stream rejected: %v", err)
+	}
+	if _, err := ReadIndex(stream(2)); err == nil {
+		t.Fatal("ReadIndex accepted an option block naming lattice 2")
 	}
 }
 

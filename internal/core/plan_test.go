@@ -86,7 +86,7 @@ func TestPlanIsDefault(t *testing.T) {
 // Query across lattices × probe modes × static/overlay/compacted, with
 // PlanStats reporting the full budget and no early termination.
 func TestQueryPlanDefaultMatchesQuery(t *testing.T) {
-	lattices := []LatticeKind{LatticeZM, LatticeE8, LatticeDn}
+	lattices := []LatticeKind{LatticeZM, LatticeE8}
 	modes := []ProbeMode{ProbeSingle, ProbeMulti, ProbeHierarchy}
 	stages := []string{"static", "overlay", "compacted"}
 	for _, lat := range lattices {

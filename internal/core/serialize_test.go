@@ -43,8 +43,6 @@ func TestSerializeRoundTripVariants(t *testing.T) {
 			ProbeMode: ProbeHierarchy, Params: lshfunc.Params{M: 8, L: 2, W: 2}},
 		{Partitioner: PartitionNone, ProbeMode: ProbeMulti, Probes: 20,
 			Params: lshfunc.Params{M: 4, L: 2, W: 2}},
-		{Partitioner: PartitionRPTree, Groups: 4, Lattice: LatticeDn,
-			ProbeMode: ProbeHierarchy, Params: lshfunc.Params{M: 8, L: 2, W: 2}},
 	}
 	queries := testData(t, 10, 16, 32)
 	for vi, opts := range variants {

@@ -9,13 +9,13 @@ import (
 )
 
 // LatticeComparison is an extension ablation on the density axis the paper
-// motivates in Section II-B: the same Bi-level index quantized on Z^M, D_n
-// and E8. E8's higher density should buy quality at equal selectivity in
-// dim-8 blocks, with D_n in between.
+// motivates in Section II-B: the same Bi-level index quantized on Z^M and
+// E8. E8's higher density should buy quality at equal selectivity in dim-8
+// blocks.
 func LatticeComparison(w *Workload) (FigureResult, error) {
-	res := FigureResult{ID: "lattice-cmp", Title: "quantizer density ablation: Z^M vs D_n vs E8"}
+	res := FigureResult{ID: "lattice-cmp", Title: "quantizer density ablation: Z^M vs E8"}
 	l := midL(w.Cfg)
-	for _, lat := range []core.LatticeKind{core.LatticeZM, core.LatticeDn, core.LatticeE8} {
+	for _, lat := range []core.LatticeKind{core.LatticeZM, core.LatticeE8} {
 		m := BiLevelLSH(lat, core.ProbeSingle, w.Cfg.M, l, w.Cfg.Groups)
 		m.Name = fmt.Sprintf("bi-level (%v)", lat)
 		s, err := RunSweep(w, m, l)

@@ -258,7 +258,7 @@ func noErr(t *testing.T, err error) {
 func TestLatticeComparison(t *testing.T) {
 	res, err := LatticeComparison(workload(t))
 	noErr(t, err)
-	checkFigure(t, res, 3)
+	checkFigure(t, res, 2)
 }
 
 func TestGroupRouting(t *testing.T) {

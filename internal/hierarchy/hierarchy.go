@@ -174,13 +174,11 @@ const maxE8Levels = 24
 
 // E8Tree is the explicit lattice hierarchy: the linear bucket array plus
 // one index per level mapping ancestor keys to contiguous group ranges
-// (Section IV-B2b's "linear array along with an index hierarchy"). It was
-// designed for E8 — which has no Morton representation — but works for any
-// lattice with the scaling property (E8, D_n), so it accepts the Lattice
-// interface.
+// (Section IV-B2b's "linear array along with an index hierarchy"): E8 has
+// no Morton representation, so its ancestors are grouped explicitly.
 type E8Tree struct {
 	table  *lshtable.Table
-	lat    lattice.Lattice
+	lat    *lattice.E8
 	order  []int // bucket ordinals in hierarchy order
 	prefix []int // prefix sums of bucket sizes in hierarchy order
 	// levels[k] maps the level-k ancestor key to the [lo,hi) range of
@@ -190,9 +188,9 @@ type E8Tree struct {
 
 type groupRange struct{ lo, hi int }
 
-// NewE8Tree builds the hierarchy for table's buckets under lat (E8, D_n,
-// or any other lattice whose Ancestor implements the Eq. 10 recursion).
-func NewE8Tree(table *lshtable.Table, lat lattice.Lattice) (*E8Tree, error) {
+// NewE8Tree builds the hierarchy for table's buckets under lat, whose
+// Ancestor implements the Eq. 10 recursion.
+func NewE8Tree(table *lshtable.Table, lat *lattice.E8) (*E8Tree, error) {
 	n := table.NumBuckets()
 	h := &E8Tree{table: table, lat: lat}
 	if n == 0 {

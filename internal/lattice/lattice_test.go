@@ -329,6 +329,34 @@ func TestE8CenterInverseOfKey(t *testing.T) {
 	}
 }
 
+// D8 ⊂ E8: the integer-coset point the E8 decoder considers must itself be
+// an E8 point, and the E8 decode of the same input can only be closer or
+// equal.
+func TestD8SubsetOfE8(t *testing.T) {
+	rng := xrand.New(9)
+	for trial := 0; trial < 200; trial++ {
+		var y [8]float64
+		for i := range y {
+			y[i] = rng.NormFloat64() * 2
+		}
+		dp, _ := nearestD8(y, 0)
+		if !IsE8(dp) {
+			t.Fatalf("D8 point %v not in E8", dp)
+		}
+		ep := DecodeE8(y)
+		var dDist, eDist float64
+		for i := range y {
+			dd := y[i] - float64(dp[i])/2
+			ee := y[i] - float64(ep[i])/2
+			dDist += dd * dd
+			eDist += ee * ee
+		}
+		if eDist > dDist+1e-9 {
+			t.Fatalf("E8 decode farther than D8 decode (%.4f > %.4f)", eDist, dDist)
+		}
+	}
+}
+
 func BenchmarkDecodeE8(b *testing.B) {
 	rng := xrand.New(1)
 	ys := make([][8]float64, 256)

@@ -12,8 +12,6 @@ var (
 	zmProbes    = probeCounter("zm")
 	e8Sequences = seqCounter("e8")
 	e8Probes    = probeCounter("e8")
-	dnSequences = seqCounter("dn")
-	dnProbes    = probeCounter("dn")
 )
 
 func seqCounter(lat string) *metrics.Counter {

@@ -273,11 +273,10 @@ func BenchmarkRingProbesInto(b *testing.B) {
 		m    int
 		into func(s *Scratch, y []float64, count int)
 	}
-	e8, e16, dn := lattice.NewE8(8), lattice.NewE8(16), lattice.NewDn(8)
+	e8, e16 := lattice.NewE8(8), lattice.NewE8(16)
 	gens := []gen{
 		{"E8/M=8", 8, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e8, y, n) }},
 		{"E8/M=16", 16, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e16, y, n) }},
-		{"Dn/M=8", 8, func(s *Scratch, y []float64, n int) { DnProbesInto(s, dn, y, n) }},
 	}
 	for _, g := range gens {
 		rng := xrand.New(3)
@@ -294,68 +293,5 @@ func BenchmarkRingProbesInto(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-func TestDnProbesBasics(t *testing.T) {
-	d := lattice.NewDn(8)
-	rng := xrand.New(21)
-	y := randomY(rng, 8, 2)
-	// Home + the 2*8*7=112 first-ring neighbors.
-	probes := DnProbes(d, y, 113)
-	if len(probes) != 113 {
-		t.Fatalf("got %d probes, want 113", len(probes))
-	}
-	home := d.Decode(y)
-	for i := range home {
-		if probes[0][i] != home[i] {
-			t.Fatal("first probe must be home")
-		}
-	}
-	seen := map[string]bool{}
-	for _, p := range probes {
-		if !lattice.IsDn(p) {
-			t.Fatalf("probe %v not in D_n", p)
-		}
-		k := lattice.Key(p)
-		if seen[k] {
-			t.Fatal("duplicate probe")
-		}
-		seen[k] = true
-	}
-}
-
-func TestDnProbeDistanceOrder(t *testing.T) {
-	d := lattice.NewDn(8)
-	f := func(seed int64) bool {
-		rng := xrand.New(seed)
-		y := randomY(rng, 8, 1.5)
-		probes := DnProbes(d, y, 60)
-		prev := -1.0
-		for _, p := range probes[1:] {
-			var d2 float64
-			for j := range p {
-				diff := y[j] - float64(p[j])/2
-				d2 += diff * diff
-			}
-			if d2 < prev-1e-9 {
-				return false
-			}
-			prev = d2
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDnProbesSmallDim(t *testing.T) {
-	d := lattice.NewDn(3) // single 3-dim block, 2*3*2=12 neighbors
-	rng := xrand.New(22)
-	y := randomY(rng, 3, 2)
-	probes := DnProbes(d, y, 13)
-	if len(probes) != 13 {
-		t.Fatalf("got %d probes", len(probes))
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"bilsh/internal/lattice"
 )
 
-// Ring expansion: the probe generator shared by E8 and D_n.
+// Ring expansion: the E8 probe generator.
 
 // ringRec is one ring code's sort record. Records are contiguous, so
 // ordering a ring moves 16-byte values instead of chasing an index slice
@@ -56,11 +56,11 @@ func hashCode(code []int32) uint64 {
 }
 
 // ringProbesInto generates probe codes around the decoded home bucket:
-// neighbors differ in exactly one block by one minimal vector (doubled
-// representation), are ordered by distance from the query's projection
-// (exact ties by lattice.CompareKeyOrder — a strict total order, since a
-// ring's codes are distinct), and rings are expanded recursively until
-// count probes exist or the frontier empties.
+// neighbors differ in exactly one 8-dim block by one of the 240 minimal
+// vectors (doubled representation), are ordered by distance from the
+// query's projection (exact ties by lattice.CompareKeyOrder — a strict
+// total order, since a ring's codes are distinct), and rings are expanded
+// recursively until count probes exist or the frontier empties.
 //
 // The first ring expands the single home code by distinct non-zero
 // minimal vectors in one block at a time, so its codes are pairwise
@@ -70,13 +70,13 @@ func hashCode(code []int32) uint64 {
 // remaining count is the last one, so only the emitted prefix is put in
 // order (orderRing); a ring that is emitted whole is also the next
 // frontier and is ordered whole.
-func ringProbesInto(s *Scratch, lat lattice.Lattice, y []float64, blockDim int, mins [][]int32, count int) {
-	codeLen := lat.CodeLen()
+func ringProbesInto(s *Scratch, e *lattice.E8, y []float64, count int) {
+	codeLen := e.CodeLen()
 	s.reset(codeLen)
 	if count <= 0 {
 		return
 	}
-	home := lat.DecodeInto(s.newProbe(), y)
+	home := e.DecodeInto(s.newProbe(), y)
 	if count == 1 {
 		return
 	}
@@ -104,7 +104,7 @@ func ringProbesInto(s *Scratch, lat lattice.Lattice, y []float64, blockDim int, 
 				s.seen[hashCode(s.frontier[off:off+codeLen])] = struct{}{}
 			}
 		}
-		s.expandRing(blockDim, mins, rings > 0)
+		s.expandRing(rings > 0)
 
 		// A ring that covers the remaining count is the last: nothing
 		// feeds a next one, and the emptied frontier ends the loop.
@@ -137,7 +137,7 @@ func (s *Scratch) ringCode(i int32) []int32 {
 // expandRing generates the neighbors of every frontier code into
 // ringCodes, with one ringRec each. With dedup set, codes whose hash is
 // already in s.seen are dropped and the rest recorded there.
-func (s *Scratch) expandRing(blockDim int, mins [][]int32, dedup bool) {
+func (s *Scratch) expandRing(dedup bool) {
 	codeLen, yy := s.codeLen, s.yy
 	s.ringCodes = s.ringCodes[:0]
 	s.ringRecs = s.ringRecs[:0]
@@ -148,12 +148,12 @@ func (s *Scratch) expandRing(blockDim int, mins [][]int32, dedup bool) {
 		// Continuing the sum from it is the same chain of float operations
 		// as starting at zero, so d2 keeps its bits.
 		var prefix float64
-		for b := 0; b+blockDim <= codeLen; b += blockDim {
-			for _, mv := range mins {
+		for b := 0; b < codeLen; b += 8 {
+			for _, mv := range e8Mins {
 				off := len(s.ringCodes)
 				s.ringCodes = append(s.ringCodes, from...)
 				nb := s.ringCodes[off : off+codeLen]
-				blk := nb[b : b+blockDim]
+				blk := nb[b : b+8]
 				for j, d := range mv[:len(blk)] {
 					blk[j] += d
 				}
@@ -173,7 +173,7 @@ func (s *Scratch) expandRing(blockDim int, mins [][]int32, dedup bool) {
 				}
 				s.ringRecs = append(s.ringRecs, ringRec{d2bits: math.Float64bits(d2), idx: int32(len(s.ringRecs))})
 			}
-			for j := b; j < b+blockDim; j++ {
+			for j := b; j < b+8; j++ {
 				diff := yy[j] - float64(from[j])/2
 				prefix += diff * diff
 			}

@@ -15,7 +15,7 @@ import (
 // scratch-based generator replaced (the oracle internal/core/equiv_test.go
 // also carries), verbatim: every code is keyed into one set from the first
 // ring on, and every ring is sorted whole.
-func refRingProbes(home []int32, y []float64, blockDim int, mins [][]int32, count int) [][]int32 {
+func refRingProbes(home []int32, y []float64, count int) [][]int32 {
 	if count <= 0 {
 		return nil
 	}
@@ -36,11 +36,11 @@ func refRingProbes(home []int32, y []float64, blockDim int, mins [][]int32, coun
 	for len(probes) < count && len(frontier) > 0 {
 		var ring []cand
 		for _, base := range frontier {
-			for b := 0; b+blockDim <= codeLen; b += blockDim {
-				for _, mv := range mins {
+			for b := 0; b+8 <= codeLen; b += 8 {
+				for _, mv := range lattice.MinVectors() {
 					nb := make([]int32, codeLen)
 					copy(nb, base)
-					for j := 0; j < blockDim; j++ {
+					for j := 0; j < 8; j++ {
 						nb[b+j] += mv[j]
 					}
 					key := lattice.Key(nb)
@@ -74,38 +74,18 @@ func refRingProbes(home []int32, y []float64, blockDim int, mins [][]int32, coun
 	return probes
 }
 
-// ringCase is one lattice under test with its oracle parameters.
-type ringCase struct {
-	name     string
-	lat      lattice.Lattice
-	blockDim int
-	mins     [][]int32
-}
-
-func ringCases() []ringCase {
-	var cases []ringCase
-	for _, m := range []int{8, 16, 24} {
-		cases = append(cases, ringCase{fmt.Sprintf("E8/M=%d", m), lattice.NewE8(m), 8, e8Mins})
-	}
-	for m := 2; m <= 8; m++ {
-		d := lattice.NewDn(m)
-		cases = append(cases, ringCase{fmt.Sprintf("Dn/M=%d", m), d, d.BlockDim(), lattice.DnMinVectors(d.BlockDim())})
-	}
-	return cases
-}
-
 // tieProjections returns projections that make exact distance ties, which
 // only the Key byte order breaks: the query on a lattice point (every
 // first-ring neighbor equidistant), on a deep hole of the block lattice,
 // and with mirrored / repeated coordinates.
 func tieProjections(m int) [][]float64 {
-	onPoint := make([]float64, m) // the origin is a point of every lattice here
+	onPoint := make([]float64, m) // the origin is a lattice point
 	shifted := make([]float64, m)
 	hole := make([]float64, m)
 	mirrored := make([]float64, m)
 	repeated := make([]float64, m)
 	for i := range onPoint {
-		shifted[i] = 1 // (1,…,1) is a lattice point of E8 and of D_n for even n
+		shifted[i] = 1 // (1,…,1) is a lattice point of E8
 		hole[i] = 0.5
 		mirrored[i] = 0.25
 		if i%2 == 1 {
@@ -125,10 +105,10 @@ func tieProjections(m int) [][]float64 {
 // single-ring ones.
 func TestRingProbesMatchReference(t *testing.T) {
 	counts := []int{1, 2, 127, 128, 240, 241, 242, 481, 500, 2000}
-	for _, rc := range ringCases() {
-		t.Run(rc.name, func(t *testing.T) {
-			m := rc.lat.M()
-			ring1 := (rc.lat.CodeLen() / rc.blockDim) * len(rc.mins)
+	for _, m := range []int{8, 16, 24} {
+		lat := lattice.NewE8(m)
+		t.Run(fmt.Sprintf("E8/M=%d", m), func(t *testing.T) {
+			ring1 := (lat.CodeLen() / 8) * len(e8Mins)
 			rng := xrand.New(int64(17 + m))
 			ys := tieProjections(m)
 			for i := 0; i < 3; i++ {
@@ -147,11 +127,11 @@ func TestRingProbesMatchReference(t *testing.T) {
 				}
 				// The oracle sorts every ring whole, so its sequence for a
 				// smaller count is a prefix of the one for a larger.
-				want := refRingProbes(rc.lat.Decode(y), y, rc.blockDim, rc.mins, limit)
+				want := refRingProbes(lat.Decode(y), y, limit)
 				for _, count := range counts {
 					// Each count, then a short one on the same scratch.
 					for _, c := range []int{min(count, limit), 3} {
-						ProbesInto(&s, rc.lat, y, c)
+						ProbesInto(&s, lat, y, c)
 						if s.Probes() != min(len(want), c) {
 							t.Fatalf("y#%d count=%d: %d probes, want %d", yi, c, s.Probes(), min(len(want), c))
 						}
