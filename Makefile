@@ -18,12 +18,15 @@ test:
 race: race-builders
 	$(GO) test -race ./...
 
-# Build and Compact hash the level-1 groups on up to GOMAXPROCS workers; on
-# a two-core runner the default never has more than two in flight, so the
-# build, compaction and equivalence tests also run with four.
+# Build and Compact hash the level-1 groups on up to GOMAXPROCS workers, and
+# the level-1 tree cuts each large split into one chunk per worker; on a
+# two-core runner the default never has more than two in flight, so the
+# build, compaction and equivalence tests, and the chunk, tree, diameter
+# and table packages, also run with four.
 race-builders:
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -count=1 \
 		-run 'Build|Compact|Equivalent|MatchesReference|WorkerCount'
+	GOMAXPROCS=4 $(GO) test -race ./internal/chunk ./internal/rptree ./internal/diameter ./internal/lshtable -count=1
 
 fmt:
 	gofmt -l -w .
@@ -155,13 +158,14 @@ linkcheck:
 # of a multi-probe gather as a query runs them: ring generation on a reused
 # scratch over cycled projections, and a table's 128 probe keys resolved as
 # one block against key by key over cycled (cold) tables.
-# BenchmarkBuild and BenchmarkCompact are the write side: the two index
-# shapes that bracket the repository benchmark's workloads, each at
-# GOMAXPROCS 1 and 2, so allocs/op and the scaling with a second core are
-# on record without the harness.
+# BenchmarkBuild and BenchmarkCompact are the write side: the index shapes
+# of the repository benchmark's workloads, each at GOMAXPROCS 1 and 2, so
+# allocs/op and the scaling with a second core are on record without the
+# harness. BenchmarkRPTreeBuild is the level-1 tree of the two tree-heavy
+# shapes alone, at the same two GOMAXPROCS.
 bench:
-	$(GO) test ./internal/core ./internal/vec ./internal/multiprobe ./internal/lshtable -run '^$$' \
-		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkBuild$$|BenchmarkCompact$$' \
+	$(GO) test ./internal/core ./internal/vec ./internal/multiprobe ./internal/lshtable ./internal/rptree -run '^$$' \
+		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkBuild$$|BenchmarkCompact$$|BenchmarkRPTreeBuild' \
 		-benchmem -count=1 -json > BENCH_query.json
 	@echo "wrote BENCH_query.json"
 

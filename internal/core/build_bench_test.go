@@ -11,10 +11,11 @@ import (
 	"bilsh/internal/xrand"
 )
 
-// buildShapes are the two index shapes that bracket the repository
-// benchmark's workloads on the build side: wide rows where projection is
-// nearly all of a build (hash-10k-d960), and many narrow rows where the
-// partitioner, the lattice decode and the table sort are (probe-100k-d32).
+// buildShapes are the index shapes of the repository benchmark's workloads
+// on the build side: wide rows where projection is nearly all of a build
+// (hash-10k-d960), many narrow rows where the partitioner, the lattice
+// decode and the table grouping are (probe-100k-d32), and the shape where
+// the level-1 tree is half of a build (scan-60k-d128).
 var buildShapes = []struct {
 	name string
 	n, d int
@@ -30,6 +31,11 @@ var buildShapes = []struct {
 		Lattice: LatticeE8, TuneTargetRecall: 0.4,
 		Params:    lshfunc.Params{M: 8, L: 8, W: 1},
 		ProbeMode: ProbeMulti, Probes: 128,
+	}},
+	{"n=60k,d=128,ZM,L=10,multi", 60000, 128, Options{
+		Partitioner: PartitionRPTree, Groups: 16, AutoTuneW: true,
+		Params:    lshfunc.Params{M: 8, L: 10, W: 1},
+		ProbeMode: ProbeMulti, Probes: 16,
 	}},
 }
 

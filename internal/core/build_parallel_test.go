@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/lshfunc"
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
@@ -59,6 +60,32 @@ func TestBuildIndependentOfWorkerCount(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestBuildLargeTreeIndependentOfWorkerCount is the same contract where
+// the level-1 tree's upper splits are large enough to be cut into chunks
+// on every core (package chunk), which the 700 rows above never are.
+func TestBuildLargeTreeIndependentOfWorkerCount(t *testing.T) {
+	data := testData(t, 8*chunk.MinRows+37, 8, 63)
+	extra := testData(t, 40, 8, 64)
+	opts := Options{
+		Partitioner: PartitionRPTree, Groups: 6, Lattice: LatticeE8, ProbeMode: ProbeMulti, Probes: 8,
+		AutoTuneW: true, MemtableThreshold: 16, Params: lshfunc.Params{M: 8, L: 4, W: 1},
+	}
+	var wantBuilt, wantCompacted []byte
+	for _, procs := range workerCounts {
+		built, compacted := buildThenCompact(t, procs, data, extra, opts)
+		if wantBuilt == nil {
+			wantBuilt, wantCompacted = built, compacted
+			continue
+		}
+		if !bytes.Equal(built, wantBuilt) {
+			t.Errorf("Build at GOMAXPROCS %d differs from GOMAXPROCS %d", procs, workerCounts[0])
+		}
+		if !bytes.Equal(compacted, wantCompacted) {
+			t.Errorf("Compact at GOMAXPROCS %d differs from GOMAXPROCS %d", procs, workerCounts[0])
 		}
 	}
 }

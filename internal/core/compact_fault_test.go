@@ -79,11 +79,11 @@ func testCompactBuildFailure(t *testing.T) {
 	orig := mergeTable
 	defer func() { mergeTable = orig }()
 	var calls atomic.Int64
-	mergeTable = func(tab *lshtable.Table, remap []int, keys []byte, keyLen int, ids []int) (*lshtable.Table, error) {
+	mergeTable = func(b *lshtable.Builder, tab *lshtable.Table, remap []int, keys []byte, keyLen int, ids []int) (*lshtable.Table, error) {
 		if calls.Add(1) >= failAt { // fail mid-compaction: some groups already merged
 			return nil, boom
 		}
-		return orig(tab, remap, keys, keyLen, ids)
+		return orig(b, tab, remap, keys, keyLen, ids)
 	}
 	if _, err := ix.Compact(); !errors.Is(err, boom) {
 		t.Fatalf("Compact error = %v, want injected failure", err)

@@ -44,11 +44,11 @@ var ErrCompactBusy = errors.New("core: compaction already in progress")
 // tombstone) still works; rebuild the index to fold deletes or add rows.
 var ErrHammingStatic = errors.New("core: Hamming indexes are static; rebuild to add rows or fold deletes")
 
-// mergeTable is (*lshtable.Table).Merge, indirected so tests can inject a
-// table failure into a compaction (every table a compaction makes is a
+// mergeTable is (*lshtable.Builder).Merge, indirected so tests can inject
+// a table failure into a compaction (every table a compaction makes is a
 // merge, see rebase.mergeGroup) and verify the old index state survives
 // intact.
-var mergeTable = (*lshtable.Table).Merge
+var mergeTable = (*lshtable.Builder).Merge
 
 // memtableCap returns the configured memtable capacity, defaulting when the
 // option is unset (e.g. on an index loaded from disk, where dynamic knobs
@@ -442,7 +442,7 @@ func (rb *rebase) mergeGroup(s *hashScratch, old *group, gi int, members []int) 
 	g := &group{members: members, fam: old.fam, lat: old.lat, w: old.w}
 	err := g.hashTables(s, arrivals, func(i int) []float32 { return rb.fresh.Row(arrivals[i]) },
 		func(t int, keys []byte, keyLen int) (*lshtable.Table, error) {
-			return mergeTable(old.tables[t], rb.carry, keys, keyLen, arrivals)
+			return mergeTable(&s.tables, old.tables[t], rb.carry, keys, keyLen, arrivals)
 		})
 	return g, err
 }

@@ -256,6 +256,9 @@ type hashScratch struct {
 	code []int32
 	mp   multiprobe.Scratch
 	keys []byte // keys back to back: a table's rows, an insert's overlay key or a table's probe block
+	// tables orders a build worker's tables from those keys, in memory it
+	// keeps from one table to the next.
+	tables lshtable.Builder
 }
 
 func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
@@ -340,7 +343,7 @@ func (g *group) appendKeys(dst []byte, t int, v []float32, n int, s *hashScratch
 // family and lattice: row(i) is the vector stored under ids[i].
 func (g *group) buildTables(s *hashScratch, ids []int, row func(i int) []float32) error {
 	return g.hashTables(s, ids, row, func(_ int, keys []byte, keyLen int) (*lshtable.Table, error) {
-		return lshtable.BuildFlat(keys, keyLen, ids)
+		return s.tables.BuildFlat(keys, keyLen, ids)
 	})
 }
 
@@ -386,7 +389,7 @@ func buildHammingGroup(g *group, sketches *vec.BinaryMatrix, opts Options, rng *
 		for _, id := range g.members {
 			keys = bs.AppendKey(keys, t, sketches.Row(id))
 		}
-		tab, err := lshtable.BuildFlat(keys, bs.KeyLen(), g.members)
+		tab, err := s.tables.BuildFlat(keys, bs.KeyLen(), g.members)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ package diameter
 import (
 	"math"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/vec"
 )
 
@@ -37,9 +38,11 @@ type Result struct {
 }
 
 // Approx runs up to m iterations over the rows of data listed in idx
-// (all rows when idx is nil). Sets with fewer than two points yield a zero
-// Result.
-func Approx(data *vec.Matrix, idx []int, m int) Result {
+// (all rows when idx is nil), starting from the row farthest from
+// centroid, which is the rows' mean (data.Mean(idx)): the caller computes
+// it once for its own use too. Sets with fewer than two points yield a
+// zero Result.
+func Approx(data *vec.Matrix, idx []int, centroid []float32, m int) Result {
 	n := data.N
 	at := func(i int) []float32 { return data.Row(i) }
 	if idx != nil {
@@ -53,40 +56,17 @@ func Approx(data *vec.Matrix, idx []int, m int) Result {
 		m = 1
 	}
 
-	// One iteration: from point p, find the farthest point q; r = |p-q|.
-	farthest := func(from int) (int, float64) {
-		best, bestD := -1, -1.0
-		fv := at(from)
-		for i := 0; i < n; i++ {
-			if i == from {
-				continue
-			}
-			d := vec.SqDist(fv, at(i))
-			if d > bestD {
-				bestD = d
-				best = i
-			}
-		}
-		return best, math.Sqrt(bestD)
-	}
-
 	res := Result{}
 	// Start from the point farthest from the centroid, the standard E-K
 	// initialization: it guarantees the √3 bound on r_1.
-	centroid := data.Mean(idx)
-	start, startD := -1, -1.0
-	for i := 0; i < n; i++ {
-		d := vec.SqDist(centroid, at(i))
-		if d > startD {
-			startD = d
-			start = i
-		}
-	}
+	start, _ := farthest(n, at, centroid, -1)
 
 	var r1 float64
 	p := start
 	for it := 0; it < m; it++ {
-		q, r := farthest(p)
+		// One iteration: from point p, find the farthest point q; r = |p-q|.
+		q, r2 := farthest(n, at, at(p), p)
+		r := math.Sqrt(r2)
 		res.Iterations = it + 1
 		if it == 0 {
 			r1 = r
@@ -108,6 +88,39 @@ func Approx(data *vec.Matrix, idx []int, m int) Result {
 		res.Upper = UpperFactor * res.Lower
 	}
 	return res
+}
+
+// farthest returns the first of the n points at(i), i ≠ skip, at the
+// largest squared distance from v, and that squared distance. The scan is
+// cut into chunks on every core; each chunk keeps its first farthest point
+// and the chunks are compared in order, so the first index wins a tie
+// whatever the cut.
+func farthest(n int, at func(int) []float32, v []float32, skip int) (int, float64) {
+	type best struct {
+		i int
+		d float64
+	}
+	k := chunk.Count(n)
+	parts := make([]best, k)
+	chunk.Run(n, k, func(c, lo, hi int) {
+		b := best{-1, -1}
+		for i := lo; i < hi; i++ {
+			if i == skip {
+				continue
+			}
+			if d := vec.SqDist(v, at(i)); d > b.d {
+				b = best{i, d}
+			}
+		}
+		parts[c] = b
+	})
+	b := parts[0]
+	for _, p := range parts[1:] {
+		if p.d > b.d {
+			b = p
+		}
+	}
+	return b.i, b.d
 }
 
 // Exact computes the true diameter by the O(n²) pairwise scan. It exists

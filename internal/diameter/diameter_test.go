@@ -2,9 +2,11 @@ package diameter
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/dataset"
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
@@ -12,11 +14,11 @@ import (
 
 func TestApproxTinySets(t *testing.T) {
 	m := vec.FromRows([][]float32{{1, 1}})
-	if r := Approx(m, nil, 10); r.Lower != 0 || r.Upper != 0 {
+	if r := Approx(m, nil, m.Mean(nil), 10); r.Lower != 0 || r.Upper != 0 {
 		t.Fatalf("single point diameter = %+v, want zeros", r)
 	}
 	two := vec.FromRows([][]float32{{0, 0}, {3, 4}})
-	r := Approx(two, nil, 10)
+	r := Approx(two, nil, two.Mean(nil), 10)
 	if math.Abs(r.Lower-5) > 1e-6 {
 		t.Fatalf("two-point Lower = %v, want 5", r.Lower)
 	}
@@ -25,7 +27,7 @@ func TestApproxTinySets(t *testing.T) {
 func TestApproxExactOnColinear(t *testing.T) {
 	// Points on a segment: the diameter endpoints are found in one hop.
 	m := vec.FromRows([][]float32{{0}, {1}, {2}, {7}, {3}})
-	r := Approx(m, nil, 40)
+	r := Approx(m, nil, m.Mean(nil), 40)
 	if r.Lower != 7 {
 		t.Fatalf("colinear Lower = %v, want 7", r.Lower)
 	}
@@ -39,7 +41,7 @@ func TestBoundsProperty(t *testing.T) {
 		n := 3 + rng.Intn(80)
 		d := 1 + rng.Intn(12)
 		data := dataset.Gaussian(n, d, 1+rng.Float64()*3, rng.Split(1))
-		r := Approx(data, nil, 40)
+		r := Approx(data, nil, data.Mean(nil), 40)
 		exact := Exact(data, nil)
 		if r.Lower > exact+1e-6 {
 			return false // lower bound violated
@@ -63,7 +65,7 @@ func TestApproxQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Approx(data, nil, 40)
+	r := Approx(data, nil, data.Mean(nil), 40)
 	exact := Exact(data, nil)
 	if r.Lower < 0.8*exact {
 		t.Fatalf("approximation too loose: %v vs exact %v", r.Lower, exact)
@@ -73,7 +75,7 @@ func TestApproxQuality(t *testing.T) {
 func TestApproxWithIndexSubset(t *testing.T) {
 	m := vec.FromRows([][]float32{{0}, {100}, {1}, {2}})
 	// Excluding row 1 the diameter is 2.
-	r := Approx(m, []int{0, 2, 3}, 10)
+	r := Approx(m, []int{0, 2, 3}, m.Mean([]int{0, 2, 3}), 10)
 	if r.Lower != 2 {
 		t.Fatalf("subset Lower = %v, want 2", r.Lower)
 	}
@@ -86,7 +88,7 @@ func TestEarlyStop(t *testing.T) {
 	// On a perfectly symmetric set the series converges immediately; the
 	// iteration count must reflect early termination rather than m.
 	m := vec.FromRows([][]float32{{-1, 0}, {1, 0}, {0, 0.5}})
-	r := Approx(m, nil, 1000)
+	r := Approx(m, nil, m.Mean(nil), 1000)
 	if r.Iterations >= 1000 {
 		t.Fatalf("no early stop: %d iterations", r.Iterations)
 	}
@@ -99,5 +101,44 @@ func TestUpperFactorValue(t *testing.T) {
 	want := math.Sqrt(5 - 2*math.Sqrt(3))
 	if UpperFactor != want {
 		t.Fatalf("UpperFactor = %v, want %v", UpperFactor, want)
+	}
+}
+
+// TestApproxIndependentOfWorkerCount runs the farthest-point scans over
+// enough rows to be cut into chunks: the result must be the one a single
+// worker finds, and where several rows tie at the farthest distance, in
+// different chunks, the first of them must win.
+func TestApproxIndependentOfWorkerCount(t *testing.T) {
+	n := 4*chunk.MinRows + 3
+	ties := vec.NewMatrix(n, 2)
+	for _, i := range []int{100, n / 2, n - 1} {
+		copy(ties.Row(i), []float32{5, 5})
+	}
+	spread := dataset.Gaussian(n, 6, 2, xrand.New(9))
+	for _, tc := range []struct {
+		name string
+		data *vec.Matrix
+		idx  []int
+		want Result // zero: whatever one worker finds
+	}{
+		{"ties", ties, nil, Result{Lower: math.Sqrt(50), A: 100, B: 0}},
+		{"gaussian", spread, nil, Result{}},
+		{"subset", spread, xrand.New(10).Sample(n, n-7), Result{}},
+	} {
+		var first Result
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := Approx(tc.data, tc.idx, tc.data.Mean(tc.idx), 40)
+			runtime.GOMAXPROCS(prev)
+			if procs == 1 {
+				first = got
+			}
+			if got != first {
+				t.Fatalf("%s: GOMAXPROCS %d found %+v, one worker %+v", tc.name, procs, got, first)
+			}
+		}
+		if tc.want != (Result{}) && (first.Lower != tc.want.Lower || first.A != tc.want.A || first.B != tc.want.B) {
+			t.Fatalf("%s: %+v, want far pair %d, %d at %v", tc.name, first, tc.want.A, tc.want.B, tc.want.Lower)
+		}
 	}
 }

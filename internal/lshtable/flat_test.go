@@ -2,6 +2,7 @@ package lshtable
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -204,5 +205,95 @@ func TestBuildFlatAllocsIndependentOfRows(t *testing.T) {
 	small, large := allocs(200), allocs(20000)
 	if large > small+2 || large > 16 {
 		t.Fatalf("BuildFlat allocates %.0f times for 20000 rows, %.0f for 200: want a row-independent handful", large, small)
+	}
+}
+
+// TestGroupingMatchesSortedLayout is the property behind grouper's hash
+// grouping: whatever the keys and the ids, Build and BuildFlat lay a
+// table out exactly as refBuckets' plain sort does — ids out of order
+// (which the grouping sorts per bucket), repeated ids, one key for every
+// row, a distinct key for every row, empty keys, no rows and one row, and
+// Build's keys of differing lengths where one key is a prefix of another.
+// One Builder, reused from case to case as a build worker reuses it across
+// tables, must give each table BuildFlat gives.
+func TestGroupingMatchesSortedLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var shared Builder
+	randomKeys := func(n, keyLen, distinct int) []string {
+		pool := make([]string, distinct)
+		for i := range pool {
+			key := make([]byte, keyLen)
+			rng.Read(key)
+			pool[i] = string(key)
+		}
+		codes := make([]string, n)
+		for i := range codes {
+			codes[i] = pool[rng.Intn(distinct)]
+		}
+		return codes
+	}
+	ascending := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = 3 * i
+		}
+		return ids
+	}
+	shuffled := func(n int) []int {
+		ids := ascending(n)
+		rng.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		return ids
+	}
+	repeated := func(n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = rng.Intn(n/4 + 1)
+		}
+		return ids
+	}
+	distinct := func(n, keyLen int) []string {
+		codes := make([]string, n)
+		for i := range codes {
+			codes[i] = fmt.Sprintf("%0*d", keyLen, (i*7919)%n)
+		}
+		return codes
+	}
+	for _, tc := range []struct {
+		name  string
+		codes []string
+		ids   []int
+	}{
+		{"empty", nil, nil},
+		{"one row", []string{"k"}, []int{9}},
+		{"ascending ids", randomKeys(3000, 8, 250), ascending(3000)},
+		{"unsorted ids", randomKeys(3000, 8, 250), shuffled(3000)},
+		{"repeated ids", randomKeys(2000, 4, 60), repeated(2000)},
+		{"all-equal keys", randomKeys(1500, 16, 1), shuffled(1500)},
+		{"all-distinct keys", distinct(2500, 6), ascending(2500)},
+		{"all-distinct keys, unsorted ids", distinct(2500, 6), shuffled(2500)},
+		{"key length 0", make([]string, 700), shuffled(700)},
+		{"prefix keys", []string{"ab", "a", "abc", "", "a", "ab", "b", "a\x00", "abc", ""}, shuffled(10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			str, err := Build(tc.codes, tc.ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLayout(t, "Build", str, tc.codes, tc.ids)
+			if tc.name == "prefix keys" {
+				return // not of one length, so not BuildFlat's input
+			}
+			keys, keyLen := flatten(tc.codes)
+			flat, err := BuildFlat(keys, keyLen, tc.ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLayout(t, "BuildFlat", flat, tc.codes, tc.ids)
+			reused, err := shared.BuildFlat(keys, keyLen, tc.ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLayout(t, "Builder.BuildFlat", reused, tc.codes, tc.ids)
+		})
 	}
 }

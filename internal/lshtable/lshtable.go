@@ -11,6 +11,9 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -45,7 +48,7 @@ func Build(codes []string, ids []int) (*Table, error) {
 		src.blob = append(src.blob, c...)
 		src.ends[i] = len(src.blob)
 	}
-	return build(src, ids)
+	return new(Builder).build(src, ids)
 }
 
 // BuildFlat is Build over equal-length keys held back to back: the key of
@@ -56,10 +59,27 @@ func Build(codes []string, ids []int) (*Table, error) {
 // ids and each unique key, so the caller may overwrite both buffers as
 // soon as BuildFlat returns.
 func BuildFlat(keys []byte, keyLen int, ids []int) (*Table, error) {
+	return new(Builder).BuildFlat(keys, keyLen, ids)
+}
+
+// Builder builds tables one after another — BuildFlat, Merge — and keeps
+// the working memory of putting their postings in order (group) from one
+// table to the next: it is as long as a table's postings, so a build
+// worker that holds one Builder allocates it once, not per table. The zero
+// value is ready to use. A Builder is not safe for concurrent use, and the
+// tables it returns share nothing with it.
+type Builder struct {
+	order []int
+	work  []int32
+	slots []uint64
+}
+
+// BuildFlat is the package's BuildFlat, in b's memory.
+func (b *Builder) BuildFlat(keys []byte, keyLen int, ids []int) (*Table, error) {
 	if keyLen < 0 || len(keys) != len(ids)*keyLen {
 		return nil, fmt.Errorf("lshtable: %d key bytes for %d ids of key length %d", len(keys), len(ids), keyLen)
 	}
-	return build(keySource{blob: keys, keyLen: keyLen}, ids)
+	return b.build(keySource{blob: keys, keyLen: keyLen}, ids)
 }
 
 // keySource is the build's view of its input keys: one blob, cut at a
@@ -81,75 +101,164 @@ func (s keySource) at(i int) []byte {
 	return s.blob[lo:s.ends[i]]
 }
 
-func build(src keySource, ids []int) (*Table, error) {
-	order := sortedOrder(src, ids)
+func (b *Builder) build(src keySource, ids []int) (*Table, error) {
+	order, ends := b.group(src, ids)
 	return assemble(func(a *assembler) error {
-		for out, in := range order {
-			if out == 0 || !bytes.Equal(src.at(in), src.at(order[out-1])) {
-				openBucket(a, src.at(in))
+		lo := 0
+		for _, end := range ends {
+			openBucket(a, src.at(order[lo]))
+			for _, in := range order[lo:end] {
+				a.add(ids[in])
 			}
-			a.add(ids[in])
+			lo = int(end)
 		}
 		return nil
 	})
 }
 
-// sortedOrder returns the positions of src's keys sorted by (key, id): the
-// order their pairs take in a table.
-func sortedOrder(src keySource, ids []int) []int {
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := bytes.Compare(src.at(a), src.at(b)); c != 0 {
-			return c
+// group returns the positions of src's keys ordered by (key, id), the
+// order their pairs take in a table, and where each key's run of positions
+// ends; both alias b until its next use. It groups the keys rather than
+// sorting them all: LSH keys repeat (a table of the scan and probe
+// benchmark workloads holds 10–16 postings per distinct key), so the
+// distinct keys are numbered by hashing their full bytes in one pass, only
+// they are sorted, and a stable scatter lays each key's positions out in
+// input order. That is id order when the ids ascend, as every builder's
+// do; a bucket whose ids do not is sorted by id.
+func (b *Builder) group(src keySource, ids []int) (order []int, ends []int32) {
+	n := len(ids)
+	order = resize(&b.order, n)
+	// work holds four arrays of up to n entries: group[i] numbers position
+	// i's key by first appearance, first[k] is where key k first appears,
+	// size[k] counts its positions (and then becomes its offset into
+	// order), and byKey lists the keys' numbers in key order.
+	work := resize(&b.work, 4*n)
+	group, first, size := work[:n], work[n:n:2*n], work[2*n:2*n:3*n]
+	// slots is an open-addressing table at most half full: 0 is empty,
+	// anything else is a key hash's high 32 bits above its number plus one.
+	slots := resize(&b.slots, 1<<bits.Len(uint(2*n)))
+	clear(slots)
+	mask := uint64(len(slots) - 1)
+	for i := range n {
+		key := src.at(i)
+		h := maphash.Bytes(keySeed, key)
+		tag := h &^ math.MaxUint32
+		for at := h & mask; ; at = (at + 1) & mask {
+			s := slots[at]
+			if s == 0 {
+				slots[at] = tag | uint64(len(first)+1)
+				group[i] = int32(len(first))
+				first, size = append(first, int32(i)), append(size, 1)
+				break
+			}
+			if k := int32(s) - 1; s&^math.MaxUint32 == tag && bytes.Equal(src.at(int(first[k])), key) {
+				group[i] = k
+				size[k]++
+				break
+			}
 		}
-		return cmp.Compare(ids[a], ids[b])
+	}
+
+	byKey := work[3*n : 3*n+len(first)]
+	for k := range byKey {
+		byKey[k] = int32(k)
+	}
+	slices.SortFunc(byKey, func(a, b int32) int {
+		return bytes.Compare(src.at(int(first[a])), src.at(int(first[b])))
 	})
-	return order
+	var at int32
+	for _, k := range byKey {
+		at, size[k] = at+size[k], at
+	}
+	for i, k := range group {
+		order[size[k]] = i
+		size[k]++
+	}
+	// size[k] is now where key k's run ends; byKey becomes those ends,
+	// bucket by bucket.
+	ends = byKey
+	for b, k := range byKey {
+		ends[b] = size[k]
+	}
+
+	if !slices.IsSorted(ids) {
+		byID := func(x, y int) int { return cmp.Compare(ids[x], ids[y]) }
+		lo := 0
+		for _, end := range ends {
+			if run := order[lo:end]; !slices.IsSortedFunc(run, byID) {
+				slices.SortFunc(run, byID)
+			}
+			lo = int(end)
+		}
+	}
+	return order, ends
 }
+
+// resize sets *buf to n entries, reusing its array when it is long enough;
+// the entries' values are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// keySeed seeds the hash group numbers keys by. The order it returns does
+// not depend on the seed.
+var keySeed = maphash.MakeSeed()
 
 // Merge returns the table BuildFlat would build over t's postings with
 // each id i replaced by remap[i] (dropped where remap[i] < 0) plus the
 // added pairs: the key of ids[j] is keys[j*keyLen:(j+1)*keyLen]. Only the
-// additions are sorted. The postings are walked in t's bucket order with
-// the additions merged into them, never re-sorted, so each bucket's
-// remapped ids must come out strictly ascending: Merge returns an error
-// where they do not, and for a posting outside remap. A bucket left with no id is dropped.
-// Like BuildFlat it retains neither keys nor ids, and nothing of t, which
-// may be a mapped view.
+// additions are put in order (Builder.group). The postings are walked in
+// t's bucket order with the additions merged into them, never re-sorted,
+// so each bucket's remapped ids must come out strictly ascending: Merge
+// returns an error where they do not, and for a posting outside remap. A
+// bucket left with no id is dropped. Like BuildFlat it retains neither
+// keys nor ids, and nothing of t, which may be a mapped view.
 func (t *Table) Merge(remap []int, keys []byte, keyLen int, ids []int) (*Table, error) {
+	return new(Builder).Merge(t, remap, keys, keyLen, ids)
+}
+
+// Merge is t.Merge, in b's memory.
+func (b *Builder) Merge(t *Table, remap []int, keys []byte, keyLen int, ids []int) (*Table, error) {
 	if keyLen < 0 || len(keys) != len(ids)*keyLen {
 		return nil, fmt.Errorf("lshtable: %d key bytes for %d ids of key length %d", len(keys), len(ids), keyLen)
 	}
 	add := keySource{blob: keys, keyLen: keyLen}
-	order := sortedOrder(add, ids)
+	order, ends := b.group(add, ids)
 	return assemble(func(a *assembler) error {
-		next := 0 // position in order of the first addition not yet placed
-		// newBucket places the run of additions at next, which share a key
-		// t does not hold, as a bucket of its own.
+		// The additions not yet placed are order[lo:], in runs of one key
+		// that end at ends[next:].
+		lo, next := 0, 0
+		// take returns the next run of additions and steps past it.
+		take := func() []int {
+			run := order[lo:ends[next]]
+			lo, next = int(ends[next]), next+1
+			return run
+		}
+		// newBucket places the next run, under a key t does not hold, as a
+		// bucket of its own.
 		newBucket := func() {
-			key := add.at(order[next])
-			openBucket(a, key)
-			for ; next < len(order) && bytes.Equal(add.at(order[next]), key); next++ {
-				a.add(ids[order[next]])
+			openBucket(a, add.at(order[lo]))
+			for _, in := range take() {
+				a.add(ids[in])
 			}
 		}
 		for b, key := range t.keys {
-			for next < len(order) && string(add.at(order[next])) < key {
+			for next < len(ends) && string(add.at(order[lo])) < key {
 				newBucket()
 			}
-			end := next
-			for end < len(order) && string(add.at(order[end])) == key {
-				end++
+			var adds []int
+			if next < len(ends) && string(add.at(order[lo])) == key {
+				adds = take()
 			}
-			if err := a.mergeBucket(key, t.ids[t.starts[b]:t.starts[b+1]], remap, ids, order[next:end]); err != nil {
+			if err := a.mergeBucket(key, t.ids[t.starts[b]:t.starts[b+1]], remap, ids, adds); err != nil {
 				return err
 			}
-			next = end
 		}
-		for next < len(order) {
+		for next < len(ends) {
 			newBucket()
 		}
 		return nil

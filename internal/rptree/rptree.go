@@ -23,6 +23,7 @@ import (
 	"math"
 	"slices"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/diameter"
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
@@ -294,32 +295,38 @@ func (t *Tree) LeafProbes(v []float32, m int) []int {
 }
 
 // split divides idx into two non-empty sides per the configured rule.
+// The split draws from rng in the same order on any number of cores; the
+// per-row work between the draws (the centroid, the distances to it, the
+// diameter scans, the projections and the partition) is cut into chunks
+// on every core when the cell is large (package chunk), with results
+// independent of the cut.
 func split(data *vec.Matrix, idx []int, opts Options, rng *xrand.RNG) (left, right []int, nd node, ok bool) {
+	k := chunk.Count(len(idx))
 	if opts.Rule == RuleMean {
-		mean := data.Mean(idx)
+		mean := centroid(data, idx, k)
 		// Δ_A² estimated as 2 · average squared distance to the mean
 		// (exact identity for the average interpoint squared distance).
+		// The distances are computed per chunk and summed in row order.
+		dists := make([]float64, len(idx))
+		chunk.Run(len(idx), k, func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				dists[j] = vec.SqDist(data.Row(idx[j]), mean)
+			}
+		})
 		var avg2 float64
-		for _, p := range idx {
-			avg2 += vec.SqDist(data.Row(p), mean)
+		for _, d2 := range dists {
+			avg2 += d2
 		}
 		avg2 = 2 * avg2 / float64(len(idx))
-		diam := diameter.Approx(data, idx, opts.DiameterIters)
+		diam := diameter.Approx(data, idx, mean, opts.DiameterIters)
 		if diam.Lower*diam.Lower > opts.MeanSplitC*avg2 {
 			// Outlier-dominated cell: split by distance to mean.
-			dists := make([]float64, len(idx))
-			for j, p := range idx {
-				dists[j] = vec.Dist(data.Row(p), mean)
+			for j, d2 := range dists {
+				dists[j] = math.Sqrt(d2) // vec.Dist(row, mean)
 			}
 			th, lok := medianThreshold(dists)
 			if lok {
-				for j, p := range idx {
-					if dists[j] <= th {
-						left = append(left, p)
-					} else {
-						right = append(right, p)
-					}
-				}
+				left, right = partition(idx, dists, th, k)
 				return left, right, node{mean: mean, thresh: th}, true
 			}
 			// Degenerate distances: fall through to projection split.
@@ -329,12 +336,14 @@ func split(data *vec.Matrix, idx []int, opts Options, rng *xrand.RNG) (left, rig
 	// Projection split (the max rule, and the mean rule's common case).
 	// A few retries guard against degenerate directions where every point
 	// projects identically.
+	proj := make([]float64, len(idx))
 	for attempt := 0; attempt < 4; attempt++ {
 		dir := rng.UnitVec(data.D)
-		proj := make([]float64, len(idx))
-		for j, p := range idx {
-			proj[j] = vec.Dot(data.Row(p), dir)
-		}
+		chunk.Run(len(idx), k, func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				proj[j] = vec.Dot(data.Row(idx[j]), dir)
+			}
+		})
 		th, lok := medianThreshold(proj)
 		if !lok {
 			continue
@@ -347,19 +356,69 @@ func split(data *vec.Matrix, idx []int, opts Options, rng *xrand.RNG) (left, rig
 			jit := (rng.Float64()*2 - 1) * opts.JitterFrac * (hi - lo)
 			th = clampThreshold(proj, th+jit)
 		}
-		for j, p := range idx {
-			if proj[j] <= th {
-				left = append(left, p)
-			} else {
-				right = append(right, p)
-			}
-		}
-		if len(left) > 0 && len(right) > 0 {
+		if left, right = partition(idx, proj, th, k); len(left) > 0 && len(right) > 0 {
 			return left, right, node{proj: dir, thresh: th}, true
 		}
-		left, right = nil, nil
 	}
 	return nil, nil, node{}, false
+}
+
+// centroid is data.Mean(idx): each dimension's sum runs over the rows in
+// idx's order. With k > 1 chunks, k workers each sum a range of the
+// dimensions, so every sum is still the one a single worker forms.
+func centroid(data *vec.Matrix, idx []int, k int) []float32 {
+	sums := make([]float64, data.D)
+	chunk.Run(data.D, min(k, data.D), func(_, lo, hi int) {
+		s := sums[lo:hi]
+		for _, p := range idx {
+			for j, v := range data.Row(p)[lo:hi] {
+				s[j] += float64(v)
+			}
+		}
+	})
+	mean := make([]float32, data.D)
+	for j, s := range sums {
+		mean[j] = float32(s / float64(len(idx)))
+	}
+	return mean
+}
+
+// partition splits idx by xs[j] <= th into exactly sized sides, each in
+// idx's order: k chunks count their left rows, then each fills its own
+// stretch of both sides.
+func partition(idx []int, xs []float64, th float64, k int) (left, right []int) {
+	counts := make([]int, k)
+	chunk.Run(len(idx), k, func(c, lo, hi int) {
+		n := 0
+		for _, x := range xs[lo:hi] {
+			if x <= th {
+				n++
+			}
+		}
+		counts[c] = n
+	})
+	nl := 0
+	for _, c := range counts {
+		nl += c
+	}
+	left, right = make([]int, nl), make([]int, len(idx)-nl)
+	chunk.Run(len(idx), k, func(c, lo, hi int) {
+		l := 0
+		for _, n := range counts[:c] {
+			l += n
+		}
+		r := lo - l
+		for j, x := range xs[lo:hi] {
+			if x <= th {
+				left[l] = idx[lo+j]
+				l++
+			} else {
+				right[r] = idx[lo+j]
+				r++
+			}
+		}
+	})
+	return left, right
 }
 
 // medianThreshold returns a threshold splitting xs into two non-empty,

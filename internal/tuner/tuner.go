@@ -14,9 +14,9 @@
 package tuner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
@@ -118,12 +118,7 @@ func EstimateW(data *vec.Matrix, members []int, k, m int, targetRecall float64, 
 		if len(dists) == 0 {
 			continue
 		}
-		slices.Sort(dists)
-		kk := k
-		if kk > len(dists) {
-			kk = len(dists)
-		}
-		kSum += dists[kk-1]
+		kSum += kthSmallest(dists, min(k, len(dists)))
 		est.Samples++
 	}
 	if est.Samples == 0 || meanN == 0 {
@@ -151,6 +146,56 @@ func EstimateW(data *vec.Matrix, members []int, k, m int, targetRecall float64, 
 	}
 	est.W = (lo + hi) / 2
 	return est, nil
+}
+
+// kthSmallest returns xs[k-1] of xs sorted by slices.Sort, for 1 ≤ k ≤
+// len(xs), without sorting it all: a quickselect that keeps only the side
+// of each pivot holding rank k, with the values equal to the pivot set
+// apart so that runs of duplicates end it early. It reorders xs. Values it
+// counts as equal, as slices.Sort does (cmp.Compare), are the same float
+// here: distances are never −0, and any NaN makes the caller's sum NaN.
+func kthSmallest(xs []float64, k int) float64 {
+	k-- // as an index
+	for len(xs) > 1 {
+		// Median of three, which sorted input, the common worst case
+		// of a fixed pivot, does not defeat.
+		a, b, c := xs[0], xs[len(xs)/2], xs[len(xs)-1]
+		if cmp.Less(b, a) {
+			a, b = b, a
+		}
+		if cmp.Less(c, b) {
+			b = c
+			if cmp.Less(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// Three-way partition: xs[:lt] < pivot, xs[lt:gt] == pivot,
+		// xs[gt:] > pivot.
+		lt, gt := 0, len(xs)
+		for i := 0; i < gt; {
+			switch cmp.Compare(xs[i], pivot) {
+			case -1:
+				xs[lt], xs[i] = xs[i], xs[lt]
+				lt++
+				i++
+			case 1:
+				gt--
+				xs[i], xs[gt] = xs[gt], xs[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			xs = xs[:lt]
+		case k >= gt:
+			xs, k = xs[gt:], k-gt
+		default:
+			return xs[k]
+		}
+	}
+	return xs[0]
 }
 
 // ScaleForSelectivity adjusts a base estimate multiplicatively: the
