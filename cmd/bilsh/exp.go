@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bilsh/internal/experiments"
+	"bilsh/internal/httpx"
 	"bilsh/internal/metrics"
 )
 
@@ -88,7 +89,8 @@ func cmdExp(args []string) error {
 				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 				metrics.Default().WritePrometheus(w)
 			})
-			srv := &http.Server{Addr: *pprofAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+			srv := httpx.NewServer(mux)
+			srv.Addr = *pprofAddr
 			if err := srv.ListenAndServe(); err != nil {
 				fmt.Fprintf(os.Stderr, "exp: pprof listener: %v\n", err)
 			}

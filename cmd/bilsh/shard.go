@@ -17,6 +17,7 @@ import (
 	"bilsh/internal/core"
 	"bilsh/internal/dataset"
 	"bilsh/internal/durable"
+	"bilsh/internal/httpx"
 	"bilsh/internal/router"
 	"bilsh/internal/vec"
 )
@@ -230,7 +231,7 @@ func cmdRouter(args []string) error {
 	}
 	fmt.Printf("routing %d shards, %s, on http://%s (hedge=%v timeout=%v)\n",
 		m.NumShards(), kind, ln.Addr(), *hedge, *timeout)
-	srv := &http.Server{Handler: rt.Handler()}
+	srv := httpx.NewServer(rt.Handler())
 	go func() {
 		<-ctx.Done()
 		sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)

@@ -7,7 +7,9 @@
 //   - a known path with the wrong method answers 405 with an Allow
 //     header instead of falling through to 404;
 //   - request bodies are size-capped and reject unknown fields, so a
-//     typo'd parameter is a 400, not a silent no-op.
+//     typo'd parameter is a 400, not a silent no-op;
+//   - a listener's connections must finish their headers within
+//     ReadHeaderTimeout.
 //
 // docs/api.md documents the conventions as seen from the wire.
 package httpx
@@ -15,10 +17,23 @@ package httpx
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 )
+
+// ReadHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection and its goroutine forever.
+const ReadHeaderTimeout = 10 * time.Second
+
+// NewServer returns the http.Server every listener of the project runs h
+// on, with ReadHeaderTimeout set.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+}
 
 // MethodDispatch routes by HTTP method and answers anything else with 405
 // plus an Allow header — the contract HTTP clients and load balancers
@@ -57,7 +72,13 @@ func (sr *StatusRecorder) WriteHeader(code int) {
 // DecodeBody parses a JSON body with a size cap, rejecting unknown
 // fields; it writes the 400 response itself and reports success.
 func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, dst interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	return decodeStrict(w, http.MaxBytesReader(w, r.Body, maxBytes), dst)
+}
+
+// decodeStrict decodes one JSON value from src into dst with unknown
+// fields disallowed, answering 400 on failure.
+func decodeStrict(w http.ResponseWriter, src io.Reader, dst interface{}) bool {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		Error(w, http.StatusBadRequest, "invalid JSON body: %v", err)

@@ -10,19 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bilsh/internal/httpx"
 	"bilsh/internal/metrics"
 )
-
-// shardQueryRequest / shardQueryResponse mirror the shard server's
-// /query wire format (internal/server). The embedded plan fields forward
-// the merged (router default + per-request) execution plan verbatim; each
-// shard re-resolves TargetRecall against its own built parameters.
-type shardQueryRequest struct {
-	Vector []float32 `json:"vector"`
-	K      int       `json:"k"`
-	httpx.QueryPlan
-}
 
 // shardPlanStats mirrors the shard server's per-query stats block
 // (answered under ?stats=1).
@@ -35,18 +24,15 @@ type shardPlanStats struct {
 	TerminatedEarly bool `json:"terminated_early"`
 }
 
+// shardQueryResponse mirrors the shard server's /query reply; the request
+// is httpx.QueryRequest, whose embedded plan forwards the merged (router
+// default + per-request) execution plan verbatim. Each shard re-resolves
+// TargetRecall against its own built parameters.
 type shardQueryResponse struct {
 	Neighbors  []Neighbor      `json:"neighbors"`
 	Candidates int             `json:"candidates"`
 	Group      int             `json:"group"`
 	Stats      *shardPlanStats `json:"stats"`
-}
-
-// shardInsertRequest mirrors the shard server's /insert body; ID is the
-// router-assigned cluster-global id.
-type shardInsertRequest struct {
-	Vector []float32 `json:"vector"`
-	ID     *int      `json:"id"`
 }
 
 // addrState is the health view of one address. down flips on transport

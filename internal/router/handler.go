@@ -93,9 +93,15 @@ type queryRequest struct {
 	httpx.QueryPlan
 }
 
+// fields is the request's field table for httpx.DecodeRequest.
+func (q *queryRequest) fields() []httpx.Field {
+	return q.QueryPlan.Fields(httpx.VectorField("vector", &q.Vector),
+		httpx.IntField("k", &q.K), httpx.IntField("spill", &q.Spill))
+}
+
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !httpx.DecodeBody(w, r, maxBodyBytes, &req) {
+	if !httpx.DecodeRequest(w, r, maxBodyBytes, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -107,7 +113,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, res)
+	httpx.WriteReply(w, http.StatusOK, res)
 }
 
 type batchRequest struct {
@@ -117,9 +123,27 @@ type batchRequest struct {
 	httpx.QueryPlan
 }
 
+// fields is the request's field table for httpx.DecodeRequest.
+func (b *batchRequest) fields() []httpx.Field {
+	return b.QueryPlan.Fields(httpx.VectorsField("vectors", &b.Vectors),
+		httpx.IntField("k", &b.K), httpx.IntField("spill", &b.Spill))
+}
+
+// batchResponse is the /batch reply.
+type batchResponse struct {
+	Results []*Result `json:"results"`
+}
+
+// AppendJSON encodes the reply as encoding/json does.
+func (b *batchResponse) AppendJSON(r *httpx.Reply) {
+	r.Raw(`{"results":`)
+	httpx.List(r, b.Results, func(r *httpx.Reply, res *Result) { res.AppendJSON(r) })
+	r.Raw("}")
+}
+
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !httpx.DecodeBody(w, r, maxBodyBytes, &req) {
+	if !httpx.DecodeRequest(w, r, maxBodyBytes, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -140,14 +164,39 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		results[i] = res
 	}
-	httpx.WriteJSON(w, http.StatusOK, map[string]interface{}{"results": results})
+	httpx.WriteReply(w, http.StatusOK, &batchResponse{Results: results})
+}
+
+// insertRequest is the router's /insert body; the router assigns the id.
+// It aliases an unnamed struct, as httpx.InsertRequest does, so that
+// encoding/json's 400 bodies name no type, as they always have.
+type insertRequest = struct {
+	Vector []float32 `json:"vector"`
+}
+
+// insertFields is insertRequest's field table for httpx.DecodeRequest.
+func insertFields(q *insertRequest) []httpx.Field {
+	return []httpx.Field{httpx.VectorField("vector", &q.Vector)}
+}
+
+// insertResponse is the /insert reply.
+type insertResponse struct {
+	ID    int `json:"id"`
+	Shard int `json:"shard"`
+}
+
+// AppendJSON encodes the reply as encoding/json does.
+func (ir *insertResponse) AppendJSON(r *httpx.Reply) {
+	r.Raw(`{"id":`)
+	r.Int(ir.ID)
+	r.Raw(`,"shard":`)
+	r.Int(ir.Shard)
+	r.Raw("}")
 }
 
 func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Vector []float32 `json:"vector"`
-	}
-	if !httpx.DecodeBody(w, r, maxBodyBytes, &req) {
+	var req insertRequest
+	if !httpx.DecodeRequest(w, r, maxBodyBytes, &req, insertFields(&req)) {
 		return
 	}
 	gid, shard, err := rt.Insert(r.Context(), req.Vector)
@@ -155,7 +204,7 @@ func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, err)
 		return
 	}
-	httpx.WriteJSON(w, http.StatusOK, map[string]int{"id": gid, "shard": shard})
+	httpx.WriteReply(w, http.StatusOK, &insertResponse{ID: gid, Shard: shard})
 }
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {

@@ -173,6 +173,38 @@ type Result struct {
 	Stats *ResultStats `json:"stats,omitempty"`
 }
 
+// AppendJSON encodes the result as encoding/json does.
+func (res *Result) AppendJSON(r *httpx.Reply) {
+	r.Raw(`{"neighbors":`)
+	httpx.List(r, res.Neighbors, func(r *httpx.Reply, n Neighbor) { r.Neighbor(n.ID, n.Dist) })
+	r.Raw(`,"candidates":`)
+	r.Int(res.Candidates)
+	r.Raw(`,"shards_contacted":`)
+	r.Int(res.ShardsContacted)
+	if len(res.FailedShards) > 0 {
+		r.Raw(`,"failed_shards":`)
+		httpx.List(r, res.FailedShards, (*httpx.Reply).Int)
+	}
+	r.Raw(`,"partial":`)
+	r.Bool(res.Partial)
+	if st := res.Stats; st != nil {
+		r.Raw(`,"stats":{"scanned":`)
+		r.Int(st.Scanned)
+		r.Raw(`,"probes":`)
+		r.Int(st.Probes)
+		r.Raw(`,"tables_probed":`)
+		r.Int(st.TablesProbed)
+		r.Raw(`,"resolved_tables":`)
+		r.Int(st.ResolvedTables)
+		r.Raw(`,"terminated_early":`)
+		r.Int(st.TerminatedEarly)
+		r.Raw(`,"reporting_shards":`)
+		r.Int(st.ReportingShards)
+		r.Raw("}")
+	}
+	r.Raw("}")
+}
+
 // ResultStats is the FailedShards-aware aggregation of the per-shard
 // PlanStats: sums cover only the shards that answered (ReportingShards of
 // ShardsContacted), so a partial result's work counters honestly reflect
@@ -246,7 +278,7 @@ func (rt *Router) QueryPlan(ctx context.Context, v []float32, k, spill int, plan
 		go func(i, shard int) {
 			defer wg.Done()
 			var resp shardQueryResponse
-			err := rt.clients[shard].read(ctx, path, shardQueryRequest{Vector: v, K: k, QueryPlan: plan}, &resp)
+			err := rt.clients[shard].read(ctx, path, httpx.QueryRequest{Vector: v, K: k, QueryPlan: plan}, &resp)
 			replies[i] = shardReply{shard: shard, resp: resp, err: err}
 		}(i, shard)
 	}
@@ -308,7 +340,7 @@ func (rt *Router) Insert(ctx context.Context, v []float32) (gid, shard int, err 
 	var resp struct {
 		ID int `json:"id"`
 	}
-	err = rt.clients[shard].primary(ctx, "/insert", shardInsertRequest{Vector: v, ID: &gid}, &resp)
+	err = rt.clients[shard].primary(ctx, "/insert", httpx.InsertRequest{Vector: v, ID: &gid}, &resp)
 	if err != nil {
 		return 0, shard, err
 	}

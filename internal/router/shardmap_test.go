@@ -11,7 +11,7 @@ import (
 	"bilsh/internal/xrand"
 )
 
-func testTree(t *testing.T, leaves int) *rptree.Tree {
+func testTree(t testing.TB, leaves int) *rptree.Tree {
 	t.Helper()
 	data, _, err := dataset.Clustered(dataset.ClusteredSpec{N: 300, D: 8, Clusters: 4,
 		IntrinsicDim: 3, Aspect: 3, NoiseSigma: 0.05, Spread: 8, PowerLaw: 0.3, ScaleSpread: 2},
@@ -153,4 +153,63 @@ func TestShardMapRoundTrip(t *testing.T) {
 	if back.LeafAware() || back.NumShards() != 4 {
 		t.Fatalf("scatter map round trip: aware=%v shards=%d", back.LeafAware(), back.NumShards())
 	}
+}
+
+// FuzzReadShardMap feeds the shard-map reader arbitrary bytes, seeded
+// with a leaf-aware map and a scatter map. Whatever map it accepts must
+// route a vector: every shard it names is in range, ShardsFor names each
+// at most once, and a leaf-aware map gives an insert a home shard.
+func FuzzReadShardMap(f *testing.F) {
+	tree := testTree(f, 5)
+	assign := make([]int, tree.NumLeaves())
+	for i := range assign {
+		assign[i] = i % 3
+	}
+	leafAware, err := router.NewShardMap(tree, assign, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	scatter, err := router.ScatterMap(4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range []*router.ShardMap{leafAware, scatter} {
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := router.ReadShardMap(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if m.NumShards() < 1 || m.NumShards() > 1<<16 {
+			// A scatter map's ShardsFor lists every shard; keep the
+			// routing check small.
+			return
+		}
+		v := make([]float32, m.Dim())
+		for i := range v {
+			v[i] = float32(i%7) - 3
+		}
+		for _, spill := range []int{1, 3} {
+			shards := m.ShardsFor(v, spill)
+			if len(shards) == 0 {
+				t.Fatalf("spill %d: no shard for the vector", spill)
+			}
+			seen := map[int]bool{}
+			for _, s := range shards {
+				if s < 0 || s >= m.NumShards() || seen[s] {
+					t.Fatalf("spill %d: ShardsFor = %v with %d shards", spill, shards, m.NumShards())
+				}
+				seen[s] = true
+			}
+		}
+		s := m.ShardOf(v)
+		if m.LeafAware() != (s >= 0) || s >= m.NumShards() {
+			t.Fatalf("ShardOf = %d (leaf aware %v, %d shards)", s, m.LeafAware(), m.NumShards())
+		}
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net"
 	"net/http"
+
+	"bilsh/internal/httpx"
 )
 
 // Serve runs the HTTP API on ln until ctx is cancelled, then shuts down
@@ -18,13 +20,11 @@ import (
 // signal.NotifyContext gives the conventional kill-once-drain behavior
 // (cmd/bilsh serve does exactly that).
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler: s.Handler(),
-		// BaseContext ties request contexts to the serve context, so
-		// handlers that care can observe the shutdown; Shutdown below still
-		// waits for them to return.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	srv := httpx.NewServer(s.Handler())
+	// BaseContext ties request contexts to the serve context, so handlers
+	// that care can observe the shutdown; Shutdown below still waits for
+	// them to return.
+	srv.BaseContext = func(net.Listener) context.Context { return ctx }
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

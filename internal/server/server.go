@@ -201,14 +201,16 @@ type neighbor struct {
 	Dist float64 `json:"dist"` // squared Euclidean distance
 }
 
-// queryRequest is the /query body. The embedded plan fields (recall,
-// probes, tables, hier_min, rerank, stable_probes, max_candidates) ride
-// inline in the same JSON object; URL query parameters of the same names
-// override them (see internal/httpx).
-type queryRequest struct {
-	Vector []float32 `json:"vector"`
-	K      int       `json:"k"`
-	httpx.QueryPlan
+// queryRequest is the /query body, the shape the router forwards to
+// shards. The embedded plan fields (recall, probes, tables, hier_min,
+// rerank, stable_probes, max_candidates) ride inline in the same JSON
+// object; URL query parameters of the same names override them (see
+// internal/httpx).
+type queryRequest httpx.QueryRequest
+
+// fields is the request's field table for httpx.DecodeRequest.
+func (q *queryRequest) fields() []httpx.Field {
+	return q.QueryPlan.Fields(httpx.VectorField("vector", &q.Vector), httpx.IntField("k", &q.K))
 }
 
 // planStats is the wire form of core.PlanStats, attached to responses
@@ -233,12 +235,44 @@ func toPlanStats(ps core.PlanStats) *planStats {
 	}
 }
 
+// AppendJSON encodes the stats block as encoding/json does.
+func (ps *planStats) AppendJSON(r *httpx.Reply) {
+	r.Raw(`{"scanned":`)
+	r.Int(ps.Scanned)
+	r.Raw(`,"probes":`)
+	r.Int(ps.Probes)
+	r.Raw(`,"tables_probed":`)
+	r.Int(ps.TablesProbed)
+	r.Raw(`,"resolved_tables":`)
+	r.Int(ps.ResolvedTables)
+	r.Raw(`,"resolved_probes":`)
+	r.Int(ps.ResolvedProbes)
+	r.Raw(`,"terminated_early":`)
+	r.Bool(ps.TerminatedEarly)
+	r.Raw("}")
+}
+
 // queryResponse is the /query reply.
 type queryResponse struct {
 	Neighbors  []neighbor `json:"neighbors"`
 	Candidates int        `json:"candidates"`
 	Group      int        `json:"group"`
 	Stats      *planStats `json:"stats,omitempty"`
+}
+
+// AppendJSON encodes the reply as encoding/json does.
+func (q *queryResponse) AppendJSON(r *httpx.Reply) {
+	r.Raw(`{"neighbors":`)
+	httpx.List(r, q.Neighbors, func(r *httpx.Reply, n neighbor) { r.Neighbor(n.ID, n.Dist) })
+	r.Raw(`,"candidates":`)
+	r.Int(q.Candidates)
+	r.Raw(`,"group":`)
+	r.Int(q.Group)
+	if q.Stats != nil {
+		r.Raw(`,"stats":`)
+		q.Stats.AppendJSON(r)
+	}
+	r.Raw("}")
 }
 
 // batchRequest is the /batch body; plan fields ride inline like /query.
@@ -249,9 +283,34 @@ type batchRequest struct {
 	httpx.QueryPlan
 }
 
+// fields is the request's field table for httpx.DecodeRequest.
+func (b *batchRequest) fields() []httpx.Field {
+	return b.QueryPlan.Fields(httpx.VectorsField("vectors", &b.Vectors),
+		httpx.IntField("k", &b.K), httpx.IntField("workers", &b.Workers))
+}
+
 // batchResponse is the /batch reply.
 type batchResponse struct {
 	Results []queryResponse `json:"results"`
+}
+
+// AppendJSON encodes the reply as encoding/json does.
+func (b *batchResponse) AppendJSON(r *httpx.Reply) {
+	r.Raw(`{"results":`)
+	httpx.List(r, b.Results, func(r *httpx.Reply, q queryResponse) { q.AppendJSON(r) })
+	r.Raw("}")
+}
+
+// insertResponse is the /insert reply.
+type insertResponse struct {
+	ID int `json:"id"`
+}
+
+// AppendJSON encodes the reply as encoding/json does.
+func (ir *insertResponse) AppendJSON(r *httpx.Reply) {
+	r.Raw(`{"id":`)
+	r.Int(ir.ID)
+	r.Raw("}")
 }
 
 // compactRequest is the /compact body. The zero value ({}) requests a
@@ -266,7 +325,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeRequest(w, r, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -282,12 +341,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if httpx.WantStats(r.URL.Query()) {
 		resp.Stats = toPlanStats(ps)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeRequest(w, r, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -315,21 +374,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i].Stats = toPlanStats(stats[i])
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMutable(w) {
 		return
 	}
-	var req struct {
-		Vector []float32 `json:"vector"`
-		// ID is the caller-assigned global id, only meaningful on a
-		// shard with an id map (the router supplies it); omitted, the
-		// shard assigns max+1.
-		ID *int `json:"id"`
-	}
-	if !decodeBody(w, r, &req) {
+	// An omitted ID has the shard assign max+1.
+	var req httpx.InsertRequest
+	if !decodeRequest(w, r, &req, httpx.InsertFields(&req)) {
 		return
 	}
 	// Validate at the boundary so a bad vector is a 400 and any error out
@@ -350,7 +404,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]int{"id": id})
+		httpx.WriteReply(w, http.StatusOK, &insertResponse{ID: id})
 		return
 	}
 	gid := -1
@@ -370,7 +424,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"id": gid})
+	httpx.WriteReply(w, http.StatusOK, &insertResponse{ID: gid})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -493,11 +547,15 @@ func (s *Server) toResponse(ids []int, dists []float64, st core.QueryStats) quer
 	return resp
 }
 
-// decodeBody, writeJSON and httpError delegate to the shared
-// internal/httpx conventions (size-capped strict JSON in, structured
-// JSON errors out) that the router speaks as well.
+// decodeBody, decodeRequest, writeJSON and httpError delegate to the
+// shared internal/httpx conventions (size-capped strict JSON in,
+// structured JSON errors out) that the router speaks as well.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	return httpx.DecodeBody(w, r, maxBodyBytes, dst)
+}
+
+func decodeRequest(w http.ResponseWriter, r *http.Request, dst interface{}, fields []httpx.Field) bool {
+	return httpx.DecodeRequest(w, r, maxBodyBytes, dst, fields)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
