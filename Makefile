@@ -130,14 +130,16 @@ loc:
 # identity (uncapped, and under a resident-set cap of 1/16 of the rows
 # section) and the ≤2-alloc pin, CRC rejection of damaged files at open,
 # the legacy-format converter (bilsh upgrade), the -race snapshot-swap
-# stress, and bounded fuzz passes over the paged-layout reader and the
-# converter. Converter inputs are often new coverage, so its pass gets a
-# short minimize time: otherwise shrinking them fills the 30 s.
+# stress, and bounded fuzz passes over the paged-layout reader, the
+# converter and the wire-image reader. Converter and wire-image inputs are
+# often new coverage, so those passes get a short minimize time:
+# otherwise shrinking them fills the 30 s.
 outofcore:
 	$(GO) test ./internal/core -run 'Mapped|DiskLayout|Upgrade|Residency|DurableMmap|DiskIndex' -count=1
 	$(GO) test -race ./internal/core -run 'TestMappedSwapUnderLoad|TestDurableMmap' -count=1
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDiskLayout -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUpgrade -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadIndex -fuzztime 30s -fuzzminimizetime 2s
 
 # Documentation link check: every relative link and #anchor in every
 # markdown file must resolve (internal/doccheck; external URLs are not

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"bilsh/internal/lattice"
@@ -118,5 +120,45 @@ func TestBuildTablesAllocsPerTable(t *testing.T) {
 	perTable := many / float64(old.fam.L())
 	if many > few+float64(old.fam.L()) || perTable > 16 {
 		t.Fatalf("hashing 6000 rows allocates %.0f times (%.1f per table), 60 rows %.0f: want O(tables)", many, perTable, few)
+	}
+}
+
+// TestWriteToAllocs pins WriteTo to a constant number of allocations —
+// its writer and that writer's buffers — at any n: no section allocates
+// per row, posting or key.
+func TestWriteToAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{2000, 8000} {
+		ix := serveShapedIndex(t, n)
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := ix.WriteTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[0] > 4 {
+		t.Fatalf("WriteTo allocates %v at n = 2000 and 8000, want the same count, at most 4", counts)
+	}
+}
+
+// TestReadIndexAllocs pins ReadIndex to O(groups × L) allocations: each
+// table and each hash function costs a few, a row or a posting none.
+func TestReadIndexAllocs(t *testing.T) {
+	for _, n := range []int{2000, 8000} {
+		ix := serveShapedIndex(t, n)
+		var img bytes.Buffer
+		if _, err := ix.WriteTo(&img); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := ReadIndex(bytes.NewReader(img.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		tables := ix.NumGroups() * ix.Options().Params.L
+		t.Logf("n = %d: %d groups, %d tables, %v allocations", n, ix.NumGroups(), tables, allocs)
+		if limit := float64(16*tables + 64); allocs > limit {
+			t.Fatalf("ReadIndex of n = %d allocates %v, want at most %v (16 per table + 64)", n, allocs, limit)
+		}
 	}
 }

@@ -618,6 +618,9 @@ func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
 		return nil, badLayout("meta: %v", err)
 	}
 
+	if err := checkShapes(o, d, tree, km, groups); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadDiskLayout, err)
+	}
 	data := &vec.Matrix{Data: mmap.ViewFloat32s(secSlice(blob, rowsSec)), N: n, D: d}
 	if o.ProbeMode == ProbeHierarchy {
 		if err := buildHierarchies(groups, o); err != nil {

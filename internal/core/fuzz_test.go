@@ -8,15 +8,18 @@ import (
 
 	"bilsh/internal/durable"
 	"bilsh/internal/lshfunc"
+	"bilsh/internal/lshtable"
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
 )
 
 // FuzzReadIndex asserts the index deserializer is panic-free on arbitrary
-// bytes and accepts only inputs it can re-serialize consistently. The
-// seeds are a Euclidean bilsh.Index/2 image and a Hamming bilsh.Index/4
-// one, so the sketcher, packed-sketch and bit-sampler decoders are fuzzed
-// from a valid start too.
+// bytes and accepts only inputs it can re-serialize consistently and
+// query. The seeds are a Euclidean bilsh.Index/2 image, a Hamming
+// bilsh.Index/4 one, an SQ8 image in the serving workload's shape and an
+// image whose postings lie outside the rows, so the sketcher,
+// packed-sketch, bit-sampler and quantized-row decoders and the posting
+// bound are fuzzed from a valid start too.
 func FuzzReadIndex(f *testing.F) {
 	data := fuzzTestData()
 	ix, err := Build(data, Options{Partitioner: PartitionRPTree, Groups: 2,
@@ -41,19 +44,64 @@ func FuzzReadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
+	sq8, err := Build(data, Options{Partitioner: PartitionRPTree, Groups: 2, AutoTuneW: true,
+		ProbeMode: ProbeMulti, Probes: 16, Quantize: QuantizeSQ8,
+		Params: lshfunc.Params{M: 8, L: 2, W: 1}}, xrand.New(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed.Reset()
+	if _, err := sq8.WriteTo(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add(hostilePostingImage(f, ix))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		got, err := ReadIndex(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
 		// Anything accepted must be internally consistent enough to
-		// describe and re-serialize.
+		// describe, re-serialize and query.
 		_ = got.Describe()
 		var buf bytes.Buffer
 		if _, err := got.WriteTo(&buf); err != nil {
 			t.Fatalf("accepted index failed to re-serialize: %v", err)
 		}
+		q := make([]float32, got.Dim())
+		if got.N() > 0 {
+			copy(q, got.loadSnap().data.Row(0))
+		}
+		got.Query(q, 5)
 	})
+}
+
+// hostilePostingImage is ix's image with every posting of group 0's
+// table 0 moved to N+1000. ReadIndex must refuse it: a query reaching one
+// of those buckets would index past the rows.
+func hostilePostingImage(tb testing.TB, ix *Index) []byte {
+	tb.Helper()
+	g := ix.loadSnap().groups[0]
+	orig := g.tables[0]
+	var codes []string
+	var ids []int
+	for b := range orig.NumBuckets() {
+		key, bucket := orig.BucketByOrdinal(b)
+		for _, id := range bucket {
+			codes, ids = append(codes, key), append(ids, ix.N()+1000+id)
+		}
+	}
+	hostile, err := lshtable.Build(codes, ids)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.tables[0] = hostile
+	defer func() { g.tables[0] = orig }()
+	var img bytes.Buffer
+	if _, err := ix.WriteTo(&img); err != nil {
+		tb.Fatal(err)
+	}
+	return img.Bytes()
 }
 
 // FuzzUpgrade throws arbitrary bytes at Upgrade, seeded with every legacy

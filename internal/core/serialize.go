@@ -22,13 +22,13 @@ import (
 //	  partitioner (none | rptree | kmeans)
 //	  groups: members, width, family, L tables
 //
-// Hierarchies are derived state and are rebuilt on load, which keeps the
-// file format independent of their in-memory representation. The paged
-// disk layout (disklayout.go) stores the same options, partitioner and
-// per-group hash functions through the same codec below, with the arrays
-// laid out for mapping instead. Dynamic runtime knobs (memtable
-// threshold, auto-compact) are deliberately not part of the format; they
-// are re-supplied at load time.
+// The cuckoo bucket indexes and the hierarchies are derived state and
+// are rebuilt on load, which keeps the file format independent of their
+// in-memory representation. The paged disk layout (disklayout.go) stores
+// the same options, partitioner and per-group hash functions through the
+// same codec below, with the arrays laid out for mapping instead. Dynamic
+// runtime knobs (memtable threshold, auto-compact) are deliberately not
+// part of the format; they are re-supplied at load time.
 //
 // Version 4 ("bilsh.Index/4"; /3 belongs to the paged disk layout, see
 // disklayout.go) carries the Hamming metric family: the option block gains
@@ -274,10 +274,33 @@ func readOptions(rr *wire.Reader, version int) (Options, error) {
 	return o, nil
 }
 
+// checkShapes refuses a decoded structure that a query would trip over:
+// level 1 must route every d-dimensional vector to one of the groups,
+// and every group's family must hash such a vector into the options'
+// M-dimensional codes for L tables. Both layouts' readers run it.
+func checkShapes(o Options, d int, tree *rptree.Tree, km *kmeans.Model, groups []*group) error {
+	if tree != nil && (tree.Dim() != d || tree.NumLeaves() != len(groups)) {
+		return fmt.Errorf("core: tree of dim %d with %d leaves does not route %d-dim rows to %d groups",
+			tree.Dim(), tree.NumLeaves(), d, len(groups))
+	}
+	if km != nil && (km.Centroids.D != d || km.K() != len(groups)) {
+		return fmt.Errorf("core: %d centroids of dim %d do not route %d-dim rows to %d groups",
+			km.K(), km.Centroids.D, d, len(groups))
+	}
+	for gi, g := range groups {
+		if g.fam != nil && (g.fam.D() != d || g.fam.M() != o.Params.M || g.fam.L() != o.Params.L) {
+			return fmt.Errorf("core: group %d family shape (d=%d M=%d L=%d) does not match rows d=%d / options M=%d L=%d",
+				gi, g.fam.D(), g.fam.M(), g.fam.L(), d, o.Params.M, o.Params.L)
+		}
+	}
+	return nil
+}
+
 // readStructure parses the partitioner and groups and rebuilds derived
-// state (cuckoo indexes, hierarchies). n is the row count used for member
-// validation.
-func readStructure(rr *wire.Reader, o Options, n int) (*rptree.Tree, *kmeans.Model, []*group, error) {
+// state (cuckoo indexes, hierarchies). n and d are the rows' count and
+// dimension: every member and every posting must name one of the rows,
+// and the structure must fit their dimension (checkShapes).
+func readStructure(rr *wire.Reader, o Options, n, d int) (*rptree.Tree, *kmeans.Model, []*group, error) {
 	tree, km, err := readPartitioner(rr)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: reading partitioner: %w", err)
@@ -307,7 +330,7 @@ func readStructure(rr *wire.Reader, o Options, n int) (*rptree.Tree, *kmeans.Mod
 		}
 		g.tables = make([]*lshtable.Table, nTables)
 		for t := range g.tables {
-			tab, err := lshtable.DecodeTable(rr)
+			tab, err := lshtable.DecodeTable(rr, n)
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("core: group %d table %d: %w", gi, t, err)
 			}
@@ -323,6 +346,9 @@ func readStructure(rr *wire.Reader, o Options, n int) (*rptree.Tree, *kmeans.Mod
 	if err := rr.Err(); err != nil {
 		return nil, nil, nil, err
 	}
+	if err := checkShapes(o, d, tree, km, groups); err != nil {
+		return nil, nil, nil, err
+	}
 	if o.ProbeMode == ProbeHierarchy {
 		if err := buildHierarchies(groups, o); err != nil {
 			return nil, nil, nil, err
@@ -332,8 +358,10 @@ func readStructure(rr *wire.Reader, o Options, n int) (*rptree.Tree, *kmeans.Mod
 }
 
 // ReadIndex deserializes an index written by WriteTo (bilsh.Index/2 or
-// /4), rebuilding all derived structures (cuckoo bucket indexes,
-// hierarchies). A version 1 file is refused with ErrLegacyFormat.
+// /4). The rows and each table's keys, intervals and ids are adopted as
+// read; only the derived structures are built: each table's cuckoo
+// bucket index and, under ProbeHierarchy, the hierarchies. A version 1
+// file is refused with ErrLegacyFormat.
 func ReadIndex(r io.Reader) (*Index, error) { return readWire(wire.NewReader(r), false) }
 
 // readWire decodes a wire image; legacy admits version 1, which only
@@ -390,7 +418,7 @@ func readWire(rr *wire.Reader, legacy bool) (*Index, error) {
 				sketches.N, sketches.Bits, data.N, o.Bits)
 		}
 	}
-	tree, km, groups, err := readStructure(rr, o, data.N)
+	tree, km, groups, err := readStructure(rr, o, data.N, data.D)
 	if err != nil {
 		return nil, err
 	}

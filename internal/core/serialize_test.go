@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bilsh/internal/lshfunc"
@@ -99,6 +100,22 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input must be rejected")
+	}
+}
+
+// TestReadIndexRejectsPostingOutsideRows pins the posting bound: an image
+// whose table holds ids past the last row is refused, naming the group and
+// the table, where it used to load and panic on the first query that
+// reached such a bucket.
+func TestReadIndexRejectsPostingOutsideRows(t *testing.T) {
+	ix, err := Build(testData(t, 200, 8, 39), Options{Partitioner: PartitionRPTree, Groups: 2,
+		ProbeMode: ProbeMulti, Probes: 8, Params: lshfunc.Params{M: 4, L: 2, W: 2}}, xrand.New(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadIndex(bytes.NewReader(hostilePostingImage(t, ix)))
+	if err == nil || !strings.Contains(err.Error(), "group 0 table 0") || !strings.Contains(err.Error(), "out of [0,200)") {
+		t.Fatalf("ReadIndex of postings past the rows: err %v, want one naming group 0 table 0 and [0,200)", err)
 	}
 }
 

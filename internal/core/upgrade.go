@@ -177,7 +177,7 @@ func readDiskLegacy(f *os.File, format string) (*Index, error) {
 			return nil, err
 		}
 	}
-	tree, km, groups, err := readStructure(meta, o, n)
+	tree, km, groups, err := readStructure(meta, o, n, d)
 	if err != nil {
 		return nil, err
 	}

@@ -356,10 +356,20 @@ func (a *assembler) mergeBucket(key string, old, remap, ids, adds []int) error {
 	return nil
 }
 
-// finish closes the last bucket and builds the cuckoo index over the keys.
+// finish closes the last bucket and indexes the table.
 func (a *assembler) finish() (*Table, error) {
 	t := a.t
 	t.starts = append(t.starts, len(t.ids))
+	if err := t.buildIndex(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// buildIndex builds the table's derived state over its keys: the cuckoo
+// index, and the overflow map for keys whose compressed forms collide.
+// Both the assembler and DecodeTable end with it.
+func (t *Table) buildIndex() error {
 	t.index = cuckoo.New(len(t.keys))
 	for b, key := range t.keys {
 		ck := compress(key)
@@ -374,10 +384,10 @@ func (a *assembler) finish() (*Table, error) {
 			continue
 		}
 		if err := t.index.Put(ck, b); err != nil {
-			return nil, fmt.Errorf("lshtable: indexing bucket %d: %w", b, err)
+			return fmt.Errorf("lshtable: indexing bucket %d: %w", b, err)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // compress folds a code key to the 64-bit cuckoo key (the "dim-1 key by

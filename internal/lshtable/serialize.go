@@ -2,6 +2,7 @@ package lshtable
 
 import (
 	"fmt"
+	"slices"
 
 	"bilsh/internal/wire"
 )
@@ -17,8 +18,18 @@ func (t *Table) Encode(w *wire.Writer) {
 	w.Ints(t.ids)
 }
 
-// DecodeTable reads a table written by Encode and rebuilds its index.
-func DecodeTable(r *wire.Reader) (*Table, error) {
+// DecodeTable reads a table written by Encode and adopts what it reads:
+// the keys stay in the one arena the reader puts them in, and the bucket
+// intervals and ids become the table's arrays as decoded. Only the cuckoo
+// index (with the overflow map of colliding keys) is derived, by the code
+// every other table constructor indexes with. Every id must lie in
+// [0, maxID): a query would index its rows with it.
+//
+// The result is the table Build makes from the same postings, for any
+// input that passes the checks: a bucket whose ids do not ascend is
+// sorted, as Build sorts it, and an empty bucket is dropped, as Build
+// never makes one.
+func DecodeTable(r *wire.Reader, maxID int) (*Table, error) {
 	r.ExpectMagic(tableMagic)
 	t := &Table{
 		keys:   r.Strings(),
@@ -31,43 +42,39 @@ func DecodeTable(r *wire.Reader) (*Table, error) {
 	if len(t.starts) != len(t.keys)+1 {
 		return nil, fmt.Errorf("lshtable: decoded %d starts for %d keys", len(t.starts), len(t.keys))
 	}
-	if len(t.starts) > 0 {
-		if t.starts[0] != 0 || t.starts[len(t.starts)-1] != len(t.ids) {
-			return nil, fmt.Errorf("lshtable: decoded bucket intervals do not cover the id array")
+	if t.starts[0] != 0 || t.starts[len(t.starts)-1] != len(t.ids) {
+		return nil, fmt.Errorf("lshtable: decoded bucket intervals do not cover the id array")
+	}
+	for b := 1; b < len(t.starts); b++ {
+		if t.starts[b] < t.starts[b-1] {
+			return nil, fmt.Errorf("lshtable: decoded bucket %d has negative size", b-1)
 		}
-		for b := 1; b < len(t.starts); b++ {
-			if t.starts[b] < t.starts[b-1] {
-				return nil, fmt.Errorf("lshtable: decoded bucket %d has negative size", b-1)
-			}
-			if b < len(t.keys) && t.keys[b] <= t.keys[b-1] {
-				return nil, fmt.Errorf("lshtable: decoded keys not strictly sorted at %d", b)
-			}
+		if b < len(t.keys) && t.keys[b] <= t.keys[b-1] {
+			return nil, fmt.Errorf("lshtable: decoded keys not strictly sorted at %d", b)
 		}
 	}
-	// Empty tables round-trip with nil slices; normalize the sentinel.
-	if len(t.keys) == 0 {
-		t.starts = append(t.starts[:0], 0)
-	}
-	// Rebuild the cuckoo index.
-	rebuilt, err := Build(flattenCodes(t), flattenIDs(t))
-	if err != nil {
-		return nil, fmt.Errorf("lshtable: rebuilding index: %w", err)
-	}
-	return rebuilt, nil
-}
-
-func flattenCodes(t *Table) []string {
-	out := make([]string, 0, len(t.ids))
-	for b := 0; b < len(t.keys); b++ {
-		for i := t.starts[b]; i < t.starts[b+1]; i++ {
-			out = append(out, t.keys[b])
+	for _, id := range t.ids {
+		if id < 0 || id >= maxID {
+			return nil, fmt.Errorf("lshtable: decoded id %d out of [0,%d)", id, maxID)
 		}
 	}
-	return out
-}
-
-func flattenIDs(t *Table) []int {
-	out := make([]int, 0, len(t.ids))
-	out = append(out, t.ids...)
-	return out
+	// Compact the buckets in place: a kept bucket only moves down.
+	kept := 0
+	for b, key := range t.keys {
+		lo, hi := t.starts[b], t.starts[b+1]
+		if lo == hi {
+			continue
+		}
+		if run := t.ids[lo:hi]; !slices.IsSorted(run) {
+			slices.Sort(run)
+		}
+		t.keys[kept], t.starts[kept] = key, lo
+		kept++
+	}
+	t.keys = t.keys[:kept]
+	t.starts = append(t.starts[:kept], len(t.ids))
+	if err := t.buildIndex(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }

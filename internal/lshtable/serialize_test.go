@@ -19,7 +19,7 @@ func TestTableRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTable(wire.NewReader(&buf))
+	got, err := DecodeTable(wire.NewReader(&buf), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestEmptyTableRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTable(wire.NewReader(&buf))
+	got, err := DecodeTable(wire.NewReader(&buf), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDecodeTableRejectsInconsistentIntervals(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTable(wire.NewReader(&buf)); err == nil {
+	if _, err := DecodeTable(wire.NewReader(&buf), 1<<20); err == nil {
 		t.Fatal("decreasing bucket intervals must be rejected")
 	}
 }
@@ -81,7 +81,7 @@ func TestDecodeTableRejectsUnsortedKeys(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTable(wire.NewReader(&buf)); err == nil {
+	if _, err := DecodeTable(wire.NewReader(&buf), 1<<20); err == nil {
 		t.Fatal("unsorted keys must be rejected")
 	}
 }
@@ -96,7 +96,7 @@ func TestDecodeTableRejectsStartMismatch(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTable(wire.NewReader(&buf)); err == nil {
+	if _, err := DecodeTable(wire.NewReader(&buf), 1<<20); err == nil {
 		t.Fatal("interval/id mismatch must be rejected")
 	}
 }

@@ -76,6 +76,9 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 		if nd.proj == nil && nd.mean == nil {
 			return nil, fmt.Errorf("rptree: internal node %d carries no split", i)
 		}
+		if (nd.proj != nil && len(nd.proj) != t.dim) || (nd.mean != nil && len(nd.mean) != t.dim) {
+			return nil, fmt.Errorf("rptree: node %d split has dim %d/%d, tree %d", i, len(nd.proj), len(nd.mean), t.dim)
+		}
 	}
 	return t, nil
 }

@@ -13,11 +13,9 @@ func (m *Matrix) Encode(w *wire.Writer) {
 	w.Magic(matrixMagic)
 	w.Int(m.N)
 	w.Int(m.D)
-	// Rows are written directly (not length-prefixed per row) since the
-	// shape fully determines the payload size.
-	for _, v := range m.Data {
-		w.F32(v)
-	}
+	// Rows are written as one block (not length-prefixed per row) since
+	// the shape fully determines the payload size.
+	w.F32Block(m.Data)
 }
 
 // DecodeMatrix reads a matrix written by Encode.
@@ -32,9 +30,7 @@ func DecodeMatrix(r *wire.Reader) (*Matrix, error) {
 		return nil, fmt.Errorf("vec: decoded matrix shape %dx%d implausible", n, d)
 	}
 	m := NewMatrix(n, d)
-	for i := range m.Data {
-		m.Data[i] = r.F32()
-	}
+	r.F32Block(m.Data)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}

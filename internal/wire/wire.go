@@ -9,25 +9,40 @@
 // and every slice/string is length-prefixed. Readers bound every length
 // prefix (MaxLen) so corrupt or adversarial input cannot trigger huge
 // allocations.
+//
+// Slices move in bulk: fixed-width payloads (float32, float64, uint64)
+// are converted through one reused chunk buffer per Writer or Reader,
+// varint slices are encoded into it and decoded from windows of the read
+// buffer, and a string slice is read into one arena. No path allocates
+// per element, so a section costs what its bytes cost to copy.
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strings"
 )
 
 // MaxLen bounds any single length prefix accepted by a Reader.
 const MaxLen = 1 << 30
 
+// chunkSize is the size of the buffer bulk sections are converted
+// through: large enough that a Reader fills it with reads that bypass its
+// bufio buffer, a multiple of every fixed width, and allocated only by a
+// Writer or Reader that meets a bulk section.
+const chunkSize = 64 << 10
+
 // Writer serializes values to an io.Writer with a sticky error.
 type Writer struct {
-	w   *bufio.Writer
-	err error
-	buf [binary.MaxVarintLen64]byte
-	n   int64
+	w     *bufio.Writer
+	err   error
+	buf   [binary.MaxVarintLen64]byte
+	n     int64
+	chunk []byte // see chunkSize
 }
 
 // NewWriter wraps w.
@@ -63,6 +78,26 @@ func (w *Writer) write(p []byte) {
 	}
 }
 
+func (w *Writer) writeString(s string) {
+	if w.err != nil {
+		return
+	}
+	n, err := w.w.WriteString(s)
+	w.n += int64(n)
+	if err != nil {
+		w.err = err
+	}
+}
+
+// space returns the chunk buffer, which a bulk path fills and hands to
+// write before it asks for it again.
+func (w *Writer) space() []byte {
+	if w.chunk == nil {
+		w.chunk = make([]byte, chunkSize)
+	}
+	return w.chunk
+}
+
 // U64 writes an unsigned varint.
 func (w *Writer) U64(v uint64) {
 	n := binary.PutUvarint(w.buf[:], v)
@@ -80,62 +115,123 @@ func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
 // Bool writes a single byte 0/1.
 func (w *Writer) Bool(v bool) {
+	if w.err != nil {
+		return
+	}
 	b := byte(0)
 	if v {
 		b = 1
 	}
-	w.write([]byte{b})
+	if err := w.w.WriteByte(b); err != nil {
+		w.err = err
+		return
+	}
+	w.n++
 }
 
 // F64 writes a fixed-width float64.
 func (w *Writer) F64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.write(b[:])
+	binary.LittleEndian.PutUint64(w.buf[:], math.Float64bits(v))
+	w.write(w.buf[:8])
 }
 
 // F32 writes a fixed-width float32.
 func (w *Writer) F32(v float32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-	w.write(b[:])
+	binary.LittleEndian.PutUint32(w.buf[:], math.Float32bits(v))
+	w.write(w.buf[:4])
 }
 
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
-	w.write([]byte(s))
+	w.writeString(s)
+}
+
+// F32Block writes xs as fixed-width float32s with no length prefix: the
+// reader knows the count from the section's shape (vec.Matrix rows).
+// F32Block, F32s and the other slice writers produce exactly the bytes of
+// writing their elements one by one.
+func (w *Writer) F32Block(xs []float32) {
+	for len(xs) > 0 && w.err == nil {
+		k := min(len(xs), chunkSize/4)
+		b := w.space()[:4*k]
+		putF32s(b, xs[:k])
+		w.write(b)
+		xs = xs[k:]
+	}
+}
+
+// putF32s encodes xs into b, 4 bytes each. The loop is unrolled by four,
+// which more than doubles its speed; the rows of an index are most of its
+// bytes.
+func putF32s(b []byte, xs []float32) {
+	for len(xs) >= 4 && len(b) >= 16 {
+		binary.LittleEndian.PutUint32(b[0:4], math.Float32bits(xs[0]))
+		binary.LittleEndian.PutUint32(b[4:8], math.Float32bits(xs[1]))
+		binary.LittleEndian.PutUint32(b[8:12], math.Float32bits(xs[2]))
+		binary.LittleEndian.PutUint32(b[12:16], math.Float32bits(xs[3]))
+		xs, b = xs[4:], b[16:]
+	}
+	for i, x := range xs {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
+	}
+}
+
+// getF32s is putF32s's inverse.
+func getF32s(xs []float32, b []byte) {
+	for len(xs) >= 4 && len(b) >= 16 {
+		xs[0] = math.Float32frombits(binary.LittleEndian.Uint32(b[0:4]))
+		xs[1] = math.Float32frombits(binary.LittleEndian.Uint32(b[4:8]))
+		xs[2] = math.Float32frombits(binary.LittleEndian.Uint32(b[8:12]))
+		xs[3] = math.Float32frombits(binary.LittleEndian.Uint32(b[12:16]))
+		xs, b = xs[4:], b[16:]
+	}
+	for i := range xs {
+		xs[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
 }
 
 // F32s writes a length-prefixed []float32.
 func (w *Writer) F32s(xs []float32) {
 	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.F32(x)
-	}
+	w.F32Block(xs)
 }
 
 // F64s writes a length-prefixed []float64.
 func (w *Writer) F64s(xs []float64) {
 	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.F64(x)
+	for len(xs) > 0 && w.err == nil {
+		b := w.space()
+		k := min(len(xs), len(b)/8)
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
+		w.write(b[:8*k])
+		xs = xs[k:]
 	}
 }
 
 // Ints writes a length-prefixed []int.
 func (w *Writer) Ints(xs []int) {
 	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.I64(int64(x))
-	}
+	putVarints(w, xs)
 }
 
 // I32s writes a length-prefixed []int32.
 func (w *Writer) I32s(xs []int32) {
 	w.U64(uint64(len(xs)))
-	for _, x := range xs {
-		w.I64(int64(x))
+	putVarints(w, xs)
+}
+
+// putVarints writes xs as zigzag varints, a chunk at a time.
+func putVarints[T int | int32](w *Writer, xs []T) {
+	for len(xs) > 0 && w.err == nil {
+		b := w.space()[:0]
+		for len(xs) > 0 && len(b) <= chunkSize-binary.MaxVarintLen64 {
+			b = binary.AppendVarint(b, int64(xs[0]))
+			xs = xs[1:]
+		}
+		w.write(b)
 	}
 }
 
@@ -152,10 +248,14 @@ func (w *Writer) Bytes(p []byte) {
 // them at 8.
 func (w *Writer) Words(xs []uint64) {
 	w.U64(uint64(len(xs)))
-	var b [8]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(b[:], x)
-		w.write(b[:])
+	for len(xs) > 0 && w.err == nil {
+		b := w.space()
+		k := min(len(xs), len(b)/8)
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint64(b[8*i:], x)
+		}
+		w.write(b[:8*k])
+		xs = xs[k:]
 	}
 }
 
@@ -169,9 +269,11 @@ func (w *Writer) Strings(xs []string) {
 
 // Reader deserializes values with a sticky error.
 type Reader struct {
-	r   *bufio.Reader
-	err error
-	max uint64 // bound on any length prefix
+	r     *bufio.Reader
+	err   error
+	max   uint64 // bound on any length prefix
+	chunk []byte // see chunkSize
+	ends  []int  // Strings' offsets into its arena
 }
 
 // NewReader wraps r. When r reports its size (bytes.Reader,
@@ -231,23 +333,59 @@ func (r *Reader) Int() int { return int(r.I64()) }
 
 // Bool reads a 0/1 byte.
 func (r *Reader) Bool() bool {
-	var b [1]byte
-	r.readFull(b[:])
-	return b[0] != 0
+	b := r.take(1)
+	return b != nil && b[0] != 0
 }
 
 // F64 reads a fixed-width float64.
 func (r *Reader) F64() float64 {
-	var b [8]byte
-	r.readFull(b[:])
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // F32 reads a fixed-width float32.
 func (r *Reader) F32() float32 {
-	var b [4]byte
-	r.readFull(b[:])
-	return math.Float32frombits(binary.LittleEndian.Uint32(b[:]))
+	b := r.take(4)
+	if b == nil {
+		return 0
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(b))
+}
+
+// take consumes the next n bytes, n at most the read buffer's size, and
+// returns them as a view of that buffer, valid until the next read; nil
+// after an error.
+func (r *Reader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	b, err := r.r.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		r.fail(fmt.Errorf("wire: read: %w", err))
+		return nil
+	}
+	r.r.Discard(n)
+	return b
+}
+
+// next reads the next min(rem, chunkSize) bytes of a fixed-width section
+// into the chunk buffer and returns them; nil after an error.
+func (r *Reader) next(rem int) []byte {
+	if r.chunk == nil {
+		r.chunk = make([]byte, chunkSize)
+	}
+	b := r.chunk[:min(rem, chunkSize)]
+	r.readFull(b)
+	if r.err != nil {
+		return nil
+	}
+	return b
 }
 
 // lenPrefix reads and bounds a length prefix.
@@ -266,12 +404,29 @@ func (r *Reader) String() string {
 	if r.err != nil || n == 0 {
 		return ""
 	}
+	if n <= r.r.Size() {
+		return string(r.take(n))
+	}
 	b := make([]byte, n)
 	r.readFull(b)
 	if r.err != nil {
 		return ""
 	}
 	return string(b)
+}
+
+// F32Block fills xs with fixed-width float32s written by
+// Writer.F32Block.
+func (r *Reader) F32Block(xs []float32) {
+	for len(xs) > 0 {
+		b := r.next(4 * len(xs))
+		if b == nil {
+			return
+		}
+		k := len(b) / 4
+		getF32s(xs[:k], b)
+		xs = xs[k:]
+	}
 }
 
 // F32s reads a length-prefixed []float32.
@@ -281,9 +436,7 @@ func (r *Reader) F32s() []float32 {
 		return nil
 	}
 	xs := make([]float32, n)
-	for i := range xs {
-		xs[i] = r.F32()
-	}
+	r.F32Block(xs)
 	return xs
 }
 
@@ -294,8 +447,16 @@ func (r *Reader) F64s() []float64 {
 		return nil
 	}
 	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = r.F64()
+	for rest := xs; len(rest) > 0; {
+		b := r.next(8 * len(rest))
+		if b == nil {
+			break
+		}
+		k := len(b) / 8
+		for i := range rest[:k] {
+			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		rest = rest[k:]
 	}
 	return xs
 }
@@ -307,9 +468,7 @@ func (r *Reader) Ints() []int {
 		return nil
 	}
 	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = int(r.I64())
-	}
+	readVarints(r, xs)
 	return xs
 }
 
@@ -320,11 +479,49 @@ func (r *Reader) I32s() []int32 {
 		return nil
 	}
 	xs := make([]int32, n)
-	for i := range xs {
-		xs[i] = int32(r.I64())
-	}
+	readVarints(r, xs)
 	return xs
 }
+
+// readVarints fills xs with zigzag varints, decoding them straight out of
+// the read buffer a window at a time. It accepts exactly what I64 does,
+// element by element.
+func readVarints[T int | int32](r *Reader, xs []T) {
+	for len(xs) > 0 && r.err == nil {
+		// Everything buffered, or the next varint's worth when nothing is:
+		// never more than the input holds, so a stream is not waited on.
+		b, err := r.r.Peek(max(r.r.Buffered(), binary.MaxVarintLen64))
+		at, k := 0, 0
+		for len(xs) > 0 {
+			var v int64
+			if v, k = binary.Varint(b[at:]); k <= 0 {
+				break
+			}
+			xs[0] = T(v)
+			xs, at = xs[1:], at+k
+		}
+		r.r.Discard(at)
+		switch {
+		case len(xs) == 0 || at > 0:
+			// Done, or the window ended inside a varint: take the next.
+		case k < 0 || len(b) >= binary.MaxVarintLen64:
+			// Too long, or ten bytes that all say more follows.
+			r.fail(fmt.Errorf("wire: varint: %w", errOverflow))
+		default:
+			// Not one whole varint in as much input as there is.
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+				if len(b) == 0 {
+					err = io.EOF
+				}
+			}
+			r.fail(fmt.Errorf("wire: varint: %w", err))
+		}
+	}
+}
+
+// errOverflow is what binary.ReadVarint reports for the same input.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // Bytes reads a length-prefixed raw byte slice written by Writer.Bytes.
 func (r *Reader) Bytes() []byte {
@@ -348,26 +545,53 @@ func (r *Reader) Words() []uint64 {
 		return nil
 	}
 	xs := make([]uint64, n)
-	var b [8]byte
-	for i := range xs {
-		r.readFull(b[:])
-		xs[i] = binary.LittleEndian.Uint64(b[:])
-	}
-	if r.err != nil {
-		return nil
+	for rest := xs; len(rest) > 0; {
+		b := r.next(8 * len(rest))
+		if b == nil {
+			return nil
+		}
+		k := len(b) / 8
+		for i := range rest[:k] {
+			rest[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		rest = rest[k:]
 	}
 	return xs
 }
 
-// Strings reads a length-prefixed []string.
+// Strings reads a length-prefixed []string. The strings are views of one
+// arena, so a section of many short keys costs two allocations, not one
+// per key.
 func (r *Reader) Strings() []string {
 	n := r.lenPrefix()
 	if r.err != nil {
 		return nil
 	}
 	xs := make([]string, n)
+	if cap(r.ends) < n {
+		r.ends = make([]int, n)
+	}
+	ends := r.ends[:n]
+	var arena strings.Builder
 	for i := range xs {
-		xs[i] = r.String()
+		size := r.lenPrefix()
+		if i == 0 {
+			// The keys of a section usually share one length.
+			arena.Grow(min(n*size, int(r.max)))
+		}
+		for size > 0 && r.err == nil {
+			b := r.take(min(size, r.r.Size()))
+			arena.Write(b)
+			size -= len(b)
+		}
+		if r.err != nil {
+			return nil
+		}
+		ends[i] = arena.Len()
+	}
+	all, lo := arena.String(), 0
+	for i, end := range ends {
+		xs[i], lo = all[lo:end], end
 	}
 	return xs
 }
