@@ -109,7 +109,7 @@ contract:
 # durability layer, whose simplification items gate on a net-negative
 # delta: per package at the merge base with BASE (a ref, as for contract)
 # and at HEAD, with the difference. Counts committed trees only.
-LOC_PKGS := internal/core internal/lshtable internal/multiprobe internal/lattice internal/wire internal/durable cmd/bilsh
+LOC_PKGS := internal/core internal/lshtable internal/multiprobe internal/lattice internal/wire internal/durable internal/server internal/router internal/httpx cmd/bilsh
 loc:
 	@base=$$(git merge-base HEAD $(BASE)) || exit 1; \
 	count() { \

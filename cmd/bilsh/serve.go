@@ -270,8 +270,14 @@ func runServe(name string, args []string, shard bool) error {
 	defer ln.Close()
 	fmt.Printf("serving %d vectors (dim %d, %d groups) on http://%s (mutable=%v metrics=%v pprof=%v)\n",
 		ix.Len(), ix.Dim(), ix.NumGroups(), ln.Addr(), *mutable, *metricsOn, *pprofOn)
-	err = api.Serve(ctx, ln)
-	if ctx.Err() != nil {
+	return drained(ctx, api.Serve(ctx, ln))
+}
+
+// drained passes on Serve's result err, first announcing a clean drain
+// when the serve context was cancelled (SIGINT/SIGTERM) and Serve
+// finished every in-flight request.
+func drained(ctx context.Context, err error) error {
+	if err == nil && ctx.Err() != nil {
 		fmt.Println("shutdown: in-flight requests drained")
 	}
 	return err

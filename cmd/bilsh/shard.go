@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -17,7 +16,6 @@ import (
 	"bilsh/internal/core"
 	"bilsh/internal/dataset"
 	"bilsh/internal/durable"
-	"bilsh/internal/httpx"
 	"bilsh/internal/router"
 	"bilsh/internal/vec"
 )
@@ -207,6 +205,7 @@ func cmdRouter(args []string) error {
 	if err != nil {
 		return err
 	}
+	rt.SetDrainTimeout(*shutdownTimeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -231,17 +230,5 @@ func cmdRouter(args []string) error {
 	}
 	fmt.Printf("routing %d shards, %s, on http://%s (hedge=%v timeout=%v)\n",
 		m.NumShards(), kind, ln.Addr(), *hedge, *timeout)
-	srv := httpx.NewServer(rt.Handler())
-	go func() {
-		<-ctx.Done()
-		sctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}()
-	err = srv.Serve(ln)
-	if err == http.ErrServerClosed {
-		fmt.Println("shutdown: in-flight requests drained")
-		err = nil
-	}
-	return err
+	return drained(ctx, rt.Serve(ctx, ln))
 }

@@ -1,6 +1,9 @@
-// Package httpx holds the small HTTP conventions shared by the
-// single-node server (internal/server) and the cluster router
-// (internal/router), so the two tiers cannot drift apart:
+// Package httpx is the HTTP front end shared by the single-node server
+// (internal/server) and the cluster router (internal/router), so the two
+// tiers cannot drift apart. Front owns the route table, the metrics
+// middleware, /healthz, /metrics, the default plan, the adaptive loop and
+// the graceful Serve; the codec and the plan validation are shared too.
+// The conventions:
 //
 //   - every response body is JSON; errors are {"error": "..."} with a
 //     meaningful 4xx/5xx status, never a bare 500 with a text body;
@@ -35,10 +38,10 @@ func NewServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
 }
 
-// MethodDispatch routes by HTTP method and answers anything else with 405
+// methodDispatch routes by HTTP method and answers anything else with 405
 // plus an Allow header — the contract HTTP clients and load balancers
 // expect, instead of a fall-through 404 that hides the typo'd verb.
-func MethodDispatch(methods map[string]http.HandlerFunc) http.Handler {
+func methodDispatch(methods map[string]http.HandlerFunc) http.Handler {
 	allowed := make([]string, 0, len(methods))
 	for m := range methods {
 		allowed = append(allowed, m)
@@ -55,18 +58,6 @@ func MethodDispatch(methods map[string]http.HandlerFunc) http.Handler {
 		}
 		h(w, r)
 	})
-}
-
-// StatusRecorder captures the response status for metrics middleware.
-type StatusRecorder struct {
-	http.ResponseWriter
-	Status int
-}
-
-// WriteHeader records code before delegating.
-func (sr *StatusRecorder) WriteHeader(code int) {
-	sr.Status = code
-	sr.ResponseWriter.WriteHeader(code)
 }
 
 // DecodeBody parses a JSON body with a size cap, rejecting unknown

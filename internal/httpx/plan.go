@@ -28,6 +28,10 @@ const (
 	// PlanLimit bounds every count field of a wire plan, mirroring
 	// core.Plan's own limit (and Options.Validate's ranges).
 	PlanLimit = 1 << 20
+
+	// MaxBodyBytes caps a request body on both tiers (queries are small;
+	// batches are bounded by it).
+	MaxBodyBytes = 64 << 20
 )
 
 // QueryPlan is the transport representation of a per-query execution
@@ -154,6 +158,34 @@ func DecodePlanRequest(w http.ResponseWriter, r *http.Request, k int, wp *QueryP
 		return 0, false
 	}
 	return k, true
+}
+
+// NonEmptyBatch answers 400 when a /batch body carries no vectors and
+// reports whether it carries any.
+func NonEmptyBatch(w http.ResponseWriter, vectors [][]float32) bool {
+	if len(vectors) == 0 {
+		Error(w, http.StatusBadRequest, "batch needs at least one vector")
+		return false
+	}
+	return true
+}
+
+// DecodeDelete decodes a /delete body and returns its id. The id is
+// decoded through a pointer, so a body without one is told apart from
+// id 0: a missing or negative id is a 400. Like DecodeBody it writes the
+// 400 itself and reports success.
+func DecodeDelete(w http.ResponseWriter, r *http.Request) (int, bool) {
+	var req struct {
+		ID *int `json:"id"`
+	}
+	if !DecodeBody(w, r, MaxBodyBytes, &req) {
+		return 0, false
+	}
+	if req.ID == nil || *req.ID < 0 {
+		Error(w, http.StatusBadRequest, `delete needs a non-negative "id"`)
+		return 0, false
+	}
+	return *req.ID, true
 }
 
 // WantStats reports whether the request opted into per-query PlanStats in

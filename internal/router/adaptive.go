@@ -2,8 +2,6 @@ package router
 
 import (
 	"context"
-	"log"
-	"time"
 
 	"bilsh/internal/httpx"
 	"bilsh/internal/tuner"
@@ -11,97 +9,31 @@ import (
 
 // The adaptive side of the router: a default wire plan forwarded to
 // shards for requests without overrides, re-tuned online from the
-// per-shard shortlist sizes the router observes in every reply. Unlike
-// the single-node server the router does not know the shards' built
+// per-shard shortlist sizes the router observes in every reply. Plan and
+// loop are the front end the server shares (httpx.Front). Unlike the
+// single-node server the router does not know the shards' built
 // parameters (L, TuneTargetRecall) — and in a mixed cluster there is no
-// single answer — so its recommendations carry TargetRecall and
-// MaxCandidates only, and each shard resolves the recall target into a
-// table budget against its own index. See docs/adaptive.md.
+// single answer — so it passes none, its recommendations carry
+// TargetRecall and MaxCandidates only, and each shard resolves the recall
+// target into a table budget against its own index. See docs/adaptive.md.
 
 // DefaultPlan returns the router's current default plan (zero when none
 // was set).
-func (rt *Router) DefaultPlan() httpx.QueryPlan {
-	if dp := rt.defaultPlan.Load(); dp != nil {
-		return *dp
-	}
-	return httpx.QueryPlan{}
-}
+func (rt *Router) DefaultPlan() httpx.QueryPlan { return rt.front.DefaultPlan() }
 
 // SetDefaultPlan atomically replaces the default plan forwarded to shards
 // for requests without their own overrides. Safe to call while queries
 // are in flight.
-func (rt *Router) SetDefaultPlan(p httpx.QueryPlan) { rt.defaultPlan.Store(&p) }
+func (rt *Router) SetDefaultPlan(p httpx.QueryPlan) { rt.front.SetDefaultPlan(p) }
 
-// planFor merges one request's plan over the router default: request
-// fields win, unset fields fall through to the default plan.
-func (rt *Router) planFor(p httpx.QueryPlan) httpx.QueryPlan {
-	d := rt.DefaultPlan()
-	if p.TargetRecall > 0 {
-		d.TargetRecall = p.TargetRecall
-	}
-	if p.Probes > 0 {
-		d.Probes = p.Probes
-	}
-	if p.Tables > 0 {
-		d.Tables = p.Tables
-	}
-	if p.HierMinCandidates > 0 {
-		d.HierMinCandidates = p.HierMinCandidates
-	}
-	if p.RerankFactor > 0 {
-		d.RerankFactor = p.RerankFactor
-	}
-	if p.StableProbes > 0 {
-		d.StableProbes = p.StableProbes
-	}
-	if p.MaxCandidates > 0 {
-		d.MaxCandidates = p.MaxCandidates
-	}
-	return d
-}
+// AdaptiveConfig configures the online re-tuning loop; both tiers take
+// the same one.
+type AdaptiveConfig = httpx.AdaptiveConfig
 
-// AdaptiveConfig configures the router's online re-tuning loop.
-type AdaptiveConfig struct {
-	// TargetRecall is the recall SLO forwarded in the re-tuned default
-	// plan (default 0.9); shards resolve it into table budgets locally.
-	TargetRecall float64
-	// Interval is the re-tune period (default 10s).
-	Interval time.Duration
-	// MinSamples gates each re-tune on a minimum number of observed
-	// shard replies (default 64).
-	MinSamples int64
-	// Headroom multiplies the observed mean per-shard shortlist size into
-	// the forwarded MaxCandidates cap (default 3).
-	Headroom float64
-	// Log, when set, logs each applied budget.
-	Log *log.Logger
-}
-
-// StartAdaptive launches the online tuning loop: a tuner.Online watching
-// the router's per-shard candidates histogram re-tunes the default
-// forwarded plan every Interval until ctx is done. MaxCandidates is a
-// per-shard cap (the histogram observes per-shard shortlist sizes, so the
-// mean is per-shard collision mass). Returns immediately.
+// StartAdaptive launches the online tuning loop (httpx.Front.StartAdaptive)
+// over the router's per-shard candidates histogram. MaxCandidates is a
+// per-shard cap: the histogram observes per-shard shortlist sizes, so the
+// mean is per-shard collision mass. Returns immediately.
 func (rt *Router) StartAdaptive(ctx context.Context, cfg AdaptiveConfig) {
-	if cfg.TargetRecall <= 0 || cfg.TargetRecall >= 1 {
-		cfg.TargetRecall = 0.9
-	}
-	on := tuner.NewOnline(tuner.OnlineConfig{
-		Candidates:   rt.metCandidates,
-		TargetRecall: cfg.TargetRecall,
-		// BuiltRecall/Tables stay zero: shards resolve the table budget.
-		MinSamples: cfg.MinSamples,
-		Headroom:   cfg.Headroom,
-		Interval:   cfg.Interval,
-	})
-	go on.Run(ctx, func(b tuner.Budget) {
-		rt.SetDefaultPlan(httpx.QueryPlan{
-			TargetRecall:  b.TargetRecall,
-			MaxCandidates: b.MaxCandidates,
-		})
-		if cfg.Log != nil {
-			cfg.Log.Printf("adaptive: re-tuned forwarded plan: target_recall=%.3f max_candidates=%d (mean per-shard candidates %.1f over %d replies)",
-				b.TargetRecall, b.MaxCandidates, b.MeanCandidates, b.Samples)
-		}
-	})
+	rt.front.StartAdaptive(ctx, cfg, tuner.OnlineConfig{Candidates: rt.metCandidates})
 }

@@ -6,11 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
 	"bilsh/internal/httpx"
+	"bilsh/internal/httpx/httpxtest"
 	"bilsh/internal/xrand"
 )
 
@@ -20,27 +20,6 @@ var requestTypes = []func() (interface{}, []httpx.Field){
 	func() (interface{}, []httpx.Field) { q := new(queryRequest); return q, q.fields() },
 	func() (interface{}, []httpx.Field) { b := new(batchRequest); return b, b.fields() },
 	func() (interface{}, []httpx.Field) { q := new(insertRequest); return q, insertFields(q) },
-}
-
-// checkParity fails when the canonical decoder accepts a body that
-// encoding/json, with unknown fields disallowed, rejects or decodes to a
-// different value. It reports whether the canonical decoder accepted.
-func checkParity(t *testing.T, body []byte, new func() (interface{}, []httpx.Field)) bool {
-	t.Helper()
-	got, fields := new()
-	if !httpx.DecodeCanonical(body, fields) {
-		return false
-	}
-	want, _ := new()
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(want); err != nil {
-		t.Fatalf("canonical decoder accepted %q, encoding/json rejects it: %v", body, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("body %q decodes to\n%+v\nencoding/json decodes it to\n%+v", body, got, want)
-	}
-	return true
 }
 
 // FuzzRequestParity is the differential test of the canonical request
@@ -70,7 +49,7 @@ func FuzzRequestParity(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, newReq := range requestTypes {
-			checkParity(t, body, newReq)
+			httpxtest.CheckParity(t, body, newReq)
 		}
 	})
 }
@@ -112,7 +91,7 @@ func TestMarshaledRequestsAreCanonical(t *testing.T) {
 			}
 			accepted := false
 			for _, newReq := range requestTypes {
-				accepted = checkParity(t, body, newReq) || accepted
+				accepted = httpxtest.CheckParity(t, body, newReq) || accepted
 			}
 			if !accepted {
 				t.Fatalf("trial %d, request %d: %s took the encoding/json path", trial, i, body)
@@ -182,34 +161,20 @@ func randomResult(rng *xrand.RNG) *Result {
 	return res
 }
 
-// assertSameReply fails unless WriteReply(v) and WriteJSON(v) answer with
-// the same status, headers and bytes.
-func assertSameReply(t *testing.T, v httpx.Replier) {
-	t.Helper()
-	fast, slow := httptest.NewRecorder(), httptest.NewRecorder()
-	httpx.WriteReply(fast, http.StatusOK, v)
-	httpx.WriteJSON(slow, http.StatusOK, v)
-	if fast.Code != slow.Code || !reflect.DeepEqual(fast.Header(), slow.Header()) ||
-		!bytes.Equal(fast.Body.Bytes(), slow.Body.Bytes()) {
-		t.Fatalf("reply differs from encoding/json\ngot  %d %v %q\nwant %d %v %q",
-			fast.Code, fast.Header(), fast.Body, slow.Code, slow.Header(), slow.Body)
-	}
-}
-
 // TestReplyBytesMatchEncodingJSON pins the router's /query, /batch and
 // /insert replies to encoding/json byte for byte, including the map
 // encodings the handlers wrote before.
 func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	rng := xrand.New(22)
 	for trial := 0; trial < 500; trial++ {
-		assertSameReply(t, randomResult(rng))
+		httpxtest.AssertSameReply(t, randomResult(rng))
 		results := make([]*Result, rng.Intn(4))
 		for i := range results {
 			results[i] = randomResult(rng)
 		}
-		assertSameReply(t, &batchResponse{Results: results})
+		httpxtest.AssertSameReply(t, &batchResponse{Results: results})
 		id, shard := rng.Intn(1<<40), rng.Intn(8)
-		assertSameReply(t, &insertResponse{ID: id, Shard: shard})
+		httpxtest.AssertSameReply(t, &insertResponse{ID: id, Shard: shard})
 
 		fast, slow := httptest.NewRecorder(), httptest.NewRecorder()
 		httpx.WriteReply(fast, http.StatusOK, &batchResponse{Results: results})
@@ -220,5 +185,5 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 			t.Fatalf("reply differs from the map encoding\ngot  %q\nwant %q", fast.Body, slow.Body)
 		}
 	}
-	assertSameReply(t, &Result{Neighbors: []Neighbor{{ID: 1, Dist: math.NaN()}}})
+	httpxtest.AssertSameReply(t, &Result{Neighbors: []Neighbor{{ID: 1, Dist: math.NaN()}}})
 }

@@ -1,67 +1,49 @@
 package router
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"bilsh/internal/httpx"
-	"bilsh/internal/metrics"
 )
 
 // HTTP front end of the router. The endpoint shapes deliberately mirror
 // the shard server's (internal/server) so clients can point at either a
 // single node or a cluster without changing request bodies; the extras
 // are the cluster-only fields (spill, shards_contacted, partial) and the
-// /router/* introspection endpoints. docs/api.md documents every route.
+// /router/* introspection endpoints; /healthz, /metrics, the 405 rule,
+// the middleware and the graceful drain are the front end both tiers
+// share (httpx.Front). docs/api.md documents every route.
 
-const maxBodyBytes = 64 << 20
-
-// Handler returns the router's HTTP handler.
+// Handler returns the router's HTTP handler: its endpoints plus the
+// shared /healthz and /metrics, each behind the 405 rule and the metrics
+// middleware.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	routes := map[string]map[string]http.HandlerFunc{
-		"/healthz":       {http.MethodGet: rt.handleHealthz},
+	return rt.front.Handler(map[string]map[string]http.HandlerFunc{
 		"/info":          {http.MethodGet: rt.handleInfo},
 		"/router/shards": {http.MethodGet: rt.handleShards},
 		"/query":         {http.MethodPost: rt.handleQuery},
 		"/batch":         {http.MethodPost: rt.handleBatch},
 		"/insert":        {http.MethodPost: rt.handleInsert},
 		"/delete":        {http.MethodPost: rt.handleDelete},
-		"/metrics":       {http.MethodGet: rt.handleMetrics},
-	}
-	for path, methods := range routes {
-		mux.Handle(path, rt.instrument(path, httpx.MethodDispatch(methods)))
-	}
-	return mux
-}
-
-// instrument mirrors the shard server's middleware: request count by
-// (path, code), latency by path, error count by path — same metric
-// names, so one dashboard reads both tiers.
-func (rt *Router) instrument(path string, next http.Handler) http.Handler {
-	latency := rt.reg.Histogram("bilsh_http_request_seconds",
-		"HTTP request latency, by path.", metrics.DefLatencyBuckets, metrics.L("path", path))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &httpx.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
-		next.ServeHTTP(rec, r)
-		latency.Observe(time.Since(start).Seconds())
-		rt.reg.Counter("bilsh_http_requests_total", "HTTP requests served, by path and status code.",
-			metrics.L("path", path), metrics.L("code", strconv.Itoa(rec.Status))).Inc()
-		if rec.Status >= 400 {
-			rt.reg.Counter("bilsh_http_errors_total", "HTTP responses with status >= 400, by path.",
-				metrics.L("path", path)).Inc()
-		}
 	})
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
+// SetDrainTimeout bounds how long Serve waits for in-flight requests on
+// shutdown (default 30s). Call before Serve.
+func (rt *Router) SetDrainTimeout(d time.Duration) { rt.front.DrainTimeout = d }
+
+// Serve runs the router's HTTP API on ln until ctx is cancelled, then
+// drains in-flight requests for up to the drain timeout
+// (httpx.Front.Serve). It returns nil after a clean drain,
+// context.DeadlineExceeded if requests were still running when the
+// timeout expired, or the listener's error.
+func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
+	return rt.front.Serve(ctx, ln, rt.Handler())
 }
 
 func (rt *Router) handleInfo(w http.ResponseWriter, _ *http.Request) {
@@ -72,7 +54,7 @@ func (rt *Router) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		"leaf_aware":     rt.m.LeafAware(),
 		"dim":            rt.m.Dim(),
 		"spill":          rt.spill,
-		"uptime_seconds": int64(time.Since(rt.start).Seconds()),
+		"uptime_seconds": int64(rt.front.Uptime().Seconds()),
 	})
 }
 
@@ -101,7 +83,7 @@ func (q *queryRequest) fields() []httpx.Field {
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !httpx.DecodeRequest(w, r, maxBodyBytes, &req, req.fields()) {
+	if !httpx.DecodeRequest(w, r, httpx.MaxBodyBytes, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -143,15 +125,14 @@ func (b *batchResponse) AppendJSON(r *httpx.Reply) {
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !httpx.DecodeRequest(w, r, maxBodyBytes, &req, req.fields()) {
+	if !httpx.DecodeRequest(w, r, httpx.MaxBodyBytes, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
 	if !ok {
 		return
 	}
-	if len(req.Vectors) == 0 {
-		httpx.Error(w, http.StatusBadRequest, "batch needs at least one vector")
+	if !httpx.NonEmptyBatch(w, req.Vectors) {
 		return
 	}
 	wantStats := httpx.WantStats(r.URL.Query())
@@ -196,7 +177,7 @@ func (ir *insertResponse) AppendJSON(r *httpx.Reply) {
 
 func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if !httpx.DecodeRequest(w, r, maxBodyBytes, &req, insertFields(&req)) {
+	if !httpx.DecodeRequest(w, r, httpx.MaxBodyBytes, &req, insertFields(&req)) {
 		return
 	}
 	gid, shard, err := rt.Insert(r.Context(), req.Vector)
@@ -208,17 +189,11 @@ func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID *int `json:"id"`
-	}
-	if !httpx.DecodeBody(w, r, maxBodyBytes, &req) {
+	id, ok := httpx.DecodeDelete(w, r)
+	if !ok {
 		return
 	}
-	if req.ID == nil || *req.ID < 0 {
-		httpx.Error(w, http.StatusBadRequest, "delete needs a non-negative \"id\"")
-		return
-	}
-	res := rt.Delete(r.Context(), *req.ID)
+	res := rt.Delete(r.Context(), id)
 	status := http.StatusOK
 	if len(res.FailedShards) > 0 {
 		// The id may live on an unreachable shard — the delete is not
@@ -226,18 +201,6 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadGateway
 	}
 	httpx.WriteJSON(w, status, res)
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	wantJSON := r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json")
-	if wantJSON {
-		w.Header().Set("Content-Type", "application/json")
-		rt.reg.WriteJSON(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.reg.WritePrometheus(w)
 }
 
 // writeError maps router errors onto the structured JSON error shape:

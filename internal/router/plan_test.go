@@ -18,10 +18,10 @@ import (
 // TestRouterServer400Parity pins the centralized-validation satellite:
 // the same bad request draws a byte-identical 400 body from a shard
 // server and from the router, because both funnel through
-// httpx.DecodePlanRequest.
+// httpx.DecodePlanRequest, httpx.DecodeDelete and httpx.NonEmptyBatch.
 func TestRouterServer400Parity(t *testing.T) {
 	train := testData(t, 400, 8)
-	c := leafCluster(t, train, false, nil)
+	c := leafCluster(t, train, true, nil) // mutable, so /delete reaches the decoder
 	rtSrv := httptest.NewServer(c.rt.Handler())
 	t.Cleanup(rtSrv.Close)
 	shardSrv := c.servers[0]
@@ -37,6 +37,9 @@ func TestRouterServer400Parity(t *testing.T) {
 		{"recall out of range", "/query?recall=1.5", map[string]interface{}{"vector": vec, "k": 3}},
 		{"garbage probes", "/query?probes=abc", map[string]interface{}{"vector": vec, "k": 3}},
 		{"negative tables", "/query", map[string]interface{}{"vector": vec, "k": 3, "tables": -4}},
+		{"delete without id", "/delete", map[string]interface{}{}},
+		{"negative delete id", "/delete", map[string]interface{}{"id": -1}},
+		{"empty batch", "/batch", map[string]interface{}{"vectors": [][]float32{}, "k": 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

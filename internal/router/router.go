@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bilsh/internal/httpx"
@@ -56,8 +55,6 @@ type Router struct {
 	m       *ShardMap
 	clients []*shardClient
 	spill   int
-	reg     *metrics.Registry
-	start   time.Time
 
 	// nextGID allocates cluster-global ids for inserts; seeded lazily
 	// from the shards' reported max_global_id.
@@ -74,10 +71,11 @@ type Router struct {
 	health     *healthProber
 	stopHealth context.CancelFunc
 
-	// defaultPlan is the base execution plan forwarded to shards for
-	// requests that carry no overrides — nil means none. The adaptive
-	// loop (StartAdaptive) republishes it, racing queries.
-	defaultPlan atomic.Pointer[httpx.QueryPlan]
+	// front is the HTTP front end shared with the single-node server:
+	// middleware, /healthz, /metrics, the drain timeout and the default
+	// plan forwarded to shards, which the adaptive loop (StartAdaptive)
+	// republishes.
+	front *httpx.Front
 }
 
 // fanoutBounds buckets the per-query shard fan-out width.
@@ -124,8 +122,7 @@ func New(o Options) (*Router, error) {
 	rt := &Router{
 		m:     o.Map,
 		spill: o.Spill,
-		reg:   reg,
-		start: time.Now(),
+		front: httpx.NewFront(reg),
 		metQueries: reg.Counter("bilsh_router_queries_total",
 			"Queries routed (including partial results)."),
 		metFanout: reg.Histogram("bilsh_router_fanout_shards",
@@ -254,7 +251,7 @@ func (rt *Router) QueryPlan(ctx context.Context, v []float32, k, spill int, plan
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	plan = rt.planFor(plan)
+	plan = rt.front.PlanFor(plan)
 	if spill <= 0 {
 		spill = rt.spill
 	}

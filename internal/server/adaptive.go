@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"log"
-	"time"
 
 	"bilsh/internal/core"
 	"bilsh/internal/httpx"
@@ -13,115 +11,61 @@ import (
 
 // The adaptive side of the server: the default execution plan applied to
 // requests that carry no overrides, and the online re-tuning loop that
-// republishes it from observed traffic. See docs/adaptive.md.
+// republishes it from observed traffic. Both live in the front end the
+// router shares (httpx.Front); this file converts between the wire plan
+// and core.Plan and names the server's signal. See docs/adaptive.md.
 
 // DefaultPlan returns the server's current default plan (zero value when
 // none was ever set: the index's built budgets).
-func (s *Server) DefaultPlan() core.Plan {
-	if dp := s.defaultPlan.Load(); dp != nil {
-		return *dp
-	}
-	return core.Plan{}
-}
+func (s *Server) DefaultPlan() core.Plan { return corePlan(s.front.DefaultPlan(), 0) }
 
 // SetDefaultPlan atomically replaces the default plan applied to requests
 // without their own overrides. The plan's K is ignored — per-request k
 // always wins. Safe to call while queries are in flight.
 func (s *Server) SetDefaultPlan(p core.Plan) {
-	p.K = 0
-	s.defaultPlan.Store(&p)
+	s.front.SetDefaultPlan(httpx.QueryPlan{
+		TargetRecall:      p.TargetRecall,
+		Probes:            p.Probes,
+		Tables:            p.Tables,
+		HierMinCandidates: p.HierMinCandidates,
+		RerankFactor:      p.RerankFactor,
+		StableProbes:      p.StableProbes,
+		MaxCandidates:     p.MaxCandidates,
+	})
 }
 
-// planFor merges one request's wire plan over the server default: any
-// field the request sets wins, anything it leaves zero falls through to
-// the default plan, and what is still zero after that resolves to the
-// index's built budgets inside core.
-func (s *Server) planFor(wp httpx.QueryPlan, k int) core.Plan {
-	p := s.DefaultPlan()
-	p.K = k
-	if wp.TargetRecall > 0 {
-		p.TargetRecall = wp.TargetRecall
+// corePlan is the core plan for wire plan p and k neighbors.
+func corePlan(p httpx.QueryPlan, k int) core.Plan {
+	return core.Plan{
+		K:                 k,
+		TargetRecall:      p.TargetRecall,
+		Probes:            p.Probes,
+		Tables:            p.Tables,
+		HierMinCandidates: p.HierMinCandidates,
+		RerankFactor:      p.RerankFactor,
+		StableProbes:      p.StableProbes,
+		MaxCandidates:     p.MaxCandidates,
 	}
-	if wp.Probes > 0 {
-		p.Probes = wp.Probes
-	}
-	if wp.Tables > 0 {
-		p.Tables = wp.Tables
-	}
-	if wp.HierMinCandidates > 0 {
-		p.HierMinCandidates = wp.HierMinCandidates
-	}
-	if wp.RerankFactor > 0 {
-		p.RerankFactor = wp.RerankFactor
-	}
-	if wp.StableProbes > 0 {
-		p.StableProbes = wp.StableProbes
-	}
-	if wp.MaxCandidates > 0 {
-		p.MaxCandidates = wp.MaxCandidates
-	}
-	return p
 }
 
-// AdaptiveConfig configures the server's online re-tuning loop.
-type AdaptiveConfig struct {
-	// TargetRecall is the recall SLO the re-tuned default plan aims for
-	// (default 0.9).
-	TargetRecall float64
-	// Interval is the re-tune period (default 10s).
-	Interval time.Duration
-	// MinSamples gates each re-tune on a minimum number of observed
-	// queries (default 64).
-	MinSamples int64
-	// Headroom multiplies the observed mean shortlist size into the
-	// MaxCandidates early-termination cap (default 3).
-	Headroom float64
-	// Log, when set, logs each applied budget.
-	Log *log.Logger
-}
+// AdaptiveConfig configures the online re-tuning loop; both tiers take
+// the same one.
+type AdaptiveConfig = httpx.AdaptiveConfig
 
-// StartAdaptive launches the online tuning loop: a tuner.Online watching
-// the live per-query candidates histogram re-tunes the default plan every
-// Interval until ctx is done. The resolved budgets are published with
-// SetDefaultPlan, so in-flight queries are never disturbed and per-request
-// overrides always win. Returns immediately; the loop runs on its own
-// goroutine.
+// StartAdaptive launches the online tuning loop (httpx.Front.StartAdaptive)
+// over the live per-query candidates histogram, resolving the recall
+// target into a table budget against the index's built L and recall.
+// Returns immediately; the loop runs until ctx is done.
 func (s *Server) StartAdaptive(ctx context.Context, cfg AdaptiveConfig) {
-	if cfg.TargetRecall <= 0 || cfg.TargetRecall >= 1 {
-		cfg.TargetRecall = 0.9
-	}
 	opts := s.ix.Options()
-	on := tuner.NewOnline(tuner.OnlineConfig{
+	s.front.StartAdaptive(ctx, cfg, tuner.OnlineConfig{
 		// Get-or-create semantics hand back the very histogram core's hot
 		// path records into (same name, same bounds).
 		Candidates: metrics.Default().Histogram(
 			"bilsh_core_query_candidates",
 			"Distinct short-list candidates per query (|A(v)|).",
 			metrics.DefCountBuckets),
-		TargetRecall: cfg.TargetRecall,
-		BuiltRecall:  opts.TuneTargetRecall,
-		Tables:       opts.Params.L,
-		MinSamples:   cfg.MinSamples,
-		Headroom:     cfg.Headroom,
-		Interval:     cfg.Interval,
+		BuiltRecall: opts.TuneTargetRecall,
+		Tables:      opts.Params.L,
 	})
-	go on.Run(ctx, func(b tuner.Budget) {
-		s.SetDefaultPlan(budgetPlan(b))
-		if cfg.Log != nil {
-			cfg.Log.Printf("adaptive: re-tuned default plan: target_recall=%.3f tables=%d max_candidates=%d (mean candidates %.1f over %d queries)",
-				b.TargetRecall, b.Tables, b.MaxCandidates, b.MeanCandidates, b.Samples)
-		}
-	})
-}
-
-// budgetPlan maps a tuner recommendation onto a core plan. TargetRecall
-// is carried too: if the index is rebuilt with different parameters, the
-// plan re-resolves against the new snapshot instead of pinning a stale
-// table count.
-func budgetPlan(b tuner.Budget) core.Plan {
-	return core.Plan{
-		TargetRecall:  b.TargetRecall,
-		Tables:        b.Tables,
-		MaxCandidates: b.MaxCandidates,
-	}
 }

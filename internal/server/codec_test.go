@@ -8,13 +8,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
 	"bilsh/internal/core"
 	"bilsh/internal/dataset"
 	"bilsh/internal/httpx"
+	"bilsh/internal/httpx/httpxtest"
 	"bilsh/internal/lshfunc"
 	"bilsh/internal/xrand"
 )
@@ -25,27 +25,6 @@ var requestTypes = []func() (interface{}, []httpx.Field){
 	func() (interface{}, []httpx.Field) { q := new(queryRequest); return q, q.fields() },
 	func() (interface{}, []httpx.Field) { b := new(batchRequest); return b, b.fields() },
 	func() (interface{}, []httpx.Field) { q := new(httpx.InsertRequest); return q, httpx.InsertFields(q) },
-}
-
-// checkParity fails when the canonical decoder accepts a body that
-// encoding/json, with unknown fields disallowed, rejects or decodes to a
-// different value. It reports whether the canonical decoder accepted.
-func checkParity(t *testing.T, body []byte, new func() (interface{}, []httpx.Field)) bool {
-	t.Helper()
-	got, fields := new()
-	if !httpx.DecodeCanonical(body, fields) {
-		return false
-	}
-	want, _ := new()
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(want); err != nil {
-		t.Fatalf("canonical decoder accepted %q, encoding/json rejects it: %v", body, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("body %q decodes to\n%+v\nencoding/json decodes it to\n%+v", body, got, want)
-	}
-	return true
 }
 
 // FuzzRequestParity is the differential test of the canonical request
@@ -76,7 +55,7 @@ func FuzzRequestParity(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, newReq := range requestTypes {
-			checkParity(t, body, newReq)
+			httpxtest.CheckParity(t, body, newReq)
 		}
 	})
 }
@@ -123,7 +102,7 @@ func TestMarshaledRequestsAreCanonical(t *testing.T) {
 			}
 			accepted := false
 			for _, newReq := range requestTypes {
-				accepted = checkParity(t, body, newReq) || accepted
+				accepted = httpxtest.CheckParity(t, body, newReq) || accepted
 			}
 			if !accepted {
 				t.Fatalf("trial %d, request %d: %s took the encoding/json path", trial, i, body)
@@ -197,37 +176,23 @@ func randomQueryResponse(rng *xrand.RNG) queryResponse {
 	return resp
 }
 
-// assertSameReply fails unless WriteReply(v) and WriteJSON(v) answer with
-// the same status, headers and bytes.
-func assertSameReply(t *testing.T, v httpx.Replier) {
-	t.Helper()
-	fast, slow := httptest.NewRecorder(), httptest.NewRecorder()
-	httpx.WriteReply(fast, http.StatusOK, v)
-	httpx.WriteJSON(slow, http.StatusOK, v)
-	if fast.Code != slow.Code || !reflect.DeepEqual(fast.Header(), slow.Header()) ||
-		!bytes.Equal(fast.Body.Bytes(), slow.Body.Bytes()) {
-		t.Fatalf("reply differs from encoding/json\ngot  %d %v %q\nwant %d %v %q",
-			fast.Code, fast.Header(), fast.Body, slow.Code, slow.Header(), slow.Body)
-	}
-}
-
 // TestReplyBytesMatchEncodingJSON pins the reply encoder to encoding/json
 // byte for byte on randomized /query, /batch and /insert replies.
 func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 	rng := xrand.New(12)
 	for trial := 0; trial < 500; trial++ {
 		q := randomQueryResponse(rng)
-		assertSameReply(t, &q)
+		httpxtest.AssertSameReply(t, &q)
 		b := batchResponse{Results: make([]queryResponse, rng.Intn(4))}
 		for i := range b.Results {
 			b.Results[i] = randomQueryResponse(rng)
 		}
-		assertSameReply(t, &b)
-		assertSameReply(t, &insertResponse{ID: rng.Intn(1 << 40)})
+		httpxtest.AssertSameReply(t, &b)
+		httpxtest.AssertSameReply(t, &insertResponse{ID: rng.Intn(1 << 40)})
 	}
-	assertSameReply(t, &batchResponse{})
+	httpxtest.AssertSameReply(t, &batchResponse{})
 	// A non-finite distance is refused as encoding/json refuses it.
-	assertSameReply(t, &queryResponse{Neighbors: []neighbor{{ID: 1, Dist: math.Inf(1)}}})
+	httpxtest.AssertSameReply(t, &queryResponse{Neighbors: []neighbor{{ID: 1, Dist: math.Inf(1)}}})
 }
 
 // TestQueryAllocsIndependentOfDim pins that a /query costs the same
@@ -301,13 +266,13 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.Run(fmt.Sprintf("decode/d=%d/encoding-json", d), func(b *testing.B) {
 			decode(b, func(w http.ResponseWriter, r *http.Request) bool {
 				var req queryRequest
-				return decodeBody(w, r, &req)
+				return httpx.DecodeBody(w, r, httpx.MaxBodyBytes, &req)
 			})
 		})
 		b.Run(fmt.Sprintf("decode/d=%d/canonical", d), func(b *testing.B) {
 			decode(b, func(w http.ResponseWriter, r *http.Request) bool {
 				var req queryRequest
-				return decodeRequest(w, r, &req, req.fields())
+				return httpx.DecodeRequest(w, r, httpx.MaxBodyBytes, &req, req.fields())
 			})
 		})
 	}
@@ -324,7 +289,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 	}
 	b.Run("encode/k=10/encoding-json", func(b *testing.B) {
-		encode(b, func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, &resp) })
+		encode(b, func(w http.ResponseWriter) { httpx.WriteJSON(w, http.StatusOK, &resp) })
 	})
 	b.Run("encode/k=10/canonical", func(b *testing.B) {
 		encode(b, func(w http.ResponseWriter) { httpx.WriteReply(w, http.StatusOK, &resp) })

@@ -40,17 +40,16 @@
 // NaN and infinite components are rejected with 400 at the boundary.
 //
 // With EnablePprof(true), the net/http/pprof handlers are mounted under
-// /debug/pprof/. Requests with a known path but wrong method receive 405
-// with an Allow header; every endpoint is wrapped in middleware recording
-// request counts, in-flight gauge, latency histograms and error counts
-// into the metrics registry (see docs/metrics.md).
+// /debug/pprof/. /healthz, /metrics, the 405 rule, the metrics middleware,
+// the default plan and Serve's graceful drain are the front end the router
+// shares (httpx.Front; docs/metrics.md lists the middleware's metrics).
 package server
 
 import (
+	"context"
 	"errors"
-	"fmt"
+	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"bilsh/internal/core"
@@ -58,9 +57,6 @@ import (
 	"bilsh/internal/metrics"
 	"bilsh/internal/vec"
 )
-
-// maxBodyBytes bounds request bodies (queries are small; batches bounded).
-const maxBodyBytes = 64 << 20
 
 // Mutator is the write-side interface the mutation endpoints call.
 // *core.Index satisfies it (the default), and *core.DurableIndex overrides
@@ -84,17 +80,10 @@ type Server struct {
 	// mutable reports whether mutating endpoints are enabled.
 	mutable bool
 
-	// reg receives the per-endpoint middleware metrics and is what
-	// GET /metrics exposes; defaults to the process-wide registry.
-	reg *metrics.Registry
-	// metricsOn controls whether GET /metrics is mounted.
-	metricsOn bool
-	// pprofOn controls whether /debug/pprof/ is mounted.
-	pprofOn bool
-	// start anchors the uptime gauge.
-	start time.Time
-	// drainTimeout bounds Serve's graceful shutdown (default 30s).
-	drainTimeout time.Duration
+	// front is the HTTP front end shared with the router: registry,
+	// /metrics and pprof switches, drain timeout and the default plan,
+	// which the adaptive loop (StartAdaptive) republishes.
+	front *httpx.Front
 
 	// Shard-serving state (see shard.go): the cluster shard id (-1 when
 	// standalone), the local↔global id translation, the durable data
@@ -104,12 +93,6 @@ type Server struct {
 	idmap   *IDMap
 	ckptDir string
 	gen     func() uint64
-
-	// defaultPlan is the base execution plan applied to requests that
-	// carry no overrides of their own — nil means core.Plan{} (the index's
-	// built budgets). The adaptive loop (StartAdaptive) republishes it
-	// from live traffic, racing queries, hence the atomic pointer.
-	defaultPlan atomic.Pointer[core.Plan]
 }
 
 // New wraps ix. When mutable is false the insert/delete/compact endpoints
@@ -117,30 +100,27 @@ type Server struct {
 // metrics endpoint is on and pprof is off by default.
 func New(ix *core.Index, mutable bool) *Server {
 	return &Server{
-		ix:           ix,
-		mut:          ix,
-		mutable:      mutable,
-		reg:          metrics.Default(),
-		metricsOn:    true,
-		start:        time.Now(),
-		drainTimeout: 30 * time.Second,
-		shardID:      -1,
+		ix:      ix,
+		mut:     ix,
+		mutable: mutable,
+		front:   httpx.NewFront(metrics.Default()),
+		shardID: -1,
 	}
 }
 
 // EnableMetrics mounts or unmounts GET /metrics (on by default). Call
 // before Handler.
-func (s *Server) EnableMetrics(on bool) { s.metricsOn = on }
+func (s *Server) EnableMetrics(on bool) { s.front.Metrics = on }
 
 // EnablePprof mounts the net/http/pprof handlers under /debug/pprof/
 // (off by default: profiling endpoints reveal internals and cost CPU, so
 // exposure is the operator's explicit choice). Call before Handler.
-func (s *Server) EnablePprof(on bool) { s.pprofOn = on }
+func (s *Server) EnablePprof(on bool) { s.front.Pprof = on }
 
 // SetRegistry replaces the metrics registry (tests use isolated
 // registries; production keeps the process-wide default). Call before
 // Handler.
-func (s *Server) SetRegistry(r *metrics.Registry) { s.reg = r }
+func (s *Server) SetRegistry(r *metrics.Registry) { s.front.Registry = r }
 
 // SetMutator routes the mutation endpoints through m instead of the
 // wrapped index — how `bilsh serve -data-dir` interposes the durable
@@ -157,15 +137,31 @@ func (s *Server) EnableSave(fn func() error) { s.save = fn }
 
 // SetDrainTimeout bounds how long Serve waits for in-flight requests on
 // shutdown (default 30s). Call before Serve.
-func (s *Server) SetDrainTimeout(d time.Duration) { s.drainTimeout = d }
+func (s *Server) SetDrainTimeout(d time.Duration) { s.front.DrainTimeout = d }
 
-// Handler returns the routed http.Handler. Routing is an explicit
-// path -> method table so that a known path with the wrong method gets a
-// JSON 405 carrying an Allow header rather than falling through to a 404,
-// and so the middleware sees a bounded set of path labels.
+// Serve runs the HTTP API on ln until ctx is cancelled, then drains
+// in-flight requests for up to the drain timeout (httpx.Front.Serve). It
+// returns nil after a clean drain, context.DeadlineExceeded if requests
+// were still running when the timeout expired, or the listener's error.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	return s.front.Serve(ctx, ln, s.Handler())
+}
+
+// ListenAndServe is Serve on a fresh TCP listener bound to addr.
+func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	return s.Serve(ctx, ln)
+}
+
+// Handler returns the routed http.Handler: the server's endpoints plus
+// the shared /healthz, /metrics and pprof, each behind the 405 rule and
+// the metrics middleware (httpx.Front.Handler).
 func (s *Server) Handler() http.Handler {
-	routes := map[string]map[string]http.HandlerFunc{
-		"/healthz":    {http.MethodGet: s.handleHealthz},
+	return s.front.Handler(map[string]map[string]http.HandlerFunc{
 		"/info":       {http.MethodGet: s.handleInfo},
 		"/query":      {http.MethodPost: s.handleQuery},
 		"/batch":      {http.MethodPost: s.handleBatch},
@@ -176,23 +172,7 @@ func (s *Server) Handler() http.Handler {
 		"/shard/info": {http.MethodGet: s.handleShardInfo},
 		"/checkpoint": {http.MethodGet: s.handleCheckpoint},
 		"/idmap":      {http.MethodGet: s.handleIDMap},
-	}
-	if s.metricsOn {
-		routes["/metrics"] = map[string]http.HandlerFunc{http.MethodGet: s.handleMetrics}
-	}
-	mux := http.NewServeMux()
-	for path, methods := range routes {
-		mux.Handle(path, s.instrument(path, methodDispatch(methods)))
-	}
-	if s.pprofOn {
-		s.mountPprof(mux)
-	}
-	return mux
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
+	})
 }
 
 // neighbor is one result entry.
@@ -320,12 +300,12 @@ type compactRequest struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.ix.Describe())
+	httpx.WriteJSON(w, http.StatusOK, s.ix.Describe())
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodeRequest(w, r, &req, req.fields()) {
+	if !httpx.DecodeRequest(w, r, httpx.MaxBodyBytes, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
@@ -333,10 +313,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := core.CheckVector(s.ix.Dim(), req.Vector); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpx.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, ps := s.ix.QueryPlan(req.Vector, s.planFor(req.QueryPlan, k))
+	res, ps := s.ix.QueryPlan(req.Vector, corePlan(s.front.PlanFor(req.QueryPlan), k))
 	resp := s.toResponse(res.IDs, res.Dists, ps.QueryStats)
 	if httpx.WantStats(r.URL.Query()) {
 		resp.Stats = toPlanStats(ps)
@@ -346,26 +326,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeRequest(w, r, &req, req.fields()) {
+	if !httpx.DecodeRequest(w, r, httpx.MaxBodyBytes, &req, req.fields()) {
 		return
 	}
 	k, ok := httpx.DecodePlanRequest(w, r, req.K, &req.QueryPlan)
 	if !ok {
 		return
 	}
-	if len(req.Vectors) == 0 {
-		httpError(w, http.StatusBadRequest, "no vectors")
+	if !httpx.NonEmptyBatch(w, req.Vectors) {
 		return
 	}
 	d := s.ix.Dim()
 	for i, v := range req.Vectors {
 		if err := core.CheckVector(d, v); err != nil {
-			httpError(w, http.StatusBadRequest, "vector %d: %v", i, err)
+			httpx.Error(w, http.StatusBadRequest, "vector %d: %v", i, err)
 			return
 		}
 	}
 	queries := vec.FromRows(req.Vectors)
-	results, stats := s.ix.QueryBatchParallelPlan(queries, s.planFor(req.QueryPlan, k), req.Workers)
+	results, stats := s.ix.QueryBatchParallelPlan(queries, corePlan(s.front.PlanFor(req.QueryPlan), k), req.Workers)
 	wantStats := httpx.WantStats(r.URL.Query())
 	resp := batchResponse{Results: make([]queryResponse, len(results))}
 	for i := range results {
@@ -383,25 +362,25 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	// An omitted ID has the shard assign max+1.
 	var req httpx.InsertRequest
-	if !decodeRequest(w, r, &req, httpx.InsertFields(&req)) {
+	if !httpx.DecodeRequest(w, r, httpx.MaxBodyBytes, &req, httpx.InsertFields(&req)) {
 		return
 	}
 	// Validate at the boundary so a bad vector is a 400 and any error out
 	// of the mutator itself (e.g. a WAL write failure) is a 500, not
 	// misreported as a client mistake.
 	if err := core.CheckVector(s.ix.Dim(), req.Vector); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpx.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if s.idmap == nil {
 		if req.ID != nil {
-			httpError(w, http.StatusBadRequest,
+			httpx.Error(w, http.StatusBadRequest,
 				"id assignment requires a shard id map (serve the index with bilsh shard-serve -idmap)")
 			return
 		}
 		id, err := s.mut.Insert(req.Vector)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			httpx.Error(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		httpx.WriteReply(w, http.StatusOK, &insertResponse{ID: id})
@@ -410,7 +389,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	gid := -1
 	if req.ID != nil {
 		if *req.ID < 0 {
-			httpError(w, http.StatusBadRequest, "id must be non-negative, got %d", *req.ID)
+			httpx.Error(w, http.StatusBadRequest, "id must be non-negative, got %d", *req.ID)
 			return
 		}
 		gid = *req.ID
@@ -421,7 +400,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrDuplicateGlobalID) {
 			status = http.StatusConflict
 		}
-		httpError(w, status, "%v", err)
+		httpx.Error(w, status, "%v", err)
 		return
 	}
 	httpx.WriteReply(w, http.StatusOK, &insertResponse{ID: gid})
@@ -431,26 +410,23 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMutable(w) {
 		return
 	}
-	var req struct {
-		ID int `json:"id"`
-	}
-	if !decodeBody(w, r, &req) {
+	id, ok := httpx.DecodeDelete(w, r)
+	if !ok {
 		return
 	}
-	id := req.ID
 	if s.idmap != nil {
 		// Delete targets arrive as global ids; a global id this shard
 		// does not hold is simply not deleted here (the router
 		// broadcasts deletes, so exactly one shard answers true).
 		local, ok := s.idmap.Local(id)
 		if !ok {
-			writeJSON(w, http.StatusOK, map[string]bool{"deleted": false})
+			httpx.WriteJSON(w, http.StatusOK, map[string]bool{"deleted": false})
 			return
 		}
 		id = local
 	}
-	ok := s.mut.Delete(id)
-	writeJSON(w, http.StatusOK, map[string]bool{"deleted": ok})
+	ok = s.mut.Delete(id)
+	httpx.WriteJSON(w, http.StatusOK, map[string]bool{"deleted": ok})
 }
 
 // handleCompact folds the overlay into fresh base structures. The default
@@ -463,38 +439,38 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req compactRequest
-	if !decodeBody(w, r, &req) {
+	if !httpx.DecodeBody(w, r, httpx.MaxBodyBytes, &req) {
 		return
 	}
 	if req.Async {
 		if s.idmap != nil {
 			// Compaction renumbers local ids and CompactAsync discards the
 			// remap, which would silently desynchronize the id map.
-			httpError(w, http.StatusConflict,
+			httpx.Error(w, http.StatusConflict,
 				"async compaction is unavailable with an id map installed (the id remap must be applied); use synchronous compact")
 			return
 		}
 		if err := s.mut.CompactAsync(); err != nil {
-			httpError(w, conflictOr500(err), "%v", err)
+			httpx.Error(w, conflictOr500(err), "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, map[string]string{"status": "started"})
+		httpx.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "started"})
 		return
 	}
 	remap, err := s.mut.Compact()
 	if err != nil {
-		httpError(w, conflictOr500(err), "%v", err)
+		httpx.Error(w, conflictOr500(err), "%v", err)
 		return
 	}
 	if s.idmap != nil {
 		// Keep global ids stable across the local renumbering. A failure
 		// here is fatal for the mapping, not the index — surface it loudly.
 		if err := s.idmap.Remap(remap); err != nil {
-			httpError(w, http.StatusInternalServerError, "compacted, but remapping the id map failed: %v", err)
+			httpx.Error(w, http.StatusInternalServerError, "compacted, but remapping the id map failed: %v", err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"live": s.ix.Len()})
+	httpx.WriteJSON(w, http.StatusOK, map[string]int{"live": s.ix.Len()})
 }
 
 // handleSave persists the index through the EnableSave callback. Without
@@ -503,14 +479,14 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // caller's race to retry, 409.
 func (s *Server) handleSave(w http.ResponseWriter, _ *http.Request) {
 	if s.save == nil {
-		httpError(w, http.StatusForbidden, "save is not configured (start the server with -data-dir or a writable -index)")
+		httpx.Error(w, http.StatusForbidden, "save is not configured (start the server with -data-dir or a writable -index)")
 		return
 	}
 	if err := s.save(); err != nil {
-		httpError(w, conflictOr500(err), "%v", err)
+		httpx.Error(w, conflictOr500(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "saved"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "saved"})
 }
 
 // conflictOr500 distinguishes retry-the-race errors from server faults.
@@ -525,7 +501,7 @@ func conflictOr500(err error) int {
 
 func (s *Server) requireMutable(w http.ResponseWriter) bool {
 	if !s.mutable {
-		httpError(w, http.StatusForbidden, "index is read-only (start the server with -mutable)")
+		httpx.Error(w, http.StatusForbidden, "index is read-only (start the server with -mutable)")
 		return false
 	}
 	return true
@@ -545,23 +521,4 @@ func (s *Server) toResponse(ids []int, dists []float64, st core.QueryStats) quer
 		resp.Neighbors[i] = neighbor{ID: id, Dist: dists[i]}
 	}
 	return resp
-}
-
-// decodeBody, decodeRequest, writeJSON and httpError delegate to the
-// shared internal/httpx conventions (size-capped strict JSON in,
-// structured JSON errors out) that the router speaks as well.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
-	return httpx.DecodeBody(w, r, maxBodyBytes, dst)
-}
-
-func decodeRequest(w http.ResponseWriter, r *http.Request, dst interface{}, fields []httpx.Field) bool {
-	return httpx.DecodeRequest(w, r, maxBodyBytes, dst, fields)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	httpx.WriteJSON(w, status, v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	httpx.Error(w, status, format, args...)
 }

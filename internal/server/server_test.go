@@ -192,6 +192,39 @@ func TestMutableLifecycle(t *testing.T) {
 	}
 }
 
+// TestDeleteNeedsID pins that /delete without an id, or with a negative
+// one, is a 400 that deletes nothing: a body without an id must not be
+// read as id 0.
+func TestDeleteNeedsID(t *testing.T) {
+	srv, data := testServer(t, true)
+	for _, body := range []interface{}{map[string]int{}, map[string]int{"id": -1}} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if status := postJSON(t, srv.URL+"/delete", body, &e); status != http.StatusBadRequest ||
+			e.Error != `delete needs a non-negative "id"` {
+			t.Fatalf("delete %v = %d %q, want 400", body, status, e.Error)
+		}
+	}
+	var info core.Description
+	resp, err := http.Get(srv.URL + "/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Live != 300 || info.PendingDeletes != 0 {
+		t.Fatalf("after rejected deletes: live %d, pending deletes %d, want 300 and 0", info.Live, info.PendingDeletes)
+	}
+	var q queryResponse
+	postJSON(t, srv.URL+"/query", queryRequest{Vector: data.Row(0), K: 1}, &q)
+	if len(q.Neighbors) != 1 || q.Neighbors[0].ID != 0 {
+		t.Fatalf("row 0 no longer served: %+v", q.Neighbors)
+	}
+}
+
 func TestConcurrentMixedTraffic(t *testing.T) {
 	// Run with -race: concurrent queries + mutations must be safe.
 	srv, data := testServer(t, true)

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"bilsh/internal/durable"
+	"bilsh/internal/httpx"
 )
 
 // Shard-side additions for the sharded serving tier (docs/sharding.md):
@@ -87,7 +88,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, _ *http.Request) {
 	if s.gen != nil {
 		info.Generation = s.gen()
 	}
-	writeJSON(w, http.StatusOK, info)
+	httpx.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleCheckpoint streams the shard's current checkpoint file — header
@@ -96,17 +97,17 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, _ *http.Request) {
 // directory has no checkpoint yet (POST /save writes one).
 func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	if s.ckptDir == "" {
-		httpError(w, http.StatusForbidden,
+		httpx.Error(w, http.StatusForbidden,
 			"checkpoint export is not configured (start the server with -data-dir)")
 		return
 	}
 	gen, rc, size, err := durable.ExportCheckpoint(s.ckptDir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			httpError(w, http.StatusNotFound, "no checkpoint yet (POST /save writes one)")
+			httpx.Error(w, http.StatusNotFound, "no checkpoint yet (POST /save writes one)")
 			return
 		}
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		httpx.Error(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	defer rc.Close()
@@ -122,7 +123,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 // the same global ids as its primary. 403 when no id map is installed.
 func (s *Server) handleIDMap(w http.ResponseWriter, _ *http.Request) {
 	if s.idmap == nil {
-		httpError(w, http.StatusForbidden, "no id map is configured on this server")
+		httpx.Error(w, http.StatusForbidden, "no id map is configured on this server")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
