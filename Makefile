@@ -81,10 +81,11 @@ dataset:
 
 # Portable-kernel build: compiles out every assembly body (the same code
 # path noasm-tagged builds and unsupported architectures run) and reruns
-# the test suite against it.
+# the tests of every package that reaches the vec kernels against it.
 noasm:
 	$(GO) build -tags noasm ./...
-	$(GO) test -tags noasm ./internal/vec ./internal/core ./internal/lshtable ./internal/cuckoo ./internal/multiprobe
+	$(GO) test -tags noasm ./internal/vec ./internal/core ./internal/lshtable ./internal/cuckoo ./internal/multiprobe \
+		./internal/lshfunc ./internal/tuner ./internal/rptree ./internal/diameter
 
 # Benchmark contract (see bench/README.md, docs/performance.md): a change
 # edits the benchmark — BENCHMARK.json or anything under bench/ — or the

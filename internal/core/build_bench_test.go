@@ -14,8 +14,9 @@ import (
 // buildShapes are the index shapes of the repository benchmark's workloads
 // on the build side: wide rows where projection is nearly all of a build
 // (hash-10k-d960), many narrow rows where the partitioner, the lattice
-// decode and the table grouping are (probe-100k-d32), and the shape where
-// the level-1 tree is half of a build (scan-60k-d128).
+// decode and the table grouping are (probe-100k-d32), the shape where
+// the level-1 tree is half of a build (scan-60k-d128), and the served
+// shape with its SQ8 row store (serve-mixed-30k-d128).
 var buildShapes = []struct {
 	name string
 	n, d int
@@ -36,6 +37,12 @@ var buildShapes = []struct {
 		Partitioner: PartitionRPTree, Groups: 16, AutoTuneW: true,
 		Params:    lshfunc.Params{M: 8, L: 10, W: 1},
 		ProbeMode: ProbeMulti, Probes: 16,
+	}},
+	{"n=30k,d=128,ZM,L=10,multi,SQ8", 30000, 128, Options{
+		Partitioner: PartitionRPTree, Groups: 16, AutoTuneW: true,
+		Params:    lshfunc.Params{M: 8, L: 10, W: 1},
+		ProbeMode: ProbeMulti, Probes: 16,
+		Quantize: QuantizeSQ8,
 	}},
 }
 

@@ -104,7 +104,7 @@ func buildQuant(opts Options, data *vec.Matrix) *vec.QuantizedMatrix {
 	if opts.Quantize != QuantizeSQ8 || data.N == 0 {
 		return nil
 	}
-	return vec.QuantizeSQ8Rows(data.N, data.D, data.Row)
+	return vec.QuantizeSQ8(data)
 }
 
 // loadSnap returns the current read view.
@@ -248,10 +248,16 @@ func forEachGroup(members [][]int, build func(s *hashScratch, gi int) error) err
 	return nil
 }
 
+// hashBlock is how many rows group.hashTables projects per kernel call
+// (lshfunc.Family.ProjectBlock): vec.DotRowsMany's tile is four vectors.
+const hashBlock = 4
+
 // hashScratch is the reusable state of group.appendKeys and the keys it
 // fills: one per build worker (with it, hashing a group allocates per
 // table, not per row), one for Insert and one inside every query scratch.
 type hashScratch struct {
+	// proj holds projections: one vector's M values in appendKeys, a
+	// block's hashBlock·M in a build worker's hashTables.
 	proj []float64
 	code []int32
 	mp   multiprobe.Scratch
@@ -259,6 +265,15 @@ type hashScratch struct {
 	// tables orders a build worker's tables from those keys, in memory it
 	// keeps from one table to the next.
 	tables lshtable.Builder
+}
+
+// projScratch returns s.proj resliced to n values, growing it first if
+// it is shorter.
+func (s *hashScratch) projScratch(n int) []float64 {
+	if len(s.proj) < n {
+		s.proj = make([]float64, n)
+	}
+	return s.proj[:n]
 }
 
 func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
@@ -327,15 +342,22 @@ func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opt
 // behind Build, Compact, the out-of-core build, Insert and the probe loop,
 // so none of them can hash a vector differently.
 func (g *group) appendKeys(dst []byte, t int, v []float32, n int, s *hashScratch) []byte {
-	if m := g.fam.M(); len(s.proj) != m {
-		s.proj = make([]float64, m)
-	}
-	g.fam.Project(t, v, s.proj)
+	proj := s.projScratch(g.fam.M())
+	g.fam.Project(t, v, proj)
+	return g.appendProjectedKeys(dst, proj, n, s)
+}
+
+// appendProjectedKeys is appendKeys from the projection on: proj is the
+// vector's projection under the table, and the keys of its n most likely
+// buckets are appended to dst. hashTables, which projects a block of rows
+// at once, keys each row through here, so decoding and keying have one
+// implementation.
+func (g *group) appendProjectedKeys(dst []byte, proj []float64, n int, s *hashScratch) []byte {
 	if n == 1 {
-		s.code = g.lat.DecodeInto(s.code, s.proj)
+		s.code = g.lat.DecodeInto(s.code, proj)
 		return lattice.AppendKey(dst, s.code)
 	}
-	multiprobe.ProbesInto(&s.mp, g.lat, s.proj, n)
+	multiprobe.ProbesInto(&s.mp, g.lat, proj, n)
 	return lattice.AppendKey(dst, s.mp.Codes())
 }
 
@@ -351,16 +373,28 @@ func (g *group) buildTables(s *hashScratch, ids []int, row func(i int) []float32
 // where keys holds the table-t keys of the rows ids, in order: row(i) is
 // the vector stored under ids[i]. The keys are written back to back into
 // the worker's scratch and handed over as one flat buffer, so nothing is
-// allocated per row.
+// allocated per row. Rows are projected hashBlock at a time, each block's
+// projection bit for bit the per-row one appendKeys makes, and keyed one
+// by one through appendProjectedKeys.
 func (g *group) hashTables(s *hashScratch, ids []int, row func(i int) []float32,
 	table func(t int, keys []byte, keyLen int) (*lshtable.Table, error)) error {
 	keyLen := 4 * g.lat.CodeLen()
+	m := g.fam.M()
+	proj := s.projScratch(hashBlock * m)
+	var block [hashBlock][]float32
 	s.keys = slices.Grow(s.keys[:0], len(ids)*keyLen)
 	g.tables = make([]*lshtable.Table, g.fam.L())
 	for t := range g.tables {
 		keys := s.keys[:0]
-		for i := range ids {
-			keys = g.appendKeys(keys, t, row(i), 1, s)
+		for i := 0; i < len(ids); i += hashBlock {
+			n := min(hashBlock, len(ids)-i)
+			for r := range n {
+				block[r] = row(i + r)
+			}
+			g.fam.ProjectBlock(t, block[:n], proj[:n*m])
+			for r := range n {
+				keys = g.appendProjectedKeys(keys, proj[r*m:(r+1)*m], 1, s)
+			}
 		}
 		tab, err := table(t, keys, keyLen)
 		if err != nil {

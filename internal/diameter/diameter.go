@@ -32,40 +32,42 @@ type Result struct {
 	Upper float64
 	// Iterations actually performed (≤ m requested).
 	Iterations int
-	// A and B are indices (into idx, or into the matrix when idx is nil)
+	// A and B are indices (into ids, or into the matrix when ids is nil)
 	// of the far pair realizing Lower.
 	A, B int
 }
 
-// Approx runs up to m iterations over the rows of data listed in idx
-// (all rows when idx is nil), starting from the row farthest from
-// centroid, which is the rows' mean (data.Mean(idx)): the caller computes
-// it once for its own use too. Sets with fewer than two points yield a
-// zero Result.
-func Approx(data *vec.Matrix, idx []int, centroid []float32, m int) Result {
-	n := data.N
-	at := func(i int) []float32 { return data.Row(i) }
-	if idx != nil {
-		n = len(idx)
-		at = func(i int) []float32 { return data.Row(idx[i]) }
+// Approx runs up to m iterations over the rows of data whose row ids are
+// listed in ids (all rows when ids is nil), starting from the row
+// farthest from centroid, which is the rows' mean: the caller computes it
+// once for its own use too. Sets with fewer than two points yield a zero
+// Result. The ids are int32, as vec.SqDistToRows takes them, so a caller
+// that scans the same rows (the RP-tree's split) converts them once.
+func Approx(data *vec.Matrix, ids []int32, centroid []float32, m int) Result {
+	if ids == nil {
+		ids = make([]int32, data.N)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
 	}
-	if n < 2 {
+	if len(ids) < 2 {
 		return Result{}
 	}
 	if m < 1 {
 		m = 1
 	}
+	s := newScan(data, ids)
 
 	res := Result{}
 	// Start from the point farthest from the centroid, the standard E-K
 	// initialization: it guarantees the √3 bound on r_1.
-	start, _ := farthest(n, at, centroid, -1)
+	start, _ := s.farthest(centroid, -1)
 
 	var r1 float64
 	p := start
 	for it := 0; it < m; it++ {
 		// One iteration: from point p, find the farthest point q; r = |p-q|.
-		q, r2 := farthest(n, at, at(p), p)
+		q, r2 := s.farthest(s.row(p), p)
 		r := math.Sqrt(r2)
 		res.Iterations = it + 1
 		if it == 0 {
@@ -90,26 +92,49 @@ func Approx(data *vec.Matrix, idx []int, centroid []float32, m int) Result {
 	return res
 }
 
-// farthest returns the first of the n points at(i), i ≠ skip, at the
-// largest squared distance from v, and that squared distance. The scan is
-// cut into chunks on every core; each chunk keeps its first farthest point
-// and the chunks are compared in order, so the first index wins a tie
-// whatever the cut.
-func farthest(n int, at func(int) []float32, v []float32, skip int) (int, float64) {
+// scanBlock is how many rows a chunk of a farthest-point scan measures per
+// vec.SqDistToRows call.
+const scanBlock = 256
+
+// scan is the state of Approx's farthest-point scans over one point set:
+// the points' row ids, cut into k chunks, and a distance buffer per chunk.
+type scan struct {
+	data *vec.Matrix
+	ids  []int32 // point i is row ids[i]
+	k    int
+	buf  []float64 // chunk c's distances in buf[c*scanBlock:]
+}
+
+func newScan(data *vec.Matrix, ids []int32) *scan {
+	k := chunk.Count(len(ids))
+	return &scan{data: data, ids: ids, k: k, buf: make([]float64, k*scanBlock)}
+}
+
+// row returns point i.
+func (s *scan) row(i int) []float32 { return s.data.Row(int(s.ids[i])) }
+
+// farthest returns the first of the points i ≠ skip at the largest
+// squared distance from v, and that squared distance. The scan is cut
+// into chunks on every core, each measuring its points scanBlock at a time
+// through vec.SqDistToRows (bit for bit vec.SqDist); each chunk keeps its
+// first farthest point and the chunks are compared in order, so the first
+// index wins a tie whatever the cut.
+func (s *scan) farthest(v []float32, skip int) (int, float64) {
 	type best struct {
 		i int
 		d float64
 	}
-	k := chunk.Count(n)
-	parts := make([]best, k)
-	chunk.Run(n, k, func(c, lo, hi int) {
+	parts := make([]best, s.k)
+	chunk.Run(len(s.ids), s.k, func(c, lo, hi int) {
+		ds := s.buf[c*scanBlock : (c+1)*scanBlock]
 		b := best{-1, -1}
-		for i := lo; i < hi; i++ {
-			if i == skip {
-				continue
-			}
-			if d := vec.SqDist(v, at(i)); d > b.d {
-				b = best{i, d}
+		for from := lo; from < hi; from += scanBlock {
+			to := min(from+scanBlock, hi)
+			vec.SqDistToRows(ds[:to-from], s.data.Data, s.data.D, s.ids[from:to], v)
+			for j, d := range ds[:to-from] {
+				if i := from + j; i != skip && d > b.d {
+					b = best{i, d}
+				}
 			}
 		}
 		parts[c] = b

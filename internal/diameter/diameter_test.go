@@ -75,7 +75,7 @@ func TestApproxQuality(t *testing.T) {
 func TestApproxWithIndexSubset(t *testing.T) {
 	m := vec.FromRows([][]float32{{0}, {100}, {1}, {2}})
 	// Excluding row 1 the diameter is 2.
-	r := Approx(m, []int{0, 2, 3}, m.Mean([]int{0, 2, 3}), 10)
+	r := Approx(m, []int32{0, 2, 3}, m.Mean([]int{0, 2, 3}), 10)
 	if r.Lower != 2 {
 		t.Fatalf("subset Lower = %v, want 2", r.Lower)
 	}
@@ -128,7 +128,7 @@ func TestApproxIndependentOfWorkerCount(t *testing.T) {
 		var first Result
 		for _, procs := range []int{1, 2, 8} {
 			prev := runtime.GOMAXPROCS(procs)
-			got := Approx(tc.data, tc.idx, tc.data.Mean(tc.idx), 40)
+			got := Approx(tc.data, rowIDs(tc.idx), tc.data.Mean(tc.idx), 40)
 			runtime.GOMAXPROCS(prev)
 			if procs == 1 {
 				first = got

@@ -121,6 +121,27 @@ func (f *Family) Project(t int, v []float32, out []float64) {
 	}
 }
 
+// ProjectBlock is Project for a block of vectors: out[r*M+i] is out[i] of
+// Project(t, vs[r], ·), bit for bit (len out == len(vs)*M). One
+// vec.DotRowsMany call projects the whole block onto the table's
+// directions, so each direction row is widened once per block, not once
+// per vector.
+func (f *Family) ProjectBlock(t int, vs [][]float32, out []float64) {
+	if t < 0 || t >= f.l {
+		panic(fmt.Sprintf("lshfunc: ProjectBlock table %d of %d", t, f.l))
+	}
+	if len(out) != len(vs)*f.m {
+		panic(fmt.Sprintf("lshfunc: ProjectBlock out len %d, want %d", len(out), len(vs)*f.m))
+	}
+	vec.DotRowsMany(out, f.a[t].Data, f.d, vs)
+	for r := range vs {
+		o := out[r*f.m : (r+1)*f.m]
+		for i, b := range f.bFrac[t] {
+			o[i] = o[i]/f.w + b
+		}
+	}
+}
+
 // Projected returns a fresh slice with the projection of v under table t.
 func (f *Family) Projected(t int, v []float32) []float64 {
 	out := make([]float64, f.m)

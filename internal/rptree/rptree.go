@@ -307,18 +307,15 @@ func split(data *vec.Matrix, idx []int, opts Options, rng *xrand.RNG) (left, rig
 		// Δ_A² estimated as 2 · average squared distance to the mean
 		// (exact identity for the average interpoint squared distance).
 		// The distances are computed per chunk and summed in row order.
+		ids := make([]int32, len(idx))
 		dists := make([]float64, len(idx))
-		chunk.Run(len(idx), k, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				dists[j] = vec.SqDist(data.Row(idx[j]), mean)
-			}
-		})
+		sqDistsTo(dists, ids, data, idx, mean, k)
 		var avg2 float64
 		for _, d2 := range dists {
 			avg2 += d2
 		}
 		avg2 = 2 * avg2 / float64(len(idx))
-		diam := diameter.Approx(data, idx, mean, opts.DiameterIters)
+		diam := diameter.Approx(data, ids, mean, opts.DiameterIters)
 		if diam.Lower*diam.Lower > opts.MeanSplitC*avg2 {
 			// Outlier-dominated cell: split by distance to mean.
 			for j, d2 := range dists {
@@ -361,6 +358,18 @@ func split(data *vec.Matrix, idx []int, opts Options, rng *xrand.RNG) (left, rig
 		}
 	}
 	return nil, nil, node{}, false
+}
+
+// sqDistsTo sets ids[j] to idx[j] as an int32 row id and dists[j] to the
+// squared distance from that row to v, each of k chunks of rows in one
+// vec.SqDistToRows call: bit for bit vec.SqDist(data.Row(idx[j]), v).
+func sqDistsTo(dists []float64, ids []int32, data *vec.Matrix, idx []int, v []float32, k int) {
+	chunk.Run(len(idx), k, func(_, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			ids[j] = int32(idx[j])
+		}
+		vec.SqDistToRows(dists[lo:hi], data.Data, data.D, ids[lo:hi], v)
+	})
 }
 
 // centroid is data.Mean(idx): each dimension's sum runs over the rows in

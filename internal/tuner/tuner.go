@@ -100,17 +100,27 @@ func EstimateW(data *vec.Matrix, members []int, k, m int, targetRecall float64, 
 		}
 	}
 
+	// Each pivot's squared distances to all of others come from one
+	// vec.SqDistToRows call; the pivot itself is then skipped. Each is
+	// SqDist of the pair (its order does not change a squared difference),
+	// so the square root is vec.Dist's.
+	ids := make([]int32, len(others))
+	for i, q := range others {
+		ids[i] = int32(q)
+	}
+	sq := make([]float64, len(others))
 	var kSum, meanSum float64
 	var meanN int
 	dists := make([]float64, 0, len(others))
 	for _, pi := range pivots {
 		p := members[pi]
+		vec.SqDistToRows(sq, data.Data, data.D, ids, data.Row(p))
 		dists = dists[:0]
-		for _, q := range others {
+		for i, q := range others {
 			if q == p {
 				continue
 			}
-			d := vec.Dist(data.Row(p), data.Row(q))
+			d := math.Sqrt(sq[i])
 			dists = append(dists, d)
 			meanSum += d
 			meanN++

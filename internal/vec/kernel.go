@@ -1,8 +1,9 @@
 package vec
 
-// Kernel dispatch. The distance kernels (Dot, DotRows, SqDist, SqDistToRows
-// and the SQ8 asymmetric scan) have one portable implementation plus, per
-// architecture, a SIMD implementation selected once at package init:
+// Kernel dispatch. The distance kernels (Dot, DotRows, DotRowsMany, SqDist,
+// SqDistToRows and the SQ8 asymmetric scan) have one portable
+// implementation plus, per architecture, a SIMD implementation selected
+// once at package init:
 //
 //   - amd64: AVX2 (runtime CPUID/XGETBV detection; requires OS YMM state),
 //   - arm64: NEON (always present on arm64),
@@ -14,7 +15,9 @@ package vec
 // 0; the final reduction is (s0+s1)+(s2+s3) in that order), and the
 // portable code carries explicit float64()/float32() conversions at every
 // point where a compiler could otherwise contract a multiply-add into an
-// FMA. A query therefore returns byte-identical results whether it runs on
+// FMA. The one fused multiply-add is the AVX2 projection tile's
+// (DotRowsMany): the product of two float32 values is exact in float64, so
+// a fused add of it rounds as the separate add does. A query therefore returns byte-identical results whether it runs on
 // the SIMD or the portable path, which is what lets the equivalence suite
 // (kernel_equiv_test.go) demand exact agreement and lets serialized
 // indexes promise identical query results across builds.
@@ -47,6 +50,10 @@ type kernel struct {
 	// kernels may leave it nil to inherit the portable implementation,
 	// whose OnesCount64 loop already lowers to hardware popcount.
 	hammingToRows func(out []float64, words []uint64, wpr int, ids []int32, q []uint64)
+	// dotRowsMany is the block projection (DotRowsMany). Kernels without
+	// a tile of their own leave it nil and inherit a loop over their
+	// dotRows.
+	dotRowsMany func(out []float64, rows []float32, d int, vs [][]float32)
 }
 
 var portableKernel = kernel{
@@ -75,6 +82,9 @@ func init() {
 		// implementation, so dispatch never hits a nil function.
 		if k.hammingToRows == nil {
 			k.hammingToRows = hammingToRowsGeneric
+		}
+		if k.dotRowsMany == nil {
+			k.dotRowsMany = dotRowsManyVia(k.dotRows)
 		}
 	}
 	active = kernels[len(kernels)-1]
@@ -145,6 +155,31 @@ func DotRows(out []float64, rows []float32, d int, q []float32) {
 	active.dotRows(out, rows, d, q)
 }
 
+// DotRowsMany projects a block of vectors onto one row-major matrix of m =
+// len(rows)/d rows: out[r*m+j] = Dot(rows[j*d:(j+1)*d], vs[r]), which is
+// DotRows(out[r*m:(r+1)*m], rows, d, vs[r]) for every r, bit for bit. It
+// is the build's projection: a table's directions against a block of the
+// rows it hashes. The AVX2 kernel runs a tile of 4 vectors × 2 rows, eight
+// independent chains that convert 6 float32 blocks to float64 for every 8
+// products where DotRows converts 5 for every 4, and it needs FMA (an
+// AVX2 CPU without FMA runs the loop over DotRows); a 1-3 vector remainder
+// and an odd last row take the per-row path.
+func DotRowsMany(out []float64, rows []float32, d int, vs [][]float32) {
+	if d <= 0 || len(rows)%d != 0 {
+		panic(fmt.Sprintf("vec: DotRowsMany matrix len %d is not whole rows of dim %d", len(rows), d))
+	}
+	m := len(rows) / d
+	if len(out) != len(vs)*m {
+		panic(fmt.Sprintf("vec: DotRowsMany out len %d, want %d vectors × %d rows", len(out), len(vs), m))
+	}
+	for _, v := range vs {
+		if len(v) != d {
+			panic(fmt.Sprintf("vec: DotRowsMany vector dim %d, want %d", len(v), d))
+		}
+	}
+	active.dotRowsMany(out, rows, d, vs)
+}
+
 // SqDist returns the squared Euclidean distance between a and b, with the
 // same 4-lane accumulation as Dot.
 func SqDist(a, b []float32) float64 {
@@ -209,6 +244,17 @@ func dotGeneric(a, b []float32) float64 {
 func dotRowsGeneric(out []float64, rows []float32, d int, q []float32) {
 	for i := range out {
 		out[i] = dotGeneric(rows[i*d:(i+1)*d:(i+1)*d], q)
+	}
+}
+
+// dotRowsManyVia is DotRowsMany as one dotRows call per vector: the
+// portable kernel's, and that of any kernel without a tile of its own.
+func dotRowsManyVia(dotRows func(out []float64, rows []float32, d int, q []float32)) func([]float64, []float32, int, [][]float32) {
+	return func(out []float64, rows []float32, d int, vs [][]float32) {
+		m := len(rows) / d
+		for r, v := range vs {
+			dotRows(out[r*m:(r+1)*m:(r+1)*m], rows, d, v)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package vec
 import (
 	"fmt"
 	"math"
+
+	"bilsh/internal/chunk"
 )
 
 // QuantizedMatrix is an SQ8 scalar-quantized row store: each dimension j
@@ -26,9 +28,59 @@ type QuantizedMatrix struct {
 	Scale []float32 // per-dimension (max-min)/255, len D; 0 for constant dims
 }
 
-// QuantizeSQ8 builds the SQ8 representation of m.
+// QuantizeSQ8 builds the SQ8 representation of m on every core: the
+// per-dimension minimum and maximum over chunks of rows (package chunk),
+// then the codes of each chunk's rows. The result is QuantizeSQ8Rows's
+// over m.Row, byte for byte, at any chunk count: each chunk keeps the
+// same strict </> running minimum and maximum, and the chunks are
+// combined in row order with the same tests, so the first occurrence of
+// an extreme still wins (which is what decides between −0 and +0). Chunk
+// 0 starts from row 0, as the sequential pass does; the later chunks start
+// from +Inf and −Inf, so that a NaN is passed over there as it is in the
+// sequential pass.
 func QuantizeSQ8(m *Matrix) *QuantizedMatrix {
-	return QuantizeSQ8Rows(m.N, m.D, m.Row)
+	n, d := m.N, m.D
+	qm := newSQ8(n, d, "QuantizeSQ8")
+	if n == 0 {
+		return qm
+	}
+	k := chunk.Count(n)
+	mins := make([]float32, k*d)
+	maxs := make([]float32, k*d)
+	chunk.Run(n, k, func(c, lo, hi int) {
+		mn, mx := mins[c*d:(c+1)*d], maxs[c*d:(c+1)*d]
+		if c == 0 {
+			copy(mn, m.Row(0))
+			copy(mx, mn)
+			lo = 1
+		} else {
+			for j := range mn {
+				mn[j], mx[j] = float32(math.Inf(1)), float32(math.Inf(-1))
+			}
+		}
+		for i := lo; i < hi; i++ {
+			extend(mn, mx, m.Row(i))
+		}
+	})
+	max := maxs[:d]
+	copy(qm.Min, mins[:d])
+	for c := 1; c < k; c++ {
+		for j := 0; j < d; j++ {
+			if v := mins[c*d+j]; v < qm.Min[j] {
+				qm.Min[j] = v
+			}
+			if v := maxs[c*d+j]; v > max[j] {
+				max[j] = v
+			}
+		}
+	}
+	qm.setScale(max)
+	chunk.Run(n, k, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			qm.encode(i, m.Row(i))
+		}
+	})
+	return qm
 }
 
 // QuantizeSQ8Rows builds an SQ8 matrix from a row accessor, so callers can
@@ -37,19 +89,7 @@ func QuantizeSQ8(m *Matrix) *QuantizedMatrix {
 // min/max first, then encoding — and the returned slice is only read
 // before the next call, so an accessor may reuse one buffer.
 func QuantizeSQ8Rows(n, d int, row func(i int) []float32) *QuantizedMatrix {
-	if n < 0 || d <= 0 {
-		panic(fmt.Sprintf("vec: QuantizeSQ8Rows invalid shape %dx%d", n, d))
-	}
-	if n > math.MaxInt/d {
-		panic(fmt.Sprintf("vec: QuantizeSQ8Rows shape %dx%d overflows int", n, d))
-	}
-	qm := &QuantizedMatrix{
-		Codes: make([]uint8, n*d),
-		N:     n,
-		D:     d,
-		Min:   make([]float32, d),
-		Scale: make([]float32, d),
-	}
+	qm := newSQ8(n, d, "QuantizeSQ8Rows")
 	if n == 0 {
 		return qm
 	}
@@ -57,27 +97,59 @@ func QuantizeSQ8Rows(n, d int, row func(i int) []float32) *QuantizedMatrix {
 	copy(qm.Min, row(0)[:d])
 	copy(max, qm.Min)
 	for i := 1; i < n; i++ {
-		r := row(i)[:d]
-		for j, v := range r {
-			if v < qm.Min[j] {
-				qm.Min[j] = v
-			}
-			if v > max[j] {
-				max[j] = v
-			}
+		extend(qm.Min, max, row(i)[:d])
+	}
+	qm.setScale(max)
+	for i := 0; i < n; i++ {
+		qm.encode(i, row(i)[:d])
+	}
+	return qm
+}
+
+// newSQ8 allocates an n×d SQ8 matrix, panicking in fn's name on a shape
+// that is invalid or overflows int.
+func newSQ8(n, d int, fn string) *QuantizedMatrix {
+	if n < 0 || d <= 0 {
+		panic(fmt.Sprintf("vec: %s invalid shape %dx%d", fn, n, d))
+	}
+	if n > math.MaxInt/d {
+		panic(fmt.Sprintf("vec: %s shape %dx%d overflows int", fn, n, d))
+	}
+	return &QuantizedMatrix{
+		Codes: make([]uint8, n*d),
+		N:     n,
+		D:     d,
+		Min:   make([]float32, d),
+		Scale: make([]float32, d),
+	}
+}
+
+// extend lowers min and raises max to cover r, by strict comparisons: a
+// value equal to the current extreme (−0 against +0 included) leaves it.
+func extend(min, max, r []float32) {
+	for j, v := range r {
+		if v < min[j] {
+			min[j] = v
+		}
+		if v > max[j] {
+			max[j] = v
 		}
 	}
+}
+
+// setScale sets each dimension's scale from its range [Min, max].
+func (qm *QuantizedMatrix) setScale(max []float32) {
 	for j := range qm.Scale {
 		qm.Scale[j] = (max[j] - qm.Min[j]) / 255
 	}
-	for i := 0; i < n; i++ {
-		r := row(i)[:d]
-		c := qm.Codes[i*d : (i+1)*d]
-		for j, v := range r {
-			c[j] = quantizeCode(v, qm.Min[j], qm.Scale[j])
-		}
+}
+
+// encode writes row i's codes from its values r.
+func (qm *QuantizedMatrix) encode(i int, r []float32) {
+	c := qm.Codes[i*qm.D : (i+1)*qm.D]
+	for j, v := range r {
+		c[j] = quantizeCode(v, qm.Min[j], qm.Scale[j])
 	}
-	return qm
 }
 
 // quantizeCode maps v to its byte code. The division runs in float64 so

@@ -3,6 +3,7 @@ package vec
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"bilsh/internal/wire"
@@ -150,5 +151,52 @@ func TestQuantizeResidentBytes(t *testing.T) {
 	floatBytes := 4 * n * d
 	if got := qm.ResidentBytes(); got >= floatBytes/3 {
 		t.Fatalf("ResidentBytes=%d, want well under a third of the %d float32 bytes", got, floatBytes)
+	}
+}
+
+// TestQuantizeSQ8IndependentOfWorkerCount requires QuantizeSQ8, which
+// takes the ranges and encodes on every core, to give the codes, minima
+// and scales the sequential QuantizeSQ8Rows gives, at GOMAXPROCS 1, 2 and
+// 8 (one, two and eight chunks of rows). The rows put the extremes where
+// the order of the chunks decides: −0 and +0 tied at a dimension's
+// minimum or maximum in different chunks, each sign first once, a NaN at
+// row 0 and a NaN opening a later chunk, and a constant dimension.
+func TestQuantizeSQ8IndependentOfWorkerCount(t *testing.T) {
+	const n, d = 8*1024 + 29, 7
+	m := NewMatrix(n, d)
+	copy(m.Data, fill(n*d, 77))
+	negZero := float32(math.Copysign(0, -1))
+	for i := 0; i < n; i++ {
+		row := m.Row(i)
+		row[1] = float32(math.Abs(float64(row[1]))) + 1 // minimum 0 below
+		row[2] = float32(math.Abs(float64(row[2]))) + 1
+		row[3] = -float32(math.Abs(float64(row[3]))) - 1 // maximum 0 below
+		row[6] = 2.5
+	}
+	m.Row(n - 3)[1], m.Row(100)[1] = negZero, 0 // +0 first
+	m.Row(100)[2], m.Row(n - 3)[2] = negZero, 0 // −0 first
+	m.Row(n / 2)[3], m.Row(9)[3] = negZero, 0
+	m.Row(0)[4] = float32(math.NaN())
+	m.Row(n / 2)[5] = float32(math.NaN())
+	m.Row(n / 4)[5] = float32(math.NaN())
+
+	want := QuantizeSQ8Rows(n, d, m.Row)
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := QuantizeSQ8(m)
+		runtime.GOMAXPROCS(prev)
+		if !bytes.Equal(got.Codes, want.Codes) {
+			t.Fatalf("GOMAXPROCS %d: codes differ from QuantizeSQ8Rows'", procs)
+		}
+		for j := 0; j < d; j++ {
+			if math.Float32bits(got.Min[j]) != math.Float32bits(want.Min[j]) ||
+				math.Float32bits(got.Scale[j]) != math.Float32bits(want.Scale[j]) {
+				t.Fatalf("GOMAXPROCS %d dim %d: min %v scale %v, QuantizeSQ8Rows %v %v",
+					procs, j, got.Min[j], got.Scale[j], want.Min[j], want.Scale[j])
+			}
+		}
+	}
+	if math.Float32bits(want.Min[1]) != 0 || math.Float32bits(want.Min[2]) != math.Float32bits(negZero) {
+		t.Fatalf("the first zero must win the minimum: %v, %v", want.Min[1], want.Min[2])
 	}
 }
