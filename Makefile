@@ -159,16 +159,19 @@ linkcheck:
 # where the dense sweeps only show the streaming ceiling).
 # BenchmarkRingProbesInto and BenchmarkBucketLookupBlock are the two halves
 # of a multi-probe gather as a query runs them: ring generation on a reused
-# scratch over cycled projections, and a table's 128 probe keys resolved as
-# one block against key by key over cycled (cold) tables.
+# scratch over cycled projections (and on lattice points, where every
+# comparison is a tie), and a table's 128 probe keys resolved as one block
+# against key by key over cycled (cold) tables. BenchmarkCompress64Block
+# is the block's key folding alone: four interleaved chains against one
+# key at a time.
 # BenchmarkBuild and BenchmarkCompact are the write side: the index shapes
 # of the repository benchmark's workloads, each at GOMAXPROCS 1 and 2, so
 # allocs/op and the scaling with a second core are on record without the
 # harness. BenchmarkRPTreeBuild is the level-1 tree of the two tree-heavy
 # shapes alone, at the same two GOMAXPROCS.
 bench:
-	$(GO) test ./internal/core ./internal/vec ./internal/multiprobe ./internal/lshtable ./internal/rptree -run '^$$' \
-		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkBuild$$|BenchmarkCompact$$|BenchmarkRPTreeBuild' \
+	$(GO) test ./internal/core ./internal/vec ./internal/multiprobe ./internal/lshtable ./internal/cuckoo ./internal/rptree -run '^$$' \
+		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkCompress64Block|BenchmarkBuild$$|BenchmarkCompact$$|BenchmarkRPTreeBuild' \
 		-benchmem -count=1 -json > BENCH_query.json
 	@echo "wrote BENCH_query.json"
 

@@ -37,8 +37,52 @@ func Compress64(key []byte) uint64 {
 		v ^= uint64(b)
 		v *= fnvPrime64
 	}
+	return notEmpty(v)
+}
+
+// Compress64Block sets dst[i] to Compress64 of the i-th keyLen-byte key
+// of keys — a block of probe keys resolved together. One key's fold is a
+// chain of dependent multiplies, one per byte, so four keys are folded at
+// once on independent chains (fold4) and the remainder one at a time.
+func Compress64Block(dst []uint64, keys []byte, keyLen int) {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		v0, v1, v2, v3 := fold4(keys[i*keyLen:(i+4)*keyLen], keyLen)
+		d := dst[i : i+4 : i+4]
+		d[0], d[1], d[2], d[3] = notEmpty(v0), notEmpty(v1), notEmpty(v2), notEmpty(v3)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = Compress64(keys[i*keyLen : (i+1)*keyLen])
+	}
+}
+
+// fold4 is the FNV-1a fold of Compress64, before the sentinel remap, of
+// the four consecutive keyLen-byte keys in blk, each over its own bytes in
+// order. It is a function of its own so that the four accumulators stay
+// in registers: inlined into its caller's loop they are spilled to the
+// stack on every byte.
+//
+//go:noinline
+func fold4(blk []byte, keyLen int) (v0, v1, v2, v3 uint64) {
+	v0, v1, v2, v3 = fnvOffset64, fnvOffset64, fnvOffset64, fnvOffset64
+	k0 := blk[:keyLen]
+	k1 := blk[keyLen : 2*keyLen][:len(k0)]
+	k2 := blk[2*keyLen : 3*keyLen][:len(k0)]
+	k3 := blk[3*keyLen : 4*keyLen][:len(k0)]
+	for j, b := range k0 {
+		v0 = (v0 ^ uint64(b)) * fnvPrime64
+		v1 = (v1 ^ uint64(k1[j])) * fnvPrime64
+		v2 = (v2 ^ uint64(k2[j])) * fnvPrime64
+		v3 = (v3 ^ uint64(k3[j])) * fnvPrime64
+	}
+	return v0, v1, v2, v3
+}
+
+// notEmpty remaps the empty-slot sentinel, so that a folded key is always
+// a legal Table key.
+func notEmpty(v uint64) uint64 {
 	if v == empty {
-		v-- // avoid the cuckoo sentinel
+		v--
 	}
 	return v
 }
@@ -52,10 +96,7 @@ func Compress64String(key string) uint64 {
 		v ^= uint64(key[i])
 		v *= fnvPrime64
 	}
-	if v == empty {
-		v--
-	}
-	return v
+	return notEmpty(v)
 }
 
 const (

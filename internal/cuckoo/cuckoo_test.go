@@ -132,3 +132,57 @@ func BenchmarkGet(b *testing.B) {
 		c.Get(uint64(i%100000)*2654435761 + 7)
 	}
 }
+
+// TestCompress64BlockMatchesCompress64 holds the interleaved fold to
+// Compress64 key by key, across the four-chain boundary (block sizes
+// 0…9 and either side of a lookup chunk) and for key lengths down to the
+// empty key.
+func TestCompress64BlockMatchesCompress64(t *testing.T) {
+	rng := xrand.New(11)
+	for _, keyLen := range []int{0, 1, 3, 4, 8, 32, 33, 64} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65} {
+			keys := make([]byte, n*keyLen)
+			for i := range keys {
+				keys[i] = byte(rng.Intn(256))
+			}
+			dst := make([]uint64, n+1)
+			dst[n] = 42 // past the block: must be left alone
+			Compress64Block(dst[:n], keys, keyLen)
+			for i := 0; i < n; i++ {
+				if want := Compress64(keys[i*keyLen : (i+1)*keyLen]); dst[i] != want {
+					t.Fatalf("keyLen=%d n=%d: key %d folds to %#x, want %#x", keyLen, n, i, dst[i], want)
+				}
+			}
+			if dst[n] != 42 {
+				t.Fatalf("keyLen=%d n=%d: wrote past the block", keyLen, n)
+			}
+		}
+	}
+	if got := notEmpty(empty); got != empty-1 || notEmpty(7) != 7 {
+		t.Fatalf("sentinel remap: notEmpty(empty) = %#x", got)
+	}
+}
+
+// BenchmarkCompress64Block folds one lookup chunk of 64 E8 M = 8 keys (32
+// bytes each) as a block and key by key.
+func BenchmarkCompress64Block(b *testing.B) {
+	const n, keyLen = 64, 32
+	rng := xrand.New(3)
+	keys := make([]byte, n*keyLen)
+	for i := range keys {
+		keys[i] = byte(rng.Intn(256))
+	}
+	dst := make([]uint64, n)
+	b.Run("block", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Compress64Block(dst, keys, keyLen)
+		}
+	})
+	b.Run("per-key", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := range dst {
+				dst[k] = Compress64(keys[k*keyLen : (k+1)*keyLen])
+			}
+		}
+	})
+}

@@ -494,7 +494,7 @@ func (t *Table) LookupBlock(dst []int32, keys []byte, keyLen int) []int32 {
 		n := min(len(keys)/keyLen, lookupChunk)
 		chunk := keys[:n*keyLen]
 		keys = keys[n*keyLen:]
-		compressKeys(cks[:n], chunk, keyLen)
+		cuckoo.Compress64Block(cks[:n], chunk, keyLen)
 		for _, ck := range cks[:n] {
 			t.index.PrefetchSlots(ck)
 		}
@@ -525,18 +525,6 @@ func (t *Table) LookupBlock(dst []int32, keys []byte, keyLen int) []int32 {
 		}
 	}
 	return dst
-}
-
-// compressKeys folds each keyLen-byte key of keys to its cuckoo key. It is
-// a function of its own so that the hash's byte loop, a chain of dependent
-// multiplies, keeps its accumulator in a register (inlined into
-// LookupBlock it is spilled to the stack on every byte).
-//
-//go:noinline
-func compressKeys(dst []uint64, keys []byte, keyLen int) {
-	for i := range dst {
-		dst[i] = cuckoo.Compress64(keys[i*keyLen : (i+1)*keyLen])
-	}
 }
 
 // BucketByOrdinal returns bucket b's key and ids in sorted-key order,

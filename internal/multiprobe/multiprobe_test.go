@@ -266,25 +266,36 @@ func BenchmarkE8Probes240(b *testing.B) {
 // BenchmarkRingProbesInto is probe generation as a query runs it: a reused
 // scratch and a different projection per call (64 cycled), at the counts
 // that select part of the first ring (128), all of it (241 on one E8
-// block) and a second ring (500 on one block).
+// block) and a second ring (500 on one block). The on-point cases put
+// every projection on a lattice point, where all 240 neighbors of a block
+// are equidistant and every comparison of the ordering is a tie broken by
+// the codes.
 func BenchmarkRingProbesInto(b *testing.B) {
 	type gen struct {
-		name string
-		m    int
-		into func(s *Scratch, y []float64, count int)
+		name    string
+		m       int
+		onPoint bool
+		into    func(s *Scratch, y []float64, count int)
+		counts  []int
 	}
 	e8, e16 := lattice.NewE8(8), lattice.NewE8(16)
 	gens := []gen{
-		{"E8/M=8", 8, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e8, y, n) }},
-		{"E8/M=16", 16, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e16, y, n) }},
+		{"E8/M=8", 8, false, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e8, y, n) }, []int{128, 241, 500}},
+		{"E8/M=16", 16, false, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e16, y, n) }, []int{128, 241, 500}},
+		{"E8/M=8/on-point", 8, true, func(s *Scratch, y []float64, n int) { E8ProbesInto(s, e8, y, n) }, []int{128, 241}},
 	}
 	for _, g := range gens {
 		rng := xrand.New(3)
 		ys := make([][]float64, 64)
 		for i := range ys {
 			ys[i] = randomY(rng, g.m, 3)
+			if g.onPoint {
+				for j, c := range lattice.NewE8(g.m).Decode(ys[i]) {
+					ys[i][j] = float64(c) / 2
+				}
+			}
 		}
-		for _, count := range []int{128, 241, 500} {
+		for _, count := range g.counts {
 			b.Run(fmt.Sprintf("%s/count=%d", g.name, count), func(b *testing.B) {
 				var s Scratch
 				b.ReportAllocs()

@@ -15,7 +15,7 @@ import (
 // into the distance and code arenas.
 type ringRec struct {
 	d2bits uint64 // math.Float64bits(d2): d2 is a sum of squares, so the bit patterns order like the values
-	idx    int32  // ordinal of the code in ringCodes
+	idx    int32  // the code: its ordinal in ringCodes, or in a first ring block·240 + minimal vector
 	bucket int32  // orderRing's distance bucket
 }
 
@@ -65,11 +65,12 @@ func hashCode(code []int32) uint64 {
 // The first ring expands the single home code by distinct non-zero
 // minimal vectors in one block at a time, so its codes are pairwise
 // distinct and differ from home by construction: it is generated without
-// hashing a code or touching the dedup set, which is built (home + ring
-// one) only when a second ring follows. A ring that can satisfy the
-// remaining count is the last one, so only the emitted prefix is put in
-// order (orderRing); a ring that is emitted whole is also the next
-// frontier and is ordered whole.
+// building, hashing or storing a code (a record names its neighbor by
+// block and minimal vector, and only the emitted codes are written out),
+// and the dedup set is built (home + ring one) only when a second ring
+// follows. A ring that can satisfy the remaining count is the last one,
+// so only the emitted prefix is put in order (orderRing); a ring that is
+// emitted whole is also the next frontier and is ordered whole.
 func ringProbesInto(s *Scratch, e *lattice.E8, y []float64, count int) {
 	codeLen := e.CodeLen()
 	s.reset(codeLen)
@@ -113,15 +114,26 @@ func ringProbesInto(s *Scratch, e *lattice.E8, y []float64, count int) {
 			k, last = count-s.n, true
 		}
 		s.orderRing(k)
-		s.frontier = s.frontier[:0]
-		for _, r := range s.ringRecs[:k] {
-			code := s.ringCode(r.idx)
-			s.codes = append(s.codes, code...)
-			if !last {
-				s.frontier = append(s.frontier, code...)
+		start := len(s.codes)
+		s.codes = slices.Grow(s.codes, k*codeLen)[:start+k*codeLen]
+		if s.ringLazy {
+			home := s.frontier[:codeLen]
+			for i, r := range s.ringRecs[:k] {
+				neighborInto(s.codes[start+i*codeLen:], home, r.idx)
+			}
+		} else {
+			for i, r := range s.ringRecs[:k] {
+				copy(s.codes[start+i*codeLen:], s.ringCode(r.idx))
 			}
 		}
 		s.n += k
+		// The codes are read from the frontier above, so it is replaced
+		// only now: by the emitted ring, which is the whole ring unless
+		// it was the last.
+		s.frontier = s.frontier[:0]
+		if !last {
+			s.frontier = append(s.frontier, s.codes[start:]...)
+		}
 	}
 	if rings > 1 && (len(s.seen) > ringRetainCodes || cap(s.ringCodes) > ringRetainCodes*codeLen) {
 		s.seen, s.frontier, s.ringCodes = nil, nil, nil
@@ -129,55 +141,141 @@ func ringProbesInto(s *Scratch, e *lattice.E8, y []float64, count int) {
 	}
 }
 
-// ringCode returns the i-th code of the current ring.
+// ringCode returns the i-th code of the current ring when the ring's
+// codes are stored (ringLazy unset).
 func (s *Scratch) ringCode(i int32) []int32 {
 	return s.ringCodes[int(i)*s.codeLen : (int(i)+1)*s.codeLen]
 }
 
-// expandRing generates the neighbors of every frontier code into
-// ringCodes, with one ringRec each. With dedup set, codes whose hash is
-// already in s.seen are dropped and the rest recorded there.
+// neighborInto writes to dst the code of first-ring record i: home with
+// minimal vector i%240 added to block i/240.
+func neighborInto(dst, home []int32, i int32) {
+	dst = dst[:len(home)]
+	for j, c := range home {
+		dst[j] = c
+	}
+	at := uint32(i) / uint32(len(e8Mins)) * 8
+	blk, mv := (*[8]int32)(dst[at:]), &e8Mins[uint32(i)%uint32(len(e8Mins))]
+	for j, d := range mv {
+		blk[j] += d
+	}
+}
+
+// ringTerms is the number of values a coordinate's difference y_j − c_j/2
+// can take over a frontier code's neighbors: a minimal vector moves c_j by
+// δ ∈ {−2, …, 2} in doubled units.
+const ringTerms = 5
+
+// e8Off holds, per minimal vector, the offset of each coordinate's
+// difference in a block's table (ringTerms per coordinate, δ = 0 in the
+// middle).
+var e8Off = func() (off [240][8]uint8) {
+	for m, mv := range e8Mins {
+		for j, d := range mv {
+			off[m][j] = uint8(ringTerms*j + int(d) + ringTerms/2)
+		}
+	}
+	return off
+}()
+
+// expandRing generates the neighbors of every frontier code, one ringRec
+// each. With dedup set, codes are stored in ringCodes, and codes whose
+// hash is already in s.seen are dropped and the rest recorded there.
+// Without it — the first ring, whose frontier is the one home code —
+// nothing is dropped, no code is stored (ringLazy), and record i names
+// the block i/240 and the minimal vector i%240 (neighborInto).
+//
+// A neighbor's squared distance is Σ (y_j − c_j/2)² in coordinate order.
+// Over one frontier code's neighbors a difference takes one of ringTerms
+// values per coordinate, so those are computed once into a table, and a
+// neighbor's d2 is the sum over the coordinates before its block (the
+// prefix every neighbor made in that block shares), then its block's 8
+// table entries squared, then the δ = 0 entries of the blocks after it:
+// the same terms added in the same order as summing from zero, so d2
+// keeps its bits. The table holds differences, not squares, so that each
+// term is still squared where it is added: a compiler that fuses
+// d2 += t*t into one multiply-add (arm64 does) fuses it here as it did in
+// the sum from zero.
 func (s *Scratch) expandRing(dedup bool) {
 	codeLen, yy := s.codeLen, s.yy
+	s.ringLazy = !dedup
 	s.ringCodes = s.ringCodes[:0]
 	s.ringRecs = s.ringRecs[:0]
+	if cap(s.ringTable) < (ringTerms+1)*codeLen {
+		s.ringTable = make([]float64, (ringTerms+1)*codeLen)
+	}
+	table := s.ringTable[:ringTerms*codeLen]
+	zero := s.ringTable[ringTerms*codeLen : (ringTerms+1)*codeLen] // the δ = 0 differences, contiguous
 	for base := 0; base < len(s.frontier); base += codeLen {
 		from := s.frontier[base : base+codeLen]
-		// prefix is the distance sum over the coordinates before block b,
-		// where every neighbor made in that block still equals from.
-		// Continuing the sum from it is the same chain of float operations
-		// as starting at zero, so d2 keeps its bits.
+		for j, c := range from {
+			t := table[ringTerms*j:][:ringTerms]
+			for k := range t {
+				t[k] = yy[j] - float64(c+int32(k-ringTerms/2))/2
+			}
+			zero[j] = t[ringTerms/2]
+		}
 		var prefix float64
 		for b := 0; b < codeLen; b += 8 {
-			for _, mv := range e8Mins {
-				off := len(s.ringCodes)
-				s.ringCodes = append(s.ringCodes, from...)
-				nb := s.ringCodes[off : off+codeLen]
-				blk := nb[b : b+8]
-				for j, d := range mv[:len(blk)] {
-					blk[j] += d
-				}
-				if dedup {
-					h := hashCode(nb)
+			n := len(s.ringRecs)
+			s.ringRecs = slices.Grow(s.ringRecs, len(e8Off))[:n+len(e8Off)]
+			recs := (*[len(e8Off)]ringRec)(s.ringRecs[n:])
+			ringDistances(recs, (*[ringTerms * 8]float64)(table[ringTerms*b:]), prefix, zero[b+8:], int32(n))
+			if dedup {
+				kept := n
+				for m, rec := range recs {
+					off := len(s.ringCodes)
+					s.ringCodes = append(s.ringCodes, from...)
+					nb := (*[8]int32)(s.ringCodes[off+b:])
+					for j, d := range &e8Mins[m] {
+						nb[j] += d
+					}
+					h := hashCode(s.ringCodes[off:])
 					if _, dup := s.seen[h]; dup {
 						s.ringCodes = s.ringCodes[:off]
 						continue
 					}
 					s.seen[h] = struct{}{}
+					rec.idx = int32(kept)
+					s.ringRecs[kept] = rec
+					kept++
 				}
-				d2 := prefix
-				rest := nb[b:]
-				for j, yj := range yy[b:][:len(rest)] {
-					diff := yj - float64(rest[j])/2
-					d2 += diff * diff
-				}
-				s.ringRecs = append(s.ringRecs, ringRec{d2bits: math.Float64bits(d2), idx: int32(len(s.ringRecs))})
+				s.ringRecs = s.ringRecs[:kept]
 			}
-			for j := b; j < b+8; j++ {
-				diff := yy[j] - float64(from[j])/2
-				prefix += diff * diff
+			for _, z := range zero[b : b+8] {
+				prefix += z * z
 			}
 		}
+	}
+}
+
+// ringDistances writes the records of the 240 neighbors one block of a
+// code makes, numbered from idx0: prefix is the distance sum over the
+// coordinates before the block, blk the block's table of differences and
+// later the δ = 0 differences of the coordinates after it.
+func ringDistances(recs *[240]ringRec, blk *[ringTerms * 8]float64, prefix float64, later []float64, idx0 int32) {
+	for m := range recs {
+		o := &e8Off[m]
+		t := blk[o[0]]
+		d2 := prefix + t*t
+		t = blk[o[1]]
+		d2 += t * t
+		t = blk[o[2]]
+		d2 += t * t
+		t = blk[o[3]]
+		d2 += t * t
+		t = blk[o[4]]
+		d2 += t * t
+		t = blk[o[5]]
+		d2 += t * t
+		t = blk[o[6]]
+		d2 += t * t
+		t = blk[o[7]]
+		d2 += t * t
+		for _, z := range later {
+			d2 += z * z
+		}
+		recs[m] = ringRec{d2bits: math.Float64bits(d2), idx: idx0 + int32(m)}
 	}
 }
 
@@ -253,9 +351,35 @@ func (s *Scratch) ringLess(a, b ringRec) bool {
 	return s.ringTieLess(a.idx, b.idx)
 }
 
+// ringTieLess orders two records of equal distance by their codes. Only
+// exact ties get here. A first-ring code is not stored, but it is home
+// plus one minimal vector in one block, so the first coordinate where two
+// of them differ is found from the two vectors: inside the block when they
+// share it, else in the earlier of the two blocks, where the other code
+// still equals home.
 func (s *Scratch) ringTieLess(a, b int32) bool {
-	return lattice.CompareKeyOrder(s.ringCode(a), s.ringCode(b)) < 0
+	if !s.ringLazy {
+		return lattice.CompareKeyOrder(s.ringCode(a), s.ringCode(b)) < 0
+	}
+	const nm = int32(len(e8Mins))
+	blk, ma, mb := a/nm, &e8Mins[a%nm], &e8Mins[b%nm]
+	switch bb := b / nm; {
+	case blk < bb:
+		mb = &e8Zero
+	case blk > bb:
+		blk, ma = bb, &e8Zero
+	}
+	for j, c := range (*[8]int32)(s.frontier[blk*8:]) {
+		if ma[j] != mb[j] {
+			// lattice.CompareKeyOrder's order on one coordinate.
+			return bits.ReverseBytes32(uint32(c+ma[j])) < bits.ReverseBytes32(uint32(c+mb[j]))
+		}
+	}
+	return false // the same code twice: never in one ring
 }
+
+// e8Zero is the block of a first-ring code that no minimal vector moved.
+var e8Zero [8]int32
 
 // sortRing sorts r in ring order: a median-of-three quicksort over the
 // contiguous records with the comparison inlined, insertion sort below

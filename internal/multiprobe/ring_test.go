@@ -270,3 +270,67 @@ func TestOrderRing(t *testing.T) {
 		}
 	}
 }
+
+// fuzzProjection reads an m-dim projection from raw, two bytes a, b per
+// coordinate (missing bytes read as zero): a quarter-integer b/4 when a is
+// even — integers and half-integers, so lattice points, deep holes and
+// exact distance ties are common — and the finer (a<<8|b)/1024 otherwise.
+func fuzzProjection(raw []byte, m int) []float64 {
+	y := make([]float64, m)
+	for j := range y {
+		var a, b byte
+		if 2*j+1 < len(raw) {
+			a, b = raw[2*j], raw[2*j+1]
+		}
+		if a%2 == 0 {
+			y[j] = float64(int8(b)) / 4
+		} else {
+			y[j] = float64(int16(uint16(a)<<8|uint16(b))) / 1024
+		}
+	}
+	return y
+}
+
+// FuzzRingProbes holds the generator to refRingProbes code for code on
+// arbitrary projections, for E8 with M = 8, 16 and 24 and counts 1…600
+// (one ring, a ring and its end, and into a second ring), on a fresh
+// scratch and again on the same scratch.
+func FuzzRingProbes(f *testing.F) {
+	for sel, m := range []int{8, 16, 24} {
+		for _, y := range tieProjections(m) {
+			raw := make([]byte, 2*m)
+			for j, v := range y {
+				raw[2*j+1] = byte(int8(v * 4)) // every tie projection is on the quarter grid
+			}
+			f.Add(uint8(sel), uint16(241), raw)
+		}
+		// A different lattice point in every block, (b, …, b) in block b:
+		// all neighbors are equidistant, and two in different blocks first
+		// differ where their home codes differ too.
+		steps := make([]byte, 2*m)
+		for j := 0; j < m; j++ {
+			steps[2*j+1] = byte(4 * (j / 8))
+		}
+		f.Add(uint8(sel), uint16(240), steps)
+		f.Add(uint8(sel), uint16(599), []byte{1, 7, 3, 200, 5, 9, 0, 2, 11, 90})
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, count uint16, raw []byte) {
+		m := 8 * (1 + int(sel%3))
+		c := 1 + int(count%600)
+		y := fuzzProjection(raw, m)
+		lat := lattice.NewE8(m)
+		want := refRingProbes(lat.Decode(y), y, c)
+		var s Scratch
+		for run := 0; run < 2; run++ {
+			ProbesInto(&s, lat, y, c)
+			if s.Probes() != len(want) {
+				t.Fatalf("M=%d count=%d y=%v run %d: %d probes, want %d", m, c, y, run, s.Probes(), len(want))
+			}
+			for p := range want {
+				if !slices.Equal(s.Probe(p), want[p]) {
+					t.Fatalf("M=%d count=%d y=%v run %d: probe %d = %v, want %v", m, c, y, run, p, s.Probe(p), want[p])
+				}
+			}
+		}
+	})
+}

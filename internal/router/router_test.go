@@ -335,6 +335,36 @@ func TestRouterMatchesMonolithicScatter(t *testing.T) {
 	}
 }
 
+// TestRouterMatchesMonolithicDuplicateRows stores every row twice, at
+// gids i and i+n with n odd, so the two copies sit on different shards of
+// a round-robin scatter and every distance is an exact tie. With k odd the
+// k-th neighbor is one copy of a pair: the monolithic index keeps the
+// smaller gid, and so must the router's merge, although it meets the
+// shards' replies in shard order, not in id order.
+func TestRouterMatchesMonolithicDuplicateRows(t *testing.T) {
+	data := testData(t, 165, 8)
+	base, queries := dataset.Split(data, 30, xrand.New(9))
+	if base.N%2 == 0 {
+		t.Fatalf("base has %d rows; the copies must land on different shards", base.N)
+	}
+	train := vec.NewMatrix(2*base.N, base.D)
+	copy(train.Data, base.Data)
+	copy(train.Data[len(base.Data):], base.Data)
+	c := scatterCluster(t, train, 2)
+	ctx := context.Background()
+	for _, k := range []int{1, 5, 9} {
+		for i := 0; i < queries.N; i++ {
+			q := queries.Row(i)
+			want, _ := c.mono.Query(q, k)
+			got, err := c.rt.Query(ctx, q, k, 0)
+			if err != nil {
+				t.Fatalf("k=%d query %d: %v", k, i, err)
+			}
+			assertSameResult(t, i, want, got)
+		}
+	}
+}
+
 // TestRouterPartialResults kills one shard of a scatter cluster and
 // checks the router degrades instead of failing: the reply is flagged
 // partial, names the dead shard, and carries the live shard's neighbors

@@ -78,10 +78,14 @@ func (h *Heap) Push(id int, dist float64) bool {
 	return true
 }
 
-// Accepts reports whether a candidate at dist would be kept if pushed now.
-// Useful to skip distance refinement for hopeless candidates.
+// Accepts reports whether a candidate at dist could be kept if pushed now:
+// false only when it is farther than the current k-th. A tie with the k-th
+// distance is accepted and left to Push, which keeps the smaller id, so a
+// caller that pushes what Accepts admits keeps the same items in any
+// arrival order. Useful to skip distance refinement for hopeless
+// candidates.
 func (h *Heap) Accepts(dist float64) bool {
-	return len(h.items) < h.k || dist < h.items[0].Dist
+	return len(h.items) < h.k || dist <= h.items[0].Dist
 }
 
 // Reset empties the heap, retaining capacity.

@@ -39,8 +39,11 @@ func TestWorstAndAccepts(t *testing.T) {
 	if !ok || w.Dist != 3 {
 		t.Fatalf("Worst = %+v ok=%v, want dist 3", w, ok)
 	}
-	if h.Accepts(3) {
-		t.Fatal("equal distance must not be accepted (deterministic keep-first)")
+	if !h.Accepts(3) {
+		t.Fatal("a tie with the k-th distance must be accepted: Push decides it by id")
+	}
+	if h.Accepts(3.5) {
+		t.Fatal("worse distance must not be accepted")
 	}
 	if !h.Accepts(2.5) {
 		t.Fatal("better distance must be accepted")
@@ -101,6 +104,47 @@ func TestHeapMatchesSelectK(t *testing.T) {
 			h.Push(i, d)
 		}
 		return reflect.DeepEqual(h.Sorted(), SelectK(items, k))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a caller that pushes only what Accepts admits — every rank
+// loop does — keeps SelectK's answer whatever order the candidates arrive
+// in, ties at the k-th distance included. With k = 1, (5, 1.0) then
+// (3, 1.0) must end on id 3.
+func TestAcceptsGateMatchesSelectKInAnyOrder(t *testing.T) {
+	gated := func(k int, order []Item) []Item {
+		h := New(k)
+		for _, it := range order {
+			if h.Accepts(it.Dist) {
+				h.Push(it.ID, it.Dist)
+			}
+		}
+		return h.Sorted()
+	}
+	pair := []Item{{ID: 5, Dist: 1}, {ID: 3, Dist: 1}}
+	if got, want := gated(1, pair), SelectK(pair, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("k=1 over %v: %v, want %v", pair, got, want)
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + rng.Intn(12)
+		items := make([]Item, rng.Intn(60))
+		for i := range items {
+			// Coarse distances: most candidates tie with some other.
+			items[i] = Item{ID: rng.Intn(1000), Dist: float64(rng.Intn(6))}
+		}
+		want := SelectK(items, k)
+		for range 8 {
+			rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+			if got := gated(k, items); !reflect.DeepEqual(got, want) {
+				t.Logf("k=%d order %v: %v, want %v", k, items, got, want)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
