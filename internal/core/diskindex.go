@@ -97,7 +97,7 @@ func OpenDiskWith(path string, o DiskOpenOptions) (*DiskIndex, error) {
 		f.Close()
 		return nil, legacyFormat(format)
 	}
-	ix, m, res, err := openDiskV3(f, 0, o)
+	ix, m, res, err := openDiskV3(f, 0, o, false)
 	if err != nil {
 		f.Close()
 		return nil, err

@@ -449,8 +449,9 @@ type DiskOpenOptions struct {
 
 // openDiskV3 opens a paged layout whose header sits at base and returns
 // the in-place index over it. The returned mapping is nil under
-// ForceHeap (or on hosts without mmap support).
-func openDiskV3(f *os.File, base int64, o DiskOpenOptions) (*Index, *mmap.Mapping, *residency, error) {
+// ForceHeap (or on hosts without mmap support). legacy admits
+// lshfunc.Family/1 families, as buildFromLayout says.
+func openDiskV3(f *os.File, base int64, o DiskOpenOptions, legacy bool) (*Index, *mmap.Mapping, *residency, error) {
 	lay, err := readDiskLayout(f, base)
 	if err != nil {
 		return nil, nil, nil, err
@@ -478,7 +479,7 @@ func openDiskV3(f *os.File, base int64, o DiskOpenOptions) (*Index, *mmap.Mappin
 			return nil, nil, nil, badLayout("mapped %d bytes, want %d", len(blob), lay.fileSize)
 		}
 	}
-	ix, err := buildFromLayout(blob, lay)
+	ix, err := buildFromLayout(blob, lay, legacy)
 	if err != nil {
 		if m != nil {
 			m.Close()
@@ -499,8 +500,11 @@ func secSlice(blob []byte, s diskSection) []byte { return blob[s.off : s.off+s.s
 
 // buildFromLayout assembles the in-place Index over a validated layout.
 // Hostile inputs that pass the CRCs must still never panic: every offset,
-// count and id decoded below is bounds-checked before use.
-func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
+// count and id decoded below is bounds-checked before use. A
+// lshfunc.Family/1 family is refused with ErrLegacyFormat unless legacy
+// is set; then every group's tables are hashed again from the rows
+// (rehashGroups) and live on the heap.
+func buildFromLayout(blob []byte, lay *diskLayout, legacy bool) (*Index, error) {
 	metaSec, _ := lay.find(diskSecMeta)
 	rowsSec, _ := lay.find(diskSecRows)
 	arraysSec, _ := lay.find(diskSecArrays)
@@ -563,6 +567,7 @@ func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
 		return arrays[off : off+size], nil
 	}
 	groups := make([]*group, nGroups)
+	rounded := false
 	for gi := range groups {
 		mOff := rr.U64()
 		mCount := rr.U64()
@@ -585,9 +590,14 @@ func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
 		}
 		// The meta option block has no Metric field, so this is always a
 		// p-stable family.
-		if err := readGroupHash(rr, o, g); err != nil {
+		r, err := readGroupHash(rr, o, g, legacy)
+		if errors.Is(err, ErrLegacyFormat) {
+			return nil, fmt.Errorf("group %d %w", gi, err)
+		}
+		if err != nil {
 			return nil, badLayout("group %d %v", gi, err)
 		}
+		rounded = rounded || r
 		nTables := rr.Int()
 		if err := rr.Err(); err != nil {
 			return nil, badLayout("group %d: %v", gi, err)
@@ -622,6 +632,11 @@ func buildFromLayout(blob []byte, lay *diskLayout) (*Index, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadDiskLayout, err)
 	}
 	data := &vec.Matrix{Data: mmap.ViewFloat32s(secSlice(blob, rowsSec)), N: n, D: d}
+	if rounded {
+		if err := rehashGroups(groups, data); err != nil {
+			return nil, err
+		}
+	}
 	if o.ProbeMode == ProbeHierarchy {
 		if err := buildHierarchies(groups, o); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadDiskLayout, err)

@@ -167,7 +167,7 @@ func OpenDurable(dir string, o DurableOptions) (*DurableIndex, error) {
 			err = legacyFormat(format + " checkpoint payload")
 		} else {
 			ix, mapping, res, err = openDiskV3(f, durable.CheckpointHeaderLen,
-				DiskOpenOptions{ForceHeap: !o.Mmap, Residency: o.Residency})
+				DiskOpenOptions{ForceHeap: !o.Mmap, Residency: o.Residency}, false)
 		}
 		f.Close()
 		if err != nil {
@@ -427,7 +427,7 @@ func (d *DurableIndex) adoptMappedBase(path string) error {
 	}
 	defer f.Close()
 	mapIx, m, res, err := openDiskV3(f, durable.CheckpointHeaderLen,
-		DiskOpenOptions{Residency: d.resPol})
+		DiskOpenOptions{Residency: d.resPol}, false)
 	if err != nil {
 		return err
 	}

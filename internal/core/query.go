@@ -112,12 +112,13 @@ func (ix *Index) QueryPlan(q []float32, p Plan) (knn.Result, PlanStats) {
 // queryPlan is the single execution core every public query entry point
 // funnels through: gather under the resolved plan, rank, record.
 func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Result, PlanStats) {
+	s.begin(sn)
 	start := time.Now()
-	ps := sn.gatherPlan(q, rp, s)
-	rankStart := time.Now()
+	ps, rankStart := sn.gatherFrom(q, rp, s, start)
 	res := sn.rankWith(q, rp.k, rp.rerank, s)
-	ps.Timings.Rank = time.Since(rankStart)
-	recordQuery(&ps.QueryStats, time.Since(start))
+	end := time.Now()
+	ps.Timings.Rank = end.Sub(rankStart)
+	recordQuery(&ps.QueryStats, end.Sub(start))
 	recordPlan(&ps)
 	return res, ps
 }
@@ -140,7 +141,18 @@ func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Re
 // scratch (dedup bitset, candidate list) and the plateau counter in ts, so
 // a stopped loop holds exactly the union of the buckets it walked.
 func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, s *scratch) PlanStats {
-	routeStart := time.Now()
+	s.begin(sn)
+	ps, _ := sn.gatherFrom(q, rp, s, time.Now())
+	return ps
+}
+
+// gatherFrom is gatherPlan on a scratch already begun, timed from start
+// (the moment the query began) with one clock read per stage boundary:
+// the route's end is the first probe's start, each table's probe end is
+// its scan's start, and each table's scan end is the next table's probe
+// start. It returns the end of the last stage it timed, which is where
+// the caller's rank stage begins.
+func (sn *snapshot) gatherFrom(q []float32, rp *resolvedPlan, s *scratch, start time.Time) (PlanStats, time.Time) {
 	gi := sn.groupOf(q)
 	g := sn.groups[gi]
 	ps := PlanStats{
@@ -149,14 +161,15 @@ func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, s *scratch) PlanSt
 		ResolvedProbes: rp.probes,
 	}
 	stats := &ps.QueryStats
-	stats.Timings.Route = time.Since(routeStart)
-	s.begin(sn)
+	mark := time.Now()
+	stats.Timings.Route = mark.Sub(start)
 	if sn.sketcher != nil {
 		// One sketch, with the per-plane margins the flip order reads,
 		// serves every table's key block.
-		sketchStart := time.Now()
 		sn.sketcher.SketchWithMargins(q, s.qbits, s.qmarg)
-		stats.Timings.Probe += time.Since(sketchStart)
+		now := time.Now()
+		stats.Timings.Probe += now.Sub(mark)
+		mark = now
 	}
 	n := 1
 	if rp.mode == ProbeMulti {
@@ -171,10 +184,10 @@ func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, s *scratch) PlanSt
 	var ts termState
 	for t := 0; t < rp.tables && !ps.TerminatedEarly; t++ {
 		ps.TablesProbed = t + 1
-		probeStart := time.Now()
 		keyLen := s.probeKeys(g, t, q, n)
-		scanStart := time.Now()
-		stats.Timings.Probe += scanStart.Sub(probeStart)
+		now := time.Now()
+		stats.Timings.Probe += now.Sub(mark)
+		mark = now
 		if rp.mode == ProbeHierarchy {
 			// s.code is the query's home code; the hierarchy only uses
 			// s.hier's buffers for Morton keys and ancestor codes.
@@ -204,14 +217,16 @@ func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, s *scratch) PlanSt
 				break
 			}
 		}
-		stats.Timings.Scan += time.Since(scanStart)
+		now = time.Now()
+		stats.Timings.Scan += now.Sub(mark)
+		mark = now
 	}
 	stats.Candidates = len(s.cands)
 	// Bucket ids are slices into pages owned by sn.mapped on mapped
 	// snapshots; candidate ids are copied into scratch by now, but the
 	// probe loop itself must not outlive the mapping.
 	runtime.KeepAlive(sn)
-	return ps
+	return ps, mark
 }
 
 // probeKeys is the probe seam: it fills s.keys with table t's block of at

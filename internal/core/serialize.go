@@ -194,25 +194,54 @@ func writeGroupHash(ww *wire.Writer, g *group) {
 
 // readGroupHash parses the section writeGroupHash emits into g: a bit
 // sampler of the options' shape under MetricHamming, else a p-stable
-// family and the options' lattice.
-func readGroupHash(rr *wire.Reader, o Options, g *group) (err error) {
+// family and the options' lattice. A lshfunc.Family/1 family is refused
+// with ErrLegacyFormat unless legacy is set; then its directions are
+// rounded to binary16 and rounded reports that the group's stored tables
+// must be hashed again (rehashGroups).
+func readGroupHash(rr *wire.Reader, o Options, g *group, legacy bool) (rounded bool, err error) {
 	if o.Metric != MetricHamming {
-		if g.fam, err = lshfunc.DecodeFamily(rr); err != nil {
-			return fmt.Errorf("family: %w", err)
+		g.fam, rounded, err = lshfunc.DecodeFamily(rr, legacy)
+		if errors.Is(err, lshfunc.ErrLegacyFamily) {
+			return false, legacyFormat("lshfunc.Family/1 hash family")
+		}
+		if err != nil {
+			return false, fmt.Errorf("family: %w", err)
 		}
 		g.lat, err = newLattice(o.Lattice, o.Params.M)
-		return err
+		return rounded, err
 	}
 	bs, err := lshfunc.DecodeBitSampler(rr)
 	if err != nil {
-		return fmt.Errorf("bit sampler: %w", err)
+		return false, fmt.Errorf("bit sampler: %w", err)
 	}
 	if bs.Bits() != o.Bits || bs.M() != o.Params.M || bs.L() != o.Params.L {
-		return fmt.Errorf("sampler shape (bits=%d M=%d L=%d) does not match options (bits=%d M=%d L=%d)",
+		return false, fmt.Errorf("sampler shape (bits=%d M=%d L=%d) does not match options (bits=%d M=%d L=%d)",
 			bs.Bits(), bs.M(), bs.L(), o.Bits, o.Params.M, o.Params.L)
 	}
 	g.bsamp = bs
-	return nil
+	return false, nil
+}
+
+// rehashGroups rebuilds every p-stable group's tables from the rows
+// through buildTables, as Build builds them. It converts a structure whose
+// families were read from lshfunc.Family/1 sections and rounded: the
+// tables stored beside them were hashed under the float32 directions.
+// Members, widths, offsets and the partitioner stay as read.
+func rehashGroups(groups []*group, data *vec.Matrix) error {
+	members := make([][]int, len(groups))
+	for gi, g := range groups {
+		members[gi] = g.members
+	}
+	return forEachGroup(members, func(s *hashScratch, gi int) error {
+		g := groups[gi]
+		if g.fam == nil {
+			return nil
+		}
+		if err := g.buildTables(s, g.members, func(i int) []float32 { return data.Row(g.members[i]) }); err != nil {
+			return fmt.Errorf("core: group %d: %w", gi, err)
+		}
+		return nil
+	})
 }
 
 // writeStructure emits the partitioner and the per-group machinery.
@@ -297,10 +326,12 @@ func checkShapes(o Options, d int, tree *rptree.Tree, km *kmeans.Model, groups [
 }
 
 // readStructure parses the partitioner and groups and rebuilds derived
-// state (cuckoo indexes, hierarchies). n and d are the rows' count and
-// dimension: every member and every posting must name one of the rows,
-// and the structure must fit their dimension (checkShapes).
-func readStructure(rr *wire.Reader, o Options, n, d int) (*rptree.Tree, *kmeans.Model, []*group, error) {
+// state (cuckoo indexes, hierarchies). Every member and every posting
+// must name one of data's rows, and the structure must fit their
+// dimension (checkShapes). legacy admits lshfunc.Family/1 families, whose
+// groups are hashed again from data (rehashGroups).
+func readStructure(rr *wire.Reader, o Options, data *vec.Matrix, legacy bool) (*rptree.Tree, *kmeans.Model, []*group, error) {
+	n, d := data.N, data.D
 	tree, km, err := readPartitioner(rr)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: reading partitioner: %w", err)
@@ -313,14 +344,17 @@ func readStructure(rr *wire.Reader, o Options, n, d int) (*rptree.Tree, *kmeans.
 		return nil, nil, nil, fmt.Errorf("core: decoded group count %d implausible", nGroups)
 	}
 	groups := make([]*group, nGroups)
+	rounded := false
 	for gi := range groups {
 		g := &group{
 			members: rr.Ints(),
 			w:       rr.F64(),
 		}
-		if err := readGroupHash(rr, o, g); err != nil {
+		r, err := readGroupHash(rr, o, g, legacy)
+		if err != nil {
 			return nil, nil, nil, fmt.Errorf("core: group %d %w", gi, err)
 		}
+		rounded = rounded || r
 		nTables := rr.Int()
 		if err := rr.Err(); err != nil {
 			return nil, nil, nil, err
@@ -349,6 +383,11 @@ func readStructure(rr *wire.Reader, o Options, n, d int) (*rptree.Tree, *kmeans.
 	if err := checkShapes(o, d, tree, km, groups); err != nil {
 		return nil, nil, nil, err
 	}
+	if rounded {
+		if err := rehashGroups(groups, data); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	if o.ProbeMode == ProbeHierarchy {
 		if err := buildHierarchies(groups, o); err != nil {
 			return nil, nil, nil, err
@@ -361,11 +400,12 @@ func readStructure(rr *wire.Reader, o Options, n, d int) (*rptree.Tree, *kmeans.
 // /4). The rows and each table's keys, intervals and ids are adopted as
 // read; only the derived structures are built: each table's cuckoo
 // bucket index and, under ProbeHierarchy, the hierarchies. A version 1
-// file is refused with ErrLegacyFormat.
+// file, or one whose hash families are lshfunc.Family/1 sections, is
+// refused with ErrLegacyFormat.
 func ReadIndex(r io.Reader) (*Index, error) { return readWire(wire.NewReader(r), false) }
 
-// readWire decodes a wire image; legacy admits version 1, which only
-// Upgrade reads.
+// readWire decodes a wire image; legacy admits version 1 and
+// lshfunc.Family/1 families, which only Upgrade reads.
 func readWire(rr *wire.Reader, legacy bool) (*Index, error) {
 	var version int
 	switch got := rr.String(); got {
@@ -418,7 +458,7 @@ func readWire(rr *wire.Reader, legacy bool) (*Index, error) {
 				sketches.N, sketches.Bits, data.N, o.Bits)
 		}
 	}
-	tree, km, groups, err := readStructure(rr, o, data.N, data.D)
+	tree, km, groups, err := readStructure(rr, o, data, legacy)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,10 @@ import (
 //	bilsh.Disk/2   as /1 with v2 options and the quantized row section
 //
 // A durable checkpoint whose payload is a wire image (any bilsh.Index/N)
-// is legacy too: checkpoints carry the paged layout.
+// is legacy too: checkpoints carry the paged layout. So is any image whose
+// hash families are lshfunc.Family/1 sections (float32 directions): the
+// families are binary16 now, and the tables stored beside a float32
+// family were hashed under directions no current index has.
 const (
 	indexMagicV1 = "bilsh.Index/1"
 	diskMagicV1  = "bilsh.Disk/1"
@@ -45,13 +48,20 @@ func legacyFormat(format string) error {
 //	bilsh.Index/1            → bilsh.Index/2
 //	bilsh.Disk/1, /2         → bilsh.Disk/3, rows materialised once
 //	checkpoint, wire payload → checkpoint, paged payload, same generation
+//	lshfunc.Family/1 inside  → the same format with lshfunc.Family/2
 //
-// A checkpoint keeps its generation, so the WAL beside it still pairs. A
-// file already current is opened by its serving reader and copied
-// unchanged (left alone when out is in). A converted file is opened by
-// its serving reader before it replaces out, so Upgrade never publishes
-// a file the serving code would refuse. It returns the formats found and
-// written.
+// Families read from lshfunc.Family/1 sections have their directions
+// rounded to binary16, as NewFamily rounds its draws, and every group's
+// tables hashed again from the stored rows; members, widths, offsets, the
+// partitioner and a checkpoint's generation stay, so the result is the
+// file Build writes for the same rows, options and seed. A checkpoint
+// keeps its generation, so the WAL beside it still pairs. A file already
+// current is opened by its serving reader and copied unchanged (left
+// alone when out is in). A converted file is opened by its serving reader
+// before it replaces out, so Upgrade never publishes a file the serving
+// code would refuse. It returns the formats found and written; a file
+// whose container is current but whose families are not is reported as
+// its format "with lshfunc.Family/1".
 func Upgrade(in, out string) (from, to string, err error) {
 	defer func() {
 		if err != nil {
@@ -76,17 +86,27 @@ func Upgrade(in, out string) (from, to string, err error) {
 		return "", "", err
 	}
 	from = sniffFormat(f, base)
+	wireImage := func(legacy bool) (*Index, error) {
+		return readWire(wire.NewReader(io.NewSectionReader(f, base, st.Size()-base)), legacy)
+	}
 	var ix *Index
 	switch {
+	case strings.HasPrefix(from, "bilsh.Index/") && (base > 0 || from == indexMagicV1):
+		ix, err = wireImage(true)
 	case strings.HasPrefix(from, "bilsh.Index/"):
-		ix, err = readWire(wire.NewReader(io.NewSectionReader(f, base, st.Size()-base)), true)
-		if base == 0 && from != indexMagicV1 {
-			ix = nil // current: checked, not converted
+		// Current unless its families are legacy: checked as ReadIndex
+		// reads it.
+		if _, err = wireImage(false); errors.Is(err, ErrLegacyFormat) {
+			from += familyV1Suffix
+			ix, err = wireImage(true)
 		}
 	case base == 0 && (from == diskMagicV1 || from == diskMagicV2):
 		ix, err = readDiskLegacy(f, from)
 	case from == diskMagicV3:
-		err = checkPaged(f, base)
+		if err = checkPaged(f, base); errors.Is(err, ErrLegacyFormat) {
+			from += familyV1Suffix
+			ix, _, _, err = openDiskV3(f, base, DiskOpenOptions{ForceHeap: true}, true)
+		}
 	default:
 		err = fmt.Errorf("not a bilsh index (found %q)", from)
 	}
@@ -106,7 +126,8 @@ func Upgrade(in, out string) (from, to string, err error) {
 			_, err := io.Copy(w, f)
 			return err
 		})
-	case base == 0 && from == indexMagicV1:
+	case base == 0 && strings.HasPrefix(from, "bilsh.Index/"):
+		// Version 1 and a p-stable family both mean a Euclidean index.
 		return from, indexMagic, durable.AtomicWrite(out, func(w *os.File) error {
 			if _, err := ix.WriteTo(w); err != nil {
 				return err
@@ -130,10 +151,14 @@ func Upgrade(in, out string) (from, to string, err error) {
 	return from, diskMagicV3, durable.AtomicWrite(out, writePaged)
 }
 
+// familyV1Suffix marks the format Upgrade reports for a current container
+// whose hash families are lshfunc.Family/1 sections.
+const familyV1Suffix = " with lshfunc.Family/1"
+
 // checkPaged opens the paged image at base in f as the serving code
 // would, then releases it.
 func checkPaged(f *os.File, base int64) error {
-	_, m, _, err := openDiskV3(f, base, DiskOpenOptions{})
+	_, m, _, err := openDiskV3(f, base, DiskOpenOptions{}, false)
 	if m != nil {
 		m.Close()
 	}
@@ -177,14 +202,14 @@ func readDiskLegacy(f *os.File, format string) (*Index, error) {
 			return nil, err
 		}
 	}
-	tree, km, groups, err := readStructure(meta, o, n, d)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]byte, 4*n*d)
 	if _, err := f.ReadAt(rows, dataOffset); err != nil {
 		return nil, fmt.Errorf("reading disk index rows: %w", err)
 	}
 	data := &vec.Matrix{Data: mmap.DecodeFloat32s(rows), N: n, D: d}
+	tree, km, groups, err := readStructure(meta, o, data, true)
+	if err != nil {
+		return nil, err
+	}
 	return newIndex(o, data, quant, tree, km, groups), nil
 }

@@ -14,8 +14,6 @@ package cuckoo
 import (
 	"fmt"
 	"unsafe"
-
-	"bilsh/internal/vec"
 )
 
 const (
@@ -173,14 +171,13 @@ func (t *Table) Get(key uint64) (int, bool) {
 	return 0, false
 }
 
-// PrefetchSlots hints both slots key can occupy into the cache. A caller
-// that knows a block of keys up front issues it for every key before the
-// first Get, so the block's slot misses overlap instead of queueing behind
-// one another — the batched probe the paper's GPU table is built for
-// (Section V-A), on a CPU.
-func (t *Table) PrefetchSlots(key uint64) {
-	vec.Prefetch(unsafe.Pointer(&t.slots[t.slot1(key)]))
-	vec.Prefetch(unsafe.Pointer(&t.slots[t.slot2(key)]))
+// SlotAddrs returns the addresses of the two slots key can occupy. A
+// caller that knows a block of keys up front prefetches them for every key
+// (vec.PrefetchBlock) before the first Get, so the block's slot misses
+// overlap instead of queueing behind one another — the batched probe the
+// paper's GPU table is built for (Section V-A), on a CPU.
+func (t *Table) SlotAddrs(key uint64) (unsafe.Pointer, unsafe.Pointer) {
+	return unsafe.Pointer(&t.slots[t.slot1(key)]), unsafe.Pointer(&t.slots[t.slot2(key)])
 }
 
 // Put inserts or overwrites key. It returns an error only if key is the

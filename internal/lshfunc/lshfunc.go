@@ -13,6 +13,11 @@
 // swept (the experiments' x-axis) without redrawing the projections —
 // matching the paper's protocol where W grows gradually for fixed random
 // directions within one run.
+//
+// The directions a_i are stored as IEEE binary16: each component is the
+// Gaussian draw rounded to 11 significant bits (2⁻¹¹ relative), which
+// halves the bytes every projection streams, and a projection accumulates
+// in float32 lanes (vec.DotRowsF16).
 package lshfunc
 
 import (
@@ -45,15 +50,22 @@ func (p Params) Validate() error {
 
 // Family is a set of L×M p-stable hash functions over dimension D vectors.
 type Family struct {
-	d     int
-	m     int
-	l     int
-	w     float64
-	a     []*vec.Matrix // per table: M×D Gaussian directions
-	bFrac [][]float64   // per table: M offsets as fractions of W
+	d int
+	m int
+	l int
+	w float64
+	// a holds the L×M×D binary16 directions, table t's row-major M×D
+	// matrix at a[t·M·D:].
+	a []uint16
+	// bFrac holds the L×M offsets as fractions of W, table t's at
+	// bFrac[t·M:].
+	bFrac []float64
 }
 
-// NewFamily draws a fresh family for d-dimensional data.
+// NewFamily draws a fresh family for d-dimensional data. Table t draws
+// from rng.Split(t) its M float32 Gaussian directions, each component
+// rounded to the nearest binary16 (vec.HalfFromFloat32), then its M
+// offsets.
 func NewFamily(d int, p Params, rng *xrand.RNG) (*Family, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -62,21 +74,36 @@ func NewFamily(d int, p Params, rng *xrand.RNG) (*Family, error) {
 		return nil, fmt.Errorf("lshfunc: d = %d, must be positive", d)
 	}
 	f := &Family{d: d, m: p.M, l: p.L, w: p.W,
-		a: make([]*vec.Matrix, p.L), bFrac: make([][]float64, p.L)}
+		a: make([]uint16, p.L*p.M*d), bFrac: make([]float64, p.L*p.M)}
 	for t := 0; t < p.L; t++ {
 		g := rng.Split(int64(t))
-		at := vec.NewMatrix(p.M, d)
 		for i := 0; i < p.M; i++ {
-			copy(at.Row(i), g.GaussianVec(d))
+			roundHalves(f.dirs(t)[i*d:(i+1)*d], g.GaussianVec(d))
 		}
-		f.a[t] = at
-		bt := make([]float64, p.M)
-		for i := range bt {
-			bt[i] = g.Float64()
+		b := f.offsets(t)
+		for i := range b {
+			b[i] = g.Float64()
 		}
-		f.bFrac[t] = bt
 	}
 	return f, nil
+}
+
+// roundHalves rounds each of src to binary16 into dst.
+func roundHalves(dst []uint16, src []float32) {
+	for i, x := range src {
+		dst[i] = vec.HalfFromFloat32(x)
+	}
+}
+
+// dirs returns table t's M×D direction matrix.
+func (f *Family) dirs(t int) []uint16 {
+	md := f.m * f.d
+	return f.a[t*md : (t+1)*md : (t+1)*md]
+}
+
+// offsets returns table t's M offsets.
+func (f *Family) offsets(t int) []float64 {
+	return f.bFrac[t*f.m : (t+1)*f.m : (t+1)*f.m]
 }
 
 // D returns the data dimensionality.
@@ -114,9 +141,9 @@ func (f *Family) Project(t int, v []float32, out []float64) {
 		panic(fmt.Sprintf("lshfunc: Project out len %d, want %d", len(out), f.m))
 	}
 	// One kernel call over the table's contiguous M×D direction matrix
-	// (vec.DotRows runs four rows at a time), then the affine pass.
-	vec.DotRows(out, f.a[t].Data, f.d, v)
-	for i, b := range f.bFrac[t] {
+	// (vec.DotRowsF16 runs four rows at a time), then the affine pass.
+	vec.DotRowsF16(out, f.dirs(t), f.d, v)
+	for i, b := range f.offsets(t) {
 		out[i] = out[i]/f.w + b
 	}
 }
@@ -133,10 +160,10 @@ func (f *Family) ProjectBlock(t int, vs [][]float32, out []float64) {
 	if len(out) != len(vs)*f.m {
 		panic(fmt.Sprintf("lshfunc: ProjectBlock out len %d, want %d", len(out), len(vs)*f.m))
 	}
-	vec.DotRowsMany(out, f.a[t].Data, f.d, vs)
+	vec.DotRowsManyF16(out, f.dirs(t), f.d, vs)
 	for r := range vs {
 		o := out[r*f.m : (r+1)*f.m]
-		for i, b := range f.bFrac[t] {
+		for i, b := range f.offsets(t) {
 			o[i] = o[i]/f.w + b
 		}
 	}

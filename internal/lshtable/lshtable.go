@@ -472,7 +472,8 @@ const lookupChunk = 64
 // the key bytes and the ids themselves. LookupBlock walks the chain one
 // link at a time across the whole chunk, prefetching every key's next link
 // before touching anyone's current one, so the misses of a block overlap
-// instead of adding up.
+// instead of adding up. Each pass collects its hints and issues them in
+// one vec.PrefetchBlock call.
 func (t *Table) LookupBlock(dst []int32, keys []byte, keyLen int) []int32 {
 	if keyLen <= 0 {
 		return dst
@@ -490,14 +491,17 @@ func (t *Table) LookupBlock(dst []int32, keys []byte, keyLen int) []int32 {
 	}
 	var cks [lookupChunk]uint64
 	var ords [lookupChunk]int32
+	var pf [2 * lookupChunk]unsafe.Pointer
 	for len(keys) >= keyLen {
 		n := min(len(keys)/keyLen, lookupChunk)
 		chunk := keys[:n*keyLen]
 		keys = keys[n*keyLen:]
 		cuckoo.Compress64Block(cks[:n], chunk, keyLen)
-		for _, ck := range cks[:n] {
-			t.index.PrefetchSlots(ck)
+		for i, ck := range cks[:n] {
+			pf[2*i], pf[2*i+1] = t.index.SlotAddrs(ck)
 		}
+		vec.PrefetchBlock(pf[:2*n])
+		np := 0
 		for i := 0; i < n; i++ {
 			b, ok := t.index.Get(cks[i])
 			if !ok {
@@ -505,18 +509,23 @@ func (t *Table) LookupBlock(dst []int32, keys []byte, keyLen int) []int32 {
 				continue
 			}
 			ords[i] = int32(b)
-			vec.Prefetch(unsafe.Pointer(&t.keys[b]))
-			vec.Prefetch(unsafe.Pointer(&t.starts[b]))
+			pf[np], pf[np+1] = unsafe.Pointer(&t.keys[b]), unsafe.Pointer(&t.starts[b])
+			np += 2
 		}
+		vec.PrefetchBlock(pf[:np])
+		np = 0
 		for _, b := range ords[:n] {
 			if b == NoBucket {
 				continue
 			}
-			vec.Prefetch(unsafe.Pointer(unsafe.StringData(t.keys[b])))
+			pf[np] = unsafe.Pointer(unsafe.StringData(t.keys[b]))
+			np++
 			if at := t.starts[b]; at < len(t.ids) {
-				vec.Prefetch(unsafe.Pointer(&t.ids[at]))
+				pf[np] = unsafe.Pointer(&t.ids[at])
+				np++
 			}
 		}
+		vec.PrefetchBlock(pf[:np])
 		for i, b := range ords[:n] {
 			if b != NoBucket && t.keys[b] != string(chunk[i*keyLen:(i+1)*keyLen]) {
 				b = NoBucket // compressed-key collision with an absent key

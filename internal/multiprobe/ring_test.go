@@ -1,20 +1,27 @@
 package multiprobe
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"bilsh/internal/lattice"
 	"bilsh/internal/xrand"
 )
 
-// refRingProbes is the string-keyed, fully sorted ring expansion the
-// scratch-based generator replaced (the oracle internal/core/equiv_test.go
-// also carries), verbatim: every code is keyed into one set from the first
-// ring on, and every ring is sorted whole.
+// refRingProbes is the fully sorted ring expansion the scratch-based
+// generator replaced (the oracle internal/core/equiv_test.go also
+// carries): every code is entered into one set from the first ring on,
+// and every ring is sorted whole, by distance and then by Key byte order.
+// It is that string-keyed expansion with two costs taken out, so that the
+// fuzz target can afford the second ring at M = 16: the set is keyed by a
+// fixed-size array of the code's offsets from home (M ≤ refMaxM; each
+// ring moves a coordinate by at most 2), so a repeated code costs neither
+// an allocation nor a long hash, and each new code and its Key bytes are
+// written once into per-ring arenas, not allocated per code and again per
+// comparison of two tied codes.
 func refRingProbes(home []int32, y []float64, count int) [][]int32 {
 	if count <= 0 {
 		return nil
@@ -25,43 +32,68 @@ func refRingProbes(home []int32, y []float64, count int) [][]int32 {
 		return probes
 	}
 	codeLen := len(home)
+	if codeLen > refMaxM {
+		panic(fmt.Sprintf("refRingProbes: M = %d > %d", codeLen, refMaxM))
+	}
 	yy := make([]float64, codeLen)
 	copy(yy, y)
 	type cand struct {
 		code []int32
+		key  []byte
 		d2   float64
 	}
-	seen := map[string]bool{lattice.Key(home): true}
+	setKey := func(code []int32) (k [refMaxM]int8) {
+		for j, c := range code {
+			off := c - home[j]
+			if off != int32(int8(off)) {
+				panic(fmt.Sprintf("refRingProbes: code %v too far from home %v", code, home))
+			}
+			k[j] = int8(off)
+		}
+		return k
+	}
+	seen := map[[refMaxM]int8]bool{setKey(home): true}
 	frontier := [][]int32{home}
 	for len(probes) < count && len(frontier) > 0 {
+		// Arenas sized for every code the ring can add, so that no
+		// append moves the codes and keys already handed out.
+		most := len(frontier) * (codeLen / 8) * len(lattice.MinVectors())
+		codes := make([]int32, 0, most*codeLen)
+		keys := make([]byte, 0, most*4*codeLen)
 		var ring []cand
 		for _, base := range frontier {
 			for b := 0; b+8 <= codeLen; b += 8 {
 				for _, mv := range lattice.MinVectors() {
-					nb := make([]int32, codeLen)
-					copy(nb, base)
+					var nb [refMaxM]int32
+					copy(nb[:], base)
 					for j := 0; j < 8; j++ {
 						nb[b+j] += mv[j]
 					}
-					key := lattice.Key(nb)
-					if seen[key] {
+					k := setKey(nb[:codeLen])
+					if seen[k] {
 						continue
 					}
-					seen[key] = true
+					seen[k] = true
+					codes = append(codes, nb[:codeLen]...)
+					code := codes[len(codes)-codeLen:]
+					keys = lattice.AppendKey(keys, code)
 					var d2 float64
 					for j := 0; j < codeLen; j++ {
-						diff := yy[j] - float64(nb[j])/2
+						diff := yy[j] - float64(code[j])/2
 						d2 += diff * diff
 					}
-					ring = append(ring, cand{code: nb, d2: d2})
+					ring = append(ring, cand{code: code, key: keys[len(keys)-4*codeLen:], d2: d2})
 				}
 			}
 		}
-		sort.Slice(ring, func(a, b int) bool {
-			if ring[a].d2 != ring[b].d2 {
-				return ring[a].d2 < ring[b].d2
+		slices.SortFunc(ring, func(a, b cand) int {
+			if a.d2 != b.d2 {
+				if a.d2 < b.d2 {
+					return -1
+				}
+				return 1
 			}
-			return lattice.Key(ring[a].code) < lattice.Key(ring[b].code)
+			return bytes.Compare(a.key, b.key)
 		})
 		frontier = frontier[:0]
 		for _, c := range ring {
@@ -73,6 +105,10 @@ func refRingProbes(home []int32, y []float64, count int) [][]int32 {
 	}
 	return probes
 }
+
+// refMaxM is the largest code length refRingProbes keys: the fuzz
+// target's largest M.
+const refMaxM = 24
 
 // tieProjections returns projections that make exact distance ties, which
 // only the Key byte order breaks: the query on a lattice point (every

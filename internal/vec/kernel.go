@@ -22,6 +22,16 @@ package vec
 // (kernel_equiv_test.go) demand exact agreement and lets serialized
 // indexes promise identical query results across builds.
 //
+// The binary16 projections (DotRowsF16, DotRowsManyF16) have a contract
+// of their own, in float32: lane j of eight accumulates elements j, j+8,
+// j+16, ... as acc = acc + float32(h*q), the product of the widened
+// direction h and the query element rounded to float32 before the add
+// (never fused: a binary16 × float32 product is not exact in float32, so a
+// fused add would round differently), the tail is added to lane 0 in
+// order, and the lanes reduce as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))
+// before the sum is widened to float64. The AVX2 bodies need F16C for
+// VCVTPH2PS; other machines and arm64 run the portable code.
+//
 // The selected kernel can be overridden with UseKernel (tests, benchmarks)
 // or the BILSH_KERNEL environment variable ("portable", "avx2", "neon") —
 // the operational escape hatch when SIMD is suspected, alongside the
@@ -54,16 +64,23 @@ type kernel struct {
 	// a tile of their own leave it nil and inherit a loop over their
 	// dotRows.
 	dotRowsMany func(out []float64, rows []float32, d int, vs [][]float32)
+	// dotRowsF16 and dotRowsManyF16 are the projections over binary16
+	// directions (DotRowsF16, DotRowsManyF16). Kernels without bodies of
+	// their own leave them nil and inherit the portable ones.
+	dotRowsF16     func(out []float64, rows []uint16, d int, q []float32)
+	dotRowsManyF16 func(out []float64, rows []uint16, d int, vs [][]float32)
 }
 
 var portableKernel = kernel{
-	name:          "portable",
-	dot:           dotGeneric,
-	dotRows:       dotRowsGeneric,
-	sqDist:        sqDistGeneric,
-	sqDistToRows:  sqDistToRowsGeneric,
-	sqDistSQ8Rows: sqDistSQ8RowsGeneric,
-	hammingToRows: hammingToRowsGeneric,
+	name:           "portable",
+	dot:            dotGeneric,
+	dotRows:        dotRowsGeneric,
+	sqDist:         sqDistGeneric,
+	sqDistToRows:   sqDistToRowsGeneric,
+	sqDistSQ8Rows:  sqDistSQ8RowsGeneric,
+	hammingToRows:  hammingToRowsGeneric,
+	dotRowsF16:     dotRowsF16Generic,
+	dotRowsManyF16: dotRowsManyF16Generic,
 }
 
 // kernels lists every implementation available in this binary on this CPU,
@@ -85,6 +102,10 @@ func init() {
 		}
 		if k.dotRowsMany == nil {
 			k.dotRowsMany = dotRowsManyVia(k.dotRows)
+		}
+		if k.dotRowsF16 == nil {
+			k.dotRowsF16 = portableKernel.dotRowsF16
+			k.dotRowsManyF16 = portableKernel.dotRowsManyF16
 		}
 	}
 	active = kernels[len(kernels)-1]
@@ -180,6 +201,44 @@ func DotRowsMany(out []float64, rows []float32, d int, vs [][]float32) {
 	active.dotRowsMany(out, rows, d, vs)
 }
 
+// DotRowsF16 is DotRows over binary16 directions: out[i] is the inner
+// product of q with row i of the row-major matrix rows (row i occupies
+// rows[i*d : (i+1)*d], each element a binary16 value as HalfToFloat32
+// reads it), accumulated in eight float32 lanes (see the contract at the
+// top of this file) and widened to float64. It is the query and insert
+// projection of a hash family; the AVX2 kernel runs four rows at a time.
+func DotRowsF16(out []float64, rows []uint16, d int, q []float32) {
+	if len(q) != d {
+		panic(fmt.Sprintf("vec: DotRowsF16 query dim %d, want %d", len(q), d))
+	}
+	if len(rows) != len(out)*d {
+		panic(fmt.Sprintf("vec: DotRowsF16 matrix len %d, want %d rows of dim %d", len(rows), len(out), d))
+	}
+	active.dotRowsF16(out, rows, d, q)
+}
+
+// DotRowsManyF16 projects a block of vectors onto one binary16 matrix of m
+// = len(rows)/d rows: out[r*m+j] is out[j] of DotRowsF16(·, rows, d,
+// vs[r]), bit for bit. It is the build's projection; the AVX2 kernel runs
+// a tile of 4 vectors × 2 rows, which widens each direction block once for
+// four vectors, and a 1-3 vector remainder and an odd last row take the
+// per-row path.
+func DotRowsManyF16(out []float64, rows []uint16, d int, vs [][]float32) {
+	if d <= 0 || len(rows)%d != 0 {
+		panic(fmt.Sprintf("vec: DotRowsManyF16 matrix len %d is not whole rows of dim %d", len(rows), d))
+	}
+	m := len(rows) / d
+	if len(out) != len(vs)*m {
+		panic(fmt.Sprintf("vec: DotRowsManyF16 out len %d, want %d vectors × %d rows", len(out), len(vs), m))
+	}
+	for _, v := range vs {
+		if len(v) != d {
+			panic(fmt.Sprintf("vec: DotRowsManyF16 vector dim %d, want %d", len(v), d))
+		}
+	}
+	active.dotRowsManyF16(out, rows, d, vs)
+}
+
 // SqDist returns the squared Euclidean distance between a and b, with the
 // same 4-lane accumulation as Dot.
 func SqDist(a, b []float32) float64 {
@@ -255,6 +314,50 @@ func dotRowsManyVia(dotRows func(out []float64, rows []float32, d int, q []float
 		for r, v := range vs {
 			dotRows(out[r*m:(r+1)*m:(r+1)*m], rows, d, v)
 		}
+	}
+}
+
+// dotF16Generic is the portable binary16 projection of one row. The
+// explicit float32() conversions of every product are rounding barriers:
+// without them a compiler may fuse the multiply into the add.
+func dotF16Generic(h []uint16, q []float32) float32 {
+	q = q[:len(h)]
+	var s0, s1, s2, s3, s4, s5, s6, s7 float32
+	i := 0
+	for ; i+8 <= len(h); i += 8 {
+		s0 = s0 + float32(HalfToFloat32(h[i])*q[i])
+		s1 = s1 + float32(HalfToFloat32(h[i+1])*q[i+1])
+		s2 = s2 + float32(HalfToFloat32(h[i+2])*q[i+2])
+		s3 = s3 + float32(HalfToFloat32(h[i+3])*q[i+3])
+		s4 = s4 + float32(HalfToFloat32(h[i+4])*q[i+4])
+		s5 = s5 + float32(HalfToFloat32(h[i+5])*q[i+5])
+		s6 = s6 + float32(HalfToFloat32(h[i+6])*q[i+6])
+		s7 = s7 + float32(HalfToFloat32(h[i+7])*q[i+7])
+	}
+	return f16Finish([8]float32{s0, s1, s2, s3, s4, s5, s6, s7}, h[i:], q[i:])
+}
+
+// f16Finish completes one chain of a binary16 projection from its eight
+// lanes: the elements past the last whole block (h and q, in order) added
+// to lane 0, then the fixed reduction.
+func f16Finish(l [8]float32, h []uint16, q []float32) float32 {
+	s0 := l[0]
+	for i, x := range h {
+		s0 = s0 + float32(HalfToFloat32(x)*q[i])
+	}
+	return ((s0 + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+func dotRowsF16Generic(out []float64, rows []uint16, d int, q []float32) {
+	for i := range out {
+		out[i] = float64(dotF16Generic(rows[i*d:(i+1)*d:(i+1)*d], q))
+	}
+}
+
+func dotRowsManyF16Generic(out []float64, rows []uint16, d int, vs [][]float32) {
+	m := len(rows) / d
+	for r, v := range vs {
+		dotRowsF16Generic(out[r*m:(r+1)*m:(r+1)*m], rows, d, v)
 	}
 }
 

@@ -333,3 +333,174 @@ sq82loop:
 	VMOVUPD Y1, 32(DX)
 	VZEROUPPER
 	RET
+
+// Binary16 projection bodies. Each widens 8 binary16 directions at a time
+// to float32 with VCVTPH2PS (exact) and accumulates in 8 float32 lanes:
+// VMULPS rounds each product to float32 and VADDPS adds it, the portable
+// kernel's acc = acc + float32(h*q) lane for lane (never fused, see
+// kernel.go). Lane j of a chain holds elements j, j+8, ...; the Go
+// wrappers add the tail and reduce. Every row and vector pointer advances
+// by 16 bytes of directions and 32 bytes of float32 per block.
+
+// func dotF16BodyAVX2(h *uint16, q *float32, blocks int, acc *[8]float32)
+TEXT ·dotF16BodyAVX2(SB), NOSPLIT, $0-32
+	MOVQ h+0(FP), SI
+	MOVQ q+8(FP), R8
+	MOVQ blocks+16(FP), CX
+	MOVQ acc+24(FP), DX
+	XORQ BX, BX // byte offset into the row; q's is twice it
+	VXORPS Y0, Y0, Y0
+
+dotf16loop:
+	VCVTPH2PS (SI)(BX*1), Y1
+	VMULPS (R8)(BX*2), Y1, Y1
+	VADDPS Y1, Y0, Y0
+	ADDQ $16, BX
+	DECQ CX
+	JNZ  dotf16loop
+
+	VMOVUPS Y0, (DX)
+	VZEROUPPER
+	RET
+
+// func dot4F16BodyAVX2(rows *uint16, q *float32, stride, blocks int, acc *[32]float32)
+//
+// Four consecutive rows (stride bytes apart) against one query: four
+// independent chains (Y0..Y3) sharing each loaded query block, chain r in
+// acc[8*r:], each lane for lane the chain dotF16BodyAVX2 computes.
+TEXT ·dot4F16BodyAVX2(SB), NOSPLIT, $0-40
+	MOVQ rows+0(FP), SI
+	MOVQ q+8(FP), R8
+	MOVQ stride+16(FP), AX
+	MOVQ blocks+24(FP), CX
+	MOVQ acc+32(FP), DX
+	LEAQ (SI)(AX*1), DI  // row 1
+	LEAQ (DI)(AX*1), R9  // row 2
+	LEAQ (R9)(AX*1), R10 // row 3
+	XORQ BX, BX          // byte offset into every row; q's is twice it
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+dot4f16loop:
+	VMOVUPS (R8)(BX*2), Y4 // q
+	VCVTPH2PS (SI)(BX*1), Y5
+	VCVTPH2PS (DI)(BX*1), Y6
+	VCVTPH2PS (R9)(BX*1), Y7
+	VCVTPH2PS (R10)(BX*1), Y8
+	VMULPS Y4, Y5, Y5
+	VMULPS Y4, Y6, Y6
+	VMULPS Y4, Y7, Y7
+	VMULPS Y4, Y8, Y8
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y1, Y1
+	VADDPS Y7, Y2, Y2
+	VADDPS Y8, Y3, Y3
+	ADDQ $16, BX
+	DECQ CX
+	JNZ  dot4f16loop
+
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, 64(DX)
+	VMOVUPS Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// func dot4x2F16BodyAVX2(v0, v1, v2, v3 *float32, r0, r1 *uint16, blocks int, acc *[64]float32)
+//
+// Four vectors against two direction rows: eight independent chains,
+// chain 2*v+r in Y(2*v+r) and acc[16*v+8*r:], each lane for lane the chain
+// dotF16BodyAVX2 computes for that vector and row. Each row block is
+// widened once for the four vectors.
+TEXT ·dot4x2F16BodyAVX2(SB), NOSPLIT, $0-64
+	MOVQ v0+0(FP), SI
+	MOVQ v1+8(FP), DI
+	MOVQ v2+16(FP), R8
+	MOVQ v3+24(FP), R9
+	MOVQ r0+32(FP), R10
+	MOVQ r1+40(FP), R11
+	MOVQ blocks+48(FP), CX
+	MOVQ acc+56(FP), DX
+	XORQ BX, BX // byte offset into both rows; the vectors' is twice it
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+dot4x2f16loop:
+	VCVTPH2PS (R10)(BX*1), Y8 // row 0
+	VCVTPH2PS (R11)(BX*1), Y9 // row 1
+	VMOVUPS (SI)(BX*2), Y10   // vector 0
+	VMOVUPS (DI)(BX*2), Y11   // vector 1
+	VMOVUPS (R8)(BX*2), Y12   // vector 2
+	VMOVUPS (R9)(BX*2), Y13   // vector 3
+	VMULPS Y8, Y10, Y14
+	VMULPS Y9, Y10, Y15
+	VADDPS Y14, Y0, Y0        // Y0 += vector 0 * row 0
+	VADDPS Y15, Y1, Y1
+	VMULPS Y8, Y11, Y14
+	VMULPS Y9, Y11, Y15
+	VADDPS Y14, Y2, Y2
+	VADDPS Y15, Y3, Y3
+	VMULPS Y8, Y12, Y14
+	VMULPS Y9, Y12, Y15
+	VADDPS Y14, Y4, Y4
+	VADDPS Y15, Y5, Y5
+	VMULPS Y8, Y13, Y14
+	VMULPS Y9, Y13, Y15
+	VADDPS Y14, Y6, Y6
+	VADDPS Y15, Y7, Y7
+	ADDQ $16, BX
+	DECQ CX
+	JNZ  dot4x2f16loop
+
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, 64(DX)
+	VMOVUPS Y3, 96(DX)
+	VMOVUPS Y4, 128(DX)
+	VMOVUPS Y5, 160(DX)
+	VMOVUPS Y6, 192(DX)
+	VMOVUPS Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// func halfFromFloat32sF16C(dst *uint16, src *float32, blocks int)
+//
+// VCVTPS2PH with rounding control 0 (nearest, ties to even) over blocks
+// of 8 values: the hardware reference the tests hold HalfFromFloat32 to.
+TEXT ·halfFromFloat32sF16C(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ blocks+16(FP), CX
+
+halfloop:
+	VMOVUPS (SI), Y0
+	VCVTPS2PH $0, Y0, X1
+	VMOVDQU X1, (DI)
+	ADDQ $32, SI
+	ADDQ $16, DI
+	DECQ CX
+	JNZ  halfloop
+
+	VZEROUPPER
+	RET
+
+// func prefetchN(ps *unsafe.Pointer, n int)
+TEXT ·prefetchN(SB), NOSPLIT, $0-16
+	MOVQ ps+0(FP), SI
+	MOVQ n+8(FP), CX
+
+pfnloop:
+	MOVQ (SI), AX
+	PREFETCHT0 (AX)
+	ADDQ $8, SI
+	DECQ CX
+	JNZ  pfnloop
+	RET

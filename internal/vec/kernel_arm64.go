@@ -35,6 +35,11 @@ func sqDistSQ82BodyNEON(c0, c1 *uint8, q, min, scale *float32, blocks int, acc *
 //go:noescape
 func prefetch2(p0, p1 unsafe.Pointer, n int)
 
+// prefetchN prefetches the cache line at each of the n addresses at ps.
+//
+//go:noescape
+func prefetchN(ps *unsafe.Pointer, n int)
+
 // The fixed-name body functions kernel_simd.go calls. They must stay thin
 // direct wrappers (inlined, statically resolved) so the //go:noescape on
 // the stubs above is visible at the shared wrappers' call sites — see the

@@ -245,3 +245,15 @@ sq82loop:
 	VST1.P [V0.D2, V1.D2], 32(R6)
 	VST1 [V16.D2, V17.D2], (R6)
 	RET
+
+// func prefetchN(ps *unsafe.Pointer, n int)
+TEXT ·prefetchN(SB), NOSPLIT, $0-16
+	MOVD ps+0(FP), R0
+	MOVD n+8(FP), R1
+
+pfnloop:
+	MOVD.P 8(R0), R2
+	PRFM (R2), PLDL1KEEP
+	SUBS $1, R1, R1
+	BNE  pfnloop
+	RET

@@ -3,6 +3,8 @@ package vec
 import (
 	"math"
 	"testing"
+
+	"bilsh/internal/xrand"
 )
 
 // Kernel equivalence suite: every SIMD kernel available on this machine
@@ -253,6 +255,114 @@ func TestKernelEquivalenceDotRowsMany(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// halfFill returns n binary16 directions rounded from adversarialFill's
+// values scaled into the binary16 range: subnormal, zero, negative and
+// ±65504-scale halves, and ordinary Gaussian-scale ones.
+func halfFill(n int, seed uint32) []uint16 {
+	hs := make([]uint16, n)
+	for i, x := range adversarialFill(n, seed) {
+		if math.Abs(float64(x)) > 1e4 {
+			x = float32(math.Mod(float64(x), 6e4))
+		}
+		hs[i] = HalfFromFloat32(x)
+	}
+	return hs
+}
+
+// f16Query returns a query of dimension d whose products with any
+// binary16 direction stay finite in float32.
+func f16Query(d int, seed uint32) []float32 {
+	q := adversarialFill(d, seed)
+	for i, x := range q {
+		if math.Abs(float64(x)) > 1e6 {
+			q[i] = float32(math.Mod(float64(x), 1e6))
+		}
+	}
+	return q
+}
+
+// TestKernelEquivalenceDotRowsF16 pins DotRowsF16 and DotRowsManyF16 on
+// every kernel (portable included) to the portable per-row projection:
+// d from 1 to 70 (every tail length against the 8-wide blocks, and the
+// body-less d < 8 case), 128 and 960, M of 1-5 and 16 (the 4-row body's
+// remainders and the tile's odd last row), 1-9 vectors (the tile twice
+// over and each 1-3 vector remainder), with the matrix and the vectors at
+// misaligned addresses.
+func TestKernelEquivalenceDotRowsF16(t *testing.T) {
+	for _, name := range KernelNames() {
+		t.Run(name, func(t *testing.T) {
+			for _, d := range dotRowsDims() {
+				for _, m := range []int{1, 2, 3, 4, 5, 16} {
+					rows := halfFill(m*d+1, 71+uint32(d*m))[1:]
+					backing := f16Query(9*(d+3), 73+uint32(d))
+					vs := make([][]float32, 9)
+					for r := range vs {
+						off := (r*7)%9*(d+3) + r%4
+						vs[r] = backing[off : off+d : off+d]
+					}
+					want := make([]float64, 9*m)
+					for i := range want {
+						want[i] = float64(dotF16Generic(rows[i%m*d:(i%m+1)*d], vs[i/m]))
+					}
+					for n := 1; n <= 9; n++ {
+						got := make([]float64, n*m)
+						one := make([]float64, n*m)
+						withKernel(t, name, func() {
+							DotRowsManyF16(got, rows, d, vs[:n])
+							for r, v := range vs[:n] {
+								DotRowsF16(one[r*m:(r+1)*m], rows, d, v)
+							}
+						})
+						for i := range got {
+							if math.Float64bits(one[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("d=%d M=%d vector %d row %d: %s DotRowsF16=%v, portable=%v (want bit-exact)", d, m, i/m, i%m, name, one[i], want[i])
+							}
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("d=%d M=%d vectors=%d out[%d]: %s DotRowsManyF16=%v, portable=%v (want bit-exact)", d, m, n, i, name, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDotF16LaneContract pins the portable binary16 projection to the
+// contract in kernel.go, written out element by element: eight float32
+// lanes, each product rounded before its add, the tail on lane 0, the
+// fixed reduction, and only then the widening to float64.
+func TestDotF16LaneContract(t *testing.T) {
+	rng := xrand.New(9)
+	for i, d := range []int{1, 7, 8, 9, 23, 64, 960, 8, 23, 64, 960} {
+		// Adversarial values first, then Gaussian ones, whose sums round
+		// at almost every add.
+		h := halfFill(d, 91+uint32(d))
+		q := f16Query(d, 97+uint32(d))
+		if i >= 7 {
+			for j, x := range rng.GaussianVec(d) {
+				h[j] = HalfFromFloat32(x)
+			}
+			q = rng.GaussianVec(d)
+		}
+		var l [8]float32
+		for i := 0; i < d&^7; i++ {
+			p := HalfToFloat32(h[i]) * q[i]
+			l[i%8] = l[i%8] + p
+		}
+		for i := d &^ 7; i < d; i++ {
+			p := HalfToFloat32(h[i]) * q[i]
+			l[0] = l[0] + p
+		}
+		want := float64(((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])))
+		out := make([]float64, 1)
+		DotRowsF16(out, h, d, q)
+		if math.Float64bits(out[0]) != math.Float64bits(want) {
+			t.Fatalf("d=%d: DotRowsF16=%v, contract=%v", d, out[0], want)
+		}
 	}
 }
 

@@ -9,5 +9,5 @@ import "unsafe"
 // The portable kernel carries the load.
 func archKernels() []*kernel { return nil }
 
-// Prefetch is a no-op without assembly; see kernel_simd.go.
-func Prefetch(unsafe.Pointer) {}
+// PrefetchBlock is a no-op without assembly; see kernel_simd.go.
+func PrefetchBlock([]unsafe.Pointer) {}

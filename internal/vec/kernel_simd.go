@@ -18,7 +18,7 @@ import "unsafe"
 //
 // Each architecture provides dotBody / dot4Body / sqDistBody / sqDist2Body
 // / sq8Body / sq82Body as direct (statically resolvable) calls into its
-// assembly stubs, plus the prefetch2 stub. Direct calls matter: the stubs
+// assembly stubs, plus the prefetch2 and prefetchN stubs. Direct calls matter: the stubs
 // are marked //go:noescape, and the compiler only honors that at a static
 // call site. Routing the bodies
 // through func values (an earlier draft used a struct of func fields)
@@ -64,11 +64,17 @@ const (
 	prefetchMaxBytes = 512
 )
 
-// Prefetch hints that the cache line holding *p is about to be read. It is
-// for callers outside this package that know a block of dependent random
-// loads in advance (the bucket index's block lookup); it never faults,
-// changes no result, and is a no-op where there is no assembly.
-func Prefetch(p unsafe.Pointer) { prefetch2(p, p, 1) }
+// PrefetchBlock hints that the cache line holding each address of ps is
+// about to be read, in one call into the assembly stub, so a caller with
+// many hints pays one call, not one per address. It is for callers outside
+// this package that know a block of dependent random loads in advance (the
+// bucket index's block lookup); it never faults, changes no result, and is
+// a no-op where there is no assembly.
+func PrefetchBlock(ps []unsafe.Pointer) {
+	if len(ps) > 0 {
+		prefetchN(&ps[0], len(ps))
+	}
+}
 
 // newSIMDKernel builds the architecture's kernel under its display name.
 func newSIMDKernel(name string) *kernel {

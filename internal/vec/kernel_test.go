@@ -313,6 +313,77 @@ func BenchmarkDotRowsMany(b *testing.B) {
 	})
 }
 
+// BenchmarkDotRowsF16 is the projection over binary16 directions on the
+// shape of hash-10k-d960 (M = 16, d = 960): one table's matrix hot and
+// cycled through 32 tables' worth, as BenchmarkDotRows runs the float32
+// kernel, and "query": one query's whole projection, the 32 tables called
+// in turn as the probe loop calls Family.Project, beside the same
+// pattern over float32 directions ("query-f32"). MB/s counts the
+// direction bytes each side reads.
+func BenchmarkDotRowsF16(b *testing.B) {
+	const m, d, tables = 16, 960, 32
+	q := fill(d, 23)
+	out := make([]float64, m)
+	all32 := fill(tables*m*d, 31)
+	all := make([]uint16, len(all32))
+	for i, x := range all32 {
+		all[i] = HalfFromFloat32(x)
+	}
+	forEachKernel(b, "hot", m*d*2, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			DotRowsF16(out, all[:m*d], d, q)
+		}
+	})
+	forEachKernel(b, "cycled", m*d*2, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t := i % tables
+			DotRowsF16(out, all[t*m*d:(t+1)*m*d], d, q)
+		}
+	})
+	forEachKernel(b, "query", tables*m*d*2, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for t := 0; t < tables; t++ {
+				DotRowsF16(out, all[t*m*d:(t+1)*m*d], d, q)
+			}
+		}
+	})
+	forEachKernel(b, "query-f32", tables*m*d*4, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for t := 0; t < tables; t++ {
+				DotRows(out, all32[t*m*d:(t+1)*m*d], d, q)
+			}
+		}
+	})
+}
+
+// BenchmarkDotRowsManyF16 is BenchmarkDotRowsMany over binary16
+// directions: the build's tile against four DotRowsF16 calls.
+func BenchmarkDotRowsManyF16(b *testing.B) {
+	const m, d, n = 16, 960, 4
+	dirs := make([]uint16, m*d)
+	for i, x := range fill(m*d, 31) {
+		dirs[i] = HalfFromFloat32(x)
+	}
+	data := fill(n*d, 37)
+	vs := make([][]float32, n)
+	for r := range vs {
+		vs[r] = data[r*d : (r+1)*d]
+	}
+	out := make([]float64, n*m)
+	forEachKernel(b, "block", n*m*d*2, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			DotRowsManyF16(out, dirs, d, vs)
+		}
+	})
+	forEachKernel(b, "per-vector", n*m*d*2, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r, v := range vs {
+				DotRowsF16(out[r*m:(r+1)*m], dirs, d, v)
+			}
+		}
+	})
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

@@ -161,6 +161,21 @@ func (w *Writer) F32Block(xs []float32) {
 	}
 }
 
+// U16Block writes xs as fixed-width little-endian uint16s with no length
+// prefix: the reader knows the count from the section's shape (a hash
+// family's binary16 directions).
+func (w *Writer) U16Block(xs []uint16) {
+	for len(xs) > 0 && w.err == nil {
+		b := w.space()
+		k := min(len(xs), len(b)/2)
+		for i, x := range xs[:k] {
+			binary.LittleEndian.PutUint16(b[2*i:], x)
+		}
+		w.write(b[:2*k])
+		xs = xs[k:]
+	}
+}
+
 // putF32s encodes xs into b, 4 bytes each. The loop is unrolled by four,
 // which more than doubles its speed; the rows of an index are most of its
 // bytes.
@@ -425,6 +440,21 @@ func (r *Reader) F32Block(xs []float32) {
 		}
 		k := len(b) / 4
 		getF32s(xs[:k], b)
+		xs = xs[k:]
+	}
+}
+
+// U16Block fills xs with fixed-width uint16s written by Writer.U16Block.
+func (r *Reader) U16Block(xs []uint16) {
+	for len(xs) > 0 {
+		b := r.next(2 * len(xs))
+		if b == nil {
+			return
+		}
+		k := len(b) / 2
+		for i := range xs[:k] {
+			xs[i] = binary.LittleEndian.Uint16(b[2*i:])
+		}
 		xs = xs[k:]
 	}
 }

@@ -49,3 +49,38 @@ func TestWordsTruncated(t *testing.T) {
 		t.Fatalf("truncated payload decoded as %v with err %v", out, r.Err())
 	}
 }
+
+// TestU16BlockRoundTrip covers the block across several chunks of the
+// bulk buffer, its fixed width and a truncated payload.
+func TestU16BlockRoundTrip(t *testing.T) {
+	in := make([]uint16, 3*chunkSize/2+5)
+	for i := range in {
+		in[i] = uint16(i*40503 + 7)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U16Block(in)
+	w.U16Block(nil)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.Len(), 2*len(in); got != want {
+		t.Fatalf("encoded %d bytes, want %d (fixed width, no prefix)", got, want)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	out := make([]uint16, len(in))
+	r.U16Block(out)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		if out[i] != in[i] {
+			t.Fatalf("element %d = %#x, want %#x", i, out[i], in[i])
+		}
+	}
+	r = NewReader(bytes.NewReader(buf.Bytes()[:buf.Len()-1]))
+	r.U16Block(out)
+	if r.Err() == nil {
+		t.Fatal("truncated block decoded without error")
+	}
+}
