@@ -164,6 +164,9 @@ linkcheck:
 # against key by key over cycled (cold) tables. BenchmarkCompress64Block
 # is the block's key folding alone: four interleaved chains against one
 # key at a time.
+# BenchmarkCandidateUnion is the candidate union alone (mark every
+# posting, drain once) on the probe and scan workloads' bucket mixes and
+# at n = 1M, where the drain reads a 125 KB bitset.
 # BenchmarkBuild and BenchmarkCompact are the write side: the index shapes
 # of the repository benchmark's workloads, each at GOMAXPROCS 1 and 2, so
 # allocs/op and the scaling with a second core are on record without the
@@ -171,7 +174,7 @@ linkcheck:
 # shapes alone, at the same two GOMAXPROCS.
 bench:
 	$(GO) test ./internal/core ./internal/vec ./internal/multiprobe ./internal/lshtable ./internal/cuckoo ./internal/rptree -run '^$$' \
-		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkCompress64Block|BenchmarkBuild$$|BenchmarkCompact$$|BenchmarkRPTreeBuild' \
+		-bench 'BenchmarkQueryModes|BenchmarkGather|BenchmarkRank|BenchmarkCandidateList|BenchmarkCandidateUnion|BenchmarkQueryBatchParallel|BenchmarkDot|BenchmarkSqDist|BenchmarkRingProbesInto|BenchmarkBucketLookupBlock|BenchmarkCompress64Block|BenchmarkBuild$$|BenchmarkCompact$$|BenchmarkRPTreeBuild' \
 		-benchmem -count=1 -json > BENCH_query.json
 	@echo "wrote BENCH_query.json"
 

@@ -600,8 +600,9 @@ func TestCompactEquivalentToFreshBuild(t *testing.T) {
 // refGatherHamming is the Hamming gather as it was before every probe mode
 // and both metrics went through one per-table key-block walk: the home key
 // and then each flipped key looked up on its own with BucketBytes. It is
-// kept verbatim but for the stage timers and the flip buffers, which were
-// scratch fields, as the oracle for the unified loop.
+// kept verbatim but for the stage timers, the flip buffers, which were
+// scratch fields, and the union (refAdd, then one drain, where the old
+// rank sorted), as the oracle for the unified loop.
 func refGatherHamming(sn *snapshot, q []float32, rp *resolvedPlan, mode ProbeMode, s *scratch) PlanStats {
 	gi := sn.groupOf(q)
 	g := sn.groups[gi]
@@ -611,13 +612,14 @@ func refGatherHamming(sn *snapshot, q []float32, rp *resolvedPlan, mode ProbeMod
 		ResolvedProbes: rp.probes,
 	}
 	stats := &ps.QueryStats
-	s.begin(sn)
+	term := rp.term()
+	s.begin(sn, term)
+	s.cands = s.cands[:0]
 
 	// One sketch serves every table; margins are computed unconditionally
 	// (one store per plane) so single- and multiprobe share the code path.
 	sn.sketcher.SketchWithMargins(q, s.qbits, s.qmarg)
 
-	term := rp.term()
 	var ts termState
 	stop := false
 	var key []byte
@@ -626,7 +628,7 @@ func refGatherHamming(sn *snapshot, q []float32, rp *resolvedPlan, mode ProbeMod
 		key = g.bsamp.AppendKey(key[:0], t, s.qbits)
 
 		stats.Probes++
-		sn.addCandidates(s, stats, g.tables[t].BucketBytes(key))
+		refAdd(sn, s, stats, g.tables[t].BucketBytes(key))
 		stop = term && rp.stop(&ts, len(s.cands))
 
 		if mode == ProbeMulti && rp.probes > 1 && !stop {
@@ -635,7 +637,25 @@ func refGatherHamming(sn *snapshot, q []float32, rp *resolvedPlan, mode ProbeMod
 	}
 	ps.TerminatedEarly = stop
 	stats.Candidates = len(s.cands)
+	s.drain() // leaves s.cands ascending for rankHamming
 	return ps
+}
+
+// refAdd is the test-and-append union the gather ran before mark-then-drain:
+// each live id counts as scanned and is appended to s.cands when its bit
+// in s.seen was clear, so len(s.cands) is the running distinct count.
+func refAdd(sn *snapshot, s *scratch, stats *QueryStats, ids []int) {
+	for _, id := range ids {
+		if sn.isDeleted(id) {
+			continue
+		}
+		stats.Scanned++
+		w, m := uint32(id)>>6, uint64(1)<<(uint32(id)&63)
+		if s.seen[w]&m == 0 {
+			s.seen[w] |= m
+			s.cands = append(s.cands, int32(id))
+		}
+	}
 }
 
 // refProbeHammingFlips runs table t's perturbation sequence: key bits sorted
@@ -672,7 +692,7 @@ func refProbeHammingFlips(sn *snapshot, s *scratch, stats *QueryStats, g *group,
 		flipKey[j>>3] ^= 1 << (uint(j) & 7)
 		stats.Probes++
 		probed++
-		sn.addCandidates(s, stats, g.tables[t].BucketBytes(flipKey))
+		refAdd(sn, s, stats, g.tables[t].BucketBytes(flipKey))
 		if term && rp.stop(ts, len(s.cands)) {
 			return true
 		}
@@ -685,7 +705,7 @@ func refProbeHammingFlips(sn *snapshot, s *scratch, stats *QueryStats, g *group,
 			flipKey[jb>>3] ^= 1 << (uint(jb) & 7)
 			stats.Probes++
 			probed++
-			sn.addCandidates(s, stats, g.tables[t].BucketBytes(flipKey))
+			refAdd(sn, s, stats, g.tables[t].BucketBytes(flipKey))
 			if term && rp.stop(ts, len(s.cands)) {
 				return true
 			}

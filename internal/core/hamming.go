@@ -74,12 +74,11 @@ func (s *scratch) flipKeys(bs *lshfunc.BitSampler, t, n int) int {
 // flipBit flips bit j of a packed bit-sampling key.
 func flipBit(key []byte, j int) { key[j>>3] ^= 1 << (uint(j) & 7) }
 
-// rankHamming ranks the gathered candidates by exact Hamming distance to
+// rankHamming ranks the drained candidates by exact Hamming distance to
 // the query sketch left in s.qbits by gatherPlan. Like rankWith, the
 // scan walks candidates in ascending id order and only the two result
 // slices allocate.
 func (sn *snapshot) rankHamming(k int, s *scratch) knn.Result {
-	s.sortCands()
 	h := s.topK(k)
 	if cap(s.dists) < len(s.cands) {
 		s.dists = make([]float64, len(s.cands))

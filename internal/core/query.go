@@ -26,7 +26,7 @@ type StageTimings struct {
 	// Probe covers p-stable projections, lattice decoding and probe
 	// sequence generation across all L tables.
 	Probe time.Duration
-	// Scan covers bucket lookups and the candidate-set union.
+	// Scan covers bucket lookups and the candidate-set union and drain.
 	Scan time.Duration
 	// Rank covers exact distances over the short list and the top-k
 	// merge (zero for CandidateList, which stops before ranking).
@@ -40,7 +40,7 @@ type QueryStats struct {
 	// Candidates is |A(v)|: the number of distinct short-list candidates,
 	// the numerator of the selectivity (Eq. 5).
 	Candidates int
-	// Scanned counts bucket entries before deduplication.
+	// Scanned counts live bucket entries walked, before deduplication.
 	Scanned int
 	// Probes is the number of bucket lookups performed.
 	Probes int
@@ -62,7 +62,7 @@ type QueryStats struct {
 // CheckVector first, as the HTTP handlers do.
 //
 // The hot path is allocation-free in steady state: per-query scratch state
-// (projection and key buffers, the stamped dedup array, the top-k heap) is
+// (projection and key buffers, the dedup bitset, the top-k heap) is
 // drawn from a pool, and only the returned result slices are allocated.
 func (ix *Index) Query(q []float32, k int) (knn.Result, QueryStats) {
 	sn := ix.loadSnap()
@@ -112,7 +112,7 @@ func (ix *Index) QueryPlan(q []float32, p Plan) (knn.Result, PlanStats) {
 // queryPlan is the single execution core every public query entry point
 // funnels through: gather under the resolved plan, rank, record.
 func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Result, PlanStats) {
-	s.begin(sn)
+	s.begin(sn, rp.term())
 	start := time.Now()
 	ps, rankStart := sn.gatherFrom(q, rp, s, start)
 	res := sn.rankWith(q, rp.k, rp.rerank, s)
@@ -135,13 +135,14 @@ func (sn *snapshot) queryPlan(q []float32, rp *resolvedPlan, s *scratch) (knn.Re
 // rp.hierMin ids (2k when unset). Probe time is producing the block, Scan
 // time resolving and walking it.
 //
-// When the plan arms early termination (rp.term()), the shortlist plateau
-// is checked after every key and the loop stops as soon as a trigger
-// fires; the default plan arms nothing. All cross-table state lives in the
-// scratch (dedup bitset, candidate list) and the plateau counter in ts, so
-// a stopped loop holds exactly the union of the buckets it walked.
+// Buckets go into the dedup bitset through union; the last table's scan
+// drains it into s.cands. When the plan arms early termination
+// (rp.term()), union counts distinct ids, the plateau is checked after
+// every key and the loop stops as soon as a trigger fires; the default
+// plan arms and counts nothing. A stopped loop holds exactly the union of
+// the buckets it walked.
 func (sn *snapshot) gatherPlan(q []float32, rp *resolvedPlan, s *scratch) PlanStats {
-	s.begin(sn)
+	s.begin(sn, rp.term())
 	ps, _ := sn.gatherFrom(q, rp, s, time.Now())
 	return ps
 }
@@ -198,7 +199,7 @@ func (sn *snapshot) gatherFrom(q []float32, rp *resolvedPlan, s *scratch, start 
 				s.hierIDs, level = g.e8H[t].AppendCandidates(s.hierIDs[:0], s.code, floor, &s.hier)
 			}
 			stats.HierarchyLevel = max(stats.HierarchyLevel, level)
-			sn.addCandidates32(s, stats, s.hierIDs)
+			union(s, stats, s.hierIDs)
 			// Overlay inserts are only reachable through their exact
 			// bucket key until Compact folds them into the hierarchy.
 			s.ords = append(s.ords[:0], lshtable.NoBucket)
@@ -209,13 +210,16 @@ func (sn *snapshot) gatherFrom(q []float32, rp *resolvedPlan, s *scratch, start 
 			stats.Probes++
 			if b != lshtable.NoBucket {
 				_, ids := g.tables[t].BucketByOrdinal(int(b))
-				sn.addCandidates(s, stats, ids)
+				union(s, stats, ids)
 			}
 			sn.addOverlayCandidates(s, stats, gi, t, s.keys[p*keyLen:(p+1)*keyLen])
-			if term && rp.stop(&ts, len(s.cands)) {
+			if term && rp.stop(&ts, s.distinct) {
 				ps.TerminatedEarly = true
 				break
 			}
+		}
+		if ps.TerminatedEarly || t+1 == rp.tables {
+			s.drain()
 		}
 		now = time.Now()
 		stats.Timings.Scan += now.Sub(mark)
@@ -254,7 +258,6 @@ func (ix *Index) CandidateList(q []float32) ([]int, QueryStats) {
 	st := sn.gatherPlan(q, &rp, s).QueryStats
 	metCandLists.Inc()
 	recordStages(&st)
-	s.sortCands()
 	ids := make([]int, len(s.cands))
 	for i, id := range s.cands {
 		ids[i] = int(id)
@@ -296,17 +299,16 @@ func (ix *Index) ExactKNN(q []float32, k int) knn.Result {
 	return r
 }
 
-// rankWith is the serial short-list search over the candidate set in
+// rankWith is the serial short-list search over the drained list in
 // s.cands, with a per-plan re-rank factor override (0 keeps the index
 // default; only meaningful under SQ8 quantization). Candidates are ranked
-// in ascending id order: ids index a contiguous row-major matrix, so the
-// scan walks memory forward (the linear-array layout of Section V-A) and
-// the result is independent of collection order.
+// in ascending id order, as drained: ids index a contiguous row-major
+// matrix, so the scan walks memory forward (the linear-array layout of
+// Section V-A) and the result is independent of collection order.
 func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result {
 	if sn.sketches != nil {
 		return sn.rankHamming(k, s)
 	}
-	s.sortCands()
 	h := s.topK(k)
 
 	// Batch the base-matrix distances (ids below data.N, a sorted prefix

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bilsh/internal/vec"
@@ -132,6 +133,70 @@ func BenchmarkCandidateList(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ix.CandidateList(qs.Row(i % qs.N))
 	}
+}
+
+// BenchmarkCandidateUnion prices the candidate union alone — begin, union
+// over every bucket a query walks, drain — on synthetic bucket histories
+// shaped like the repository benchmark's: n = 100k with the probe
+// workload's mix (1 024 lookups, 13 216 entries, 2 651 distinct ids), n =
+// 60k with the scan workload's (160 lookups, 12 203 entries, 1 618
+// distinct) and the probe mix at n = 1M, where the drain reads 15 625
+// words. "count" is the form plans that arm early termination run.
+func BenchmarkCandidateUnion(b *testing.B) {
+	shapes := []struct {
+		name                        string
+		n, buckets, entries, unique int
+	}{
+		{"probe-100k", 100_000, 1024, 13216, 2651},
+		{"scan-60k", 60_000, 160, 12203, 1618},
+		{"probe-1M", 1_000_000, 1024, 13216, 2651},
+	}
+	for _, sh := range shapes {
+		rng := xrand.New(49)
+		hists := make([][][]int, 16)
+		for h := range hists {
+			hists[h] = unionBuckets(rng, sh.n, sh.buckets, sh.entries, sh.unique)
+		}
+		sn := &snapshot{data: &vec.Matrix{N: sh.n, D: 1}}
+		for _, count := range []bool{false, true} {
+			name := sh.name + "/mark"
+			if count {
+				name = sh.name + "/count"
+			}
+			b.Run(name, func(b *testing.B) {
+				s := &scratch{}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var st QueryStats
+					s.begin(sn, count)
+					for _, ids := range hists[i%len(hists)] {
+						union(s, &st, ids)
+					}
+					s.drain()
+				}
+			})
+		}
+	}
+}
+
+// unionBuckets draws one query's bucket history over ids [0, n): unique
+// distinct ids, each posted at least once, spread with repeats over
+// entries postings in buckets lookups, each bucket sorted as a table's
+// postings are.
+func unionBuckets(rng *xrand.RNG, n, buckets, entries, unique int) [][]int {
+	ids := rng.Sample(n, unique)
+	post := append([]int(nil), ids...)
+	for len(post) < entries {
+		post = append(post, ids[rng.Intn(unique)])
+	}
+	rng.Shuffle(len(post), func(i, j int) { post[i], post[j] = post[j], post[i] })
+	out := make([][]int, buckets)
+	for bi := range out {
+		out[bi] = post[bi*entries/buckets : (bi+1)*entries/buckets]
+		slices.Sort(out[bi])
+	}
+	return out
 }
 
 // benchGather and benchRank adapt the unexported hot-path internals for

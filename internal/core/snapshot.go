@@ -152,10 +152,9 @@ func (sn *snapshot) overlayGroupCounts() []int {
 	return counts
 }
 
-// addOverlayCandidates collects overlay ids whose bucket matches the
-// lattice key, walking frozen segments in seal order
-// and then the active memtable, which preserves global insertion order —
-// the same order the single pre-snapshot overlay map produced.
+// addOverlayCandidates adds to the candidate set (union) the overlay ids
+// whose bucket matches the lattice key, in every frozen segment and the
+// active memtable.
 func (sn *snapshot) addOverlayCandidates(s *scratch, st *QueryStats, gi, t int, key []byte) {
 	memN := sn.mem.len()
 	if sn.frozenN == 0 && memN == 0 {
@@ -165,12 +164,12 @@ func (sn *snapshot) addOverlayCandidates(s *scratch, st *QueryStats, gi, t int, 
 	s.okey = append(s.okey, key...)
 	for _, seg := range sn.frozen {
 		if ids := seg.buckets[string(s.okey)]; len(ids) > 0 {
-			sn.addCandidates32(s, st, ids)
+			union(s, st, ids)
 		}
 	}
 	if memN > 0 {
 		if ids := sn.mem.bucket(s.okey); len(ids) > 0 {
-			sn.addCandidates32(s, st, ids)
+			union(s, st, ids)
 		}
 	}
 }

@@ -64,7 +64,7 @@ type Family struct {
 
 // NewFamily draws a fresh family for d-dimensional data. Table t draws
 // from rng.Split(t) its M float32 Gaussian directions, each component
-// rounded to the nearest binary16 (vec.HalfFromFloat32), then its M
+// rounded to the nearest binary16 (vec.HalfsFromFloat32s), then its M
 // offsets.
 func NewFamily(d int, p Params, rng *xrand.RNG) (*Family, error) {
 	if err := p.Validate(); err != nil {
@@ -78,7 +78,7 @@ func NewFamily(d int, p Params, rng *xrand.RNG) (*Family, error) {
 	for t := 0; t < p.L; t++ {
 		g := rng.Split(int64(t))
 		for i := 0; i < p.M; i++ {
-			roundHalves(f.dirs(t)[i*d:(i+1)*d], g.GaussianVec(d))
+			vec.HalfsFromFloat32s(f.dirs(t)[i*d:(i+1)*d], g.GaussianVec(d))
 		}
 		b := f.offsets(t)
 		for i := range b {
@@ -86,13 +86,6 @@ func NewFamily(d int, p Params, rng *xrand.RNG) (*Family, error) {
 		}
 	}
 	return f, nil
-}
-
-// roundHalves rounds each of src to binary16 into dst.
-func roundHalves(dst []uint16, src []float32) {
-	for i, x := range src {
-		dst[i] = vec.HalfFromFloat32(x)
-	}
 }
 
 // dirs returns table t's M×D direction matrix.

@@ -185,7 +185,7 @@ func decodeFamilyV1(r *wire.Reader) (*Family, error) {
 		// Grown table by table: every matrix appended was in the input.
 		start := len(f.a)
 		f.a = append(f.a, make([]uint16, len(a.Data))...)
-		roundHalves(f.a[start:], a.Data)
+		vec.HalfsFromFloat32s(f.a[start:], a.Data)
 		f.bFrac = append(f.bFrac, b...)
 	}
 	return f, nil

@@ -73,3 +73,13 @@ func HalfFromFloat32(f float32) uint16 {
 	// 16 lands on the Inf encoding.
 	return sign | uint16(uint32(e+14)<<10+kept)
 }
+
+// HalfsFromFloat32s rounds each src[i] into dst[i] as HalfFromFloat32
+// does, eight at a time with VCVTPS2PH where the CPU has F16C (amd64).
+// dst must be at least as long as src.
+func HalfsFromFloat32s(dst []uint16, src []float32) {
+	dst = dst[:len(src)]
+	for i := halfsFromFloat32sArch(dst, src); i < len(src); i++ {
+		dst[i] = HalfFromFloat32(src[i])
+	}
+}

@@ -139,3 +139,33 @@ func TestHalfFromFloat32MatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestHalfsFromFloat32sMatchesScalar holds the batch converter (VCVTPS2PH
+// blocks of eight where the CPU has F16C, then a scalar tail) to
+// HalfFromFloat32 element by element, at every length up to 40 and
+// every start offset in a block, over halfProbeValues and arbitrary bit
+// patterns.
+func TestHalfsFromFloat32sMatchesScalar(t *testing.T) {
+	xs := halfProbeValues()
+	for i := uint32(0); len(xs) < 4096; i++ {
+		xs = append(xs, math.Float32frombits(i*0x9e3779b9))
+	}
+	for off := 0; off < 8; off++ {
+		for n := 0; n <= 40; n++ {
+			for at := off; at+n <= len(xs); at += 97 {
+				src := xs[at : at+n]
+				dst := make([]uint16, n+1)
+				dst[n] = 0xdead
+				HalfsFromFloat32s(dst, src)
+				for i, f := range src {
+					if want := HalfFromFloat32(f); dst[i] != want {
+						t.Fatalf("len %d at %d: [%d] = %#04x, HalfFromFloat32(%#08x) = %#04x", n, at, i, dst[i], math.Float32bits(f), want)
+					}
+				}
+				if dst[n] != 0xdead {
+					t.Fatalf("len %d at %d: wrote past len(src)", n, at)
+				}
+			}
+		}
+	}
+}

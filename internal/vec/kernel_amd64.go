@@ -70,8 +70,8 @@ func dot4F16BodyAVX2(rows *uint16, q *float32, stride, blocks int, acc *[32]floa
 func dot4x2F16BodyAVX2(v0, v1, v2, v3 *float32, r0, r1 *uint16, blocks int, acc *[64]float32)
 
 // halfFromFloat32sF16C converts blocks·8 float32 values at src to binary16
-// at dst with VCVTPS2PH (round to nearest even). Only the tests call it,
-// to hold HalfFromFloat32 to the hardware; it needs F16C.
+// at dst with VCVTPS2PH (round to nearest even); it needs F16C and
+// blocks > 0.
 //
 //go:noescape
 func halfFromFloat32sF16C(dst *uint16, src *float32, blocks int)
@@ -138,6 +138,18 @@ func archKernels() []*kernel {
 		k.dotRowsManyF16 = avx2DotRowsManyF16
 	}
 	return []*kernel{k}
+}
+
+// halfsFromFloat32sArch converts the leading whole blocks of eight of src
+// into dst with VCVTPS2PH when the CPU has F16C, and returns how many
+// values it converted.
+func halfsFromFloat32sArch(dst []uint16, src []float32) int {
+	blocks := len(src) >> 3
+	if !hasF16C || blocks == 0 {
+		return 0
+	}
+	halfFromFloat32sF16C(&dst[0], &src[0], blocks)
+	return blocks << 3
 }
 
 // avx2DotRowsMany runs DotRowsMany in tiles of 4 vectors × 2 rows. Each

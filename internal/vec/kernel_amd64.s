@@ -474,7 +474,8 @@ dot4x2f16loop:
 // func halfFromFloat32sF16C(dst *uint16, src *float32, blocks int)
 //
 // VCVTPS2PH with rounding control 0 (nearest, ties to even) over blocks
-// of 8 values: the hardware reference the tests hold HalfFromFloat32 to.
+// of 8 values: HalfsFromFloat32s's body, and the hardware reference the
+// tests hold HalfFromFloat32 to.
 TEXT ·halfFromFloat32sF16C(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI

@@ -71,3 +71,7 @@ func sq82Body(c0, c1 *uint8, q, min, scale *float32, blocks int, acc *[8]float64
 func archKernels() []*kernel {
 	return []*kernel{newSIMDKernel("neon")}
 }
+
+// halfsFromFloat32sArch converts nothing: HalfsFromFloat32s rounds every
+// value with HalfFromFloat32.
+func halfsFromFloat32sArch([]uint16, []float32) int { return 0 }

@@ -11,3 +11,7 @@ func archKernels() []*kernel { return nil }
 
 // PrefetchBlock is a no-op without assembly; see kernel_simd.go.
 func PrefetchBlock([]unsafe.Pointer) {}
+
+// halfsFromFloat32sArch converts nothing without assembly; see
+// kernel_amd64.go.
+func halfsFromFloat32sArch([]uint16, []float32) int { return 0 }
