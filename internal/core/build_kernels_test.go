@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -99,5 +101,71 @@ func TestBuildShapeDigests(t *testing.T) {
 				t.Errorf("WriteTo digest %s, pinned %s", got, buildShapeDigests[shape.name])
 			}
 		})
+	}
+}
+
+// buildDiskDigests are the SHA-256 digests of the files BuildDisk streams
+// from one fixed fvecs input and seed: a Z^M case (RP-tree, tuned widths,
+// SQ8 codes) and an E8 case (k-means, tuned widths, hierarchies). The
+// streamed build shares its level-1 and per-group construction with
+// Build, so a change to either must leave these files as they are. They
+// bind on amd64 only, like buildShapeDigests.
+var buildDiskDigests = map[string]string{
+	"ZM,rptree,tuned,SQ8":       "ceedb1613d847b009896eae955edda0234bf4fe4580cf2028042417c6bc447a9",
+	"E8,kmeans,tuned,hierarchy": "baaf0414b82a17e0778b1a47ebd16ea8d3ab28c7d6b80891bad7f322e0609f02",
+}
+
+func TestBuildDiskDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests pinned on amd64")
+	}
+	dataPath, _ := writeTestFvecs(t, 1500, 19, 41)
+	for name, opts := range map[string]Options{
+		"ZM,rptree,tuned,SQ8": {Partitioner: PartitionRPTree, Groups: 5, AutoTuneW: true,
+			Quantize: QuantizeSQ8, Params: lshfunc.Params{M: 6, L: 4, W: 1}},
+		"E8,kmeans,tuned,hierarchy": {Partitioner: PartitionKMeans, Groups: 4, AutoTuneW: true,
+			Lattice: LatticeE8, ProbeMode: ProbeHierarchy, Params: lshfunc.Params{M: 8, L: 3, W: 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "index.disk")
+			if _, err := BuildDisk(dataPath, out, opts, OutOfCoreConfig{SampleSize: 700}, xrand.New(13)); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != buildDiskDigests[name] {
+				t.Errorf("BuildDisk digest %s, pinned %s", got, buildDiskDigests[name])
+			}
+		})
+	}
+}
+
+// hammingBuildDigest is the SHA-256 digest of WriteTo of a MetricHamming
+// Build: the global sketches (lshfunc.Sketcher.SketchAll) and the
+// bit-sampling tables over them. d = 37 leaves a tail after every block
+// of four dimensions. It binds on amd64 only, like buildShapeDigests.
+const hammingBuildDigest = "6154a3ec49475ddd1dbacebdac9920dc9eee932a99adfefe4e9239a2390e1b34"
+
+func TestHammingBuildDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests pinned on amd64")
+	}
+	data := testData(t, 1200, 37, 43)
+	ix, err := Build(data, Options{
+		Metric: MetricHamming, Bits: 192, Partitioner: PartitionRPTree, Groups: 4,
+		ProbeMode: ProbeMulti, Params: lshfunc.Params{M: 12, L: 6},
+	}, xrand.New(47))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if _, err := ix.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != hammingBuildDigest {
+		t.Errorf("WriteTo digest %s, pinned %s", got, hammingBuildDigest)
 	}
 }
