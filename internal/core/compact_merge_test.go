@@ -56,10 +56,8 @@ func refCompactRebuild(t *testing.T, ix *Index) *Index {
 		if err := g.buildTables(s, g.members, func(i int) []float32 { return fresh.Row(g.members[i]) }); err != nil {
 			return fmt.Errorf("core: Compact group %d: %w", gi, err)
 		}
-		if opts.ProbeMode == ProbeHierarchy {
-			if err := buildGroupHierarchies(g, opts); err != nil {
-				return fmt.Errorf("core: group %d hierarchy: %w", gi, err)
-			}
+		if err := buildGroupHierarchies(g, opts); err != nil {
+			return fmt.Errorf("core: group %d hierarchy: %w", gi, err)
 		}
 		groups[gi] = g
 		return nil
@@ -68,7 +66,7 @@ func refCompactRebuild(t *testing.T, ix *Index) *Index {
 		t.Fatal(err)
 	}
 	quant := buildQuant(opts, fresh)
-	return newIndex(opts, fresh, quant, src.tree, src.km, groups)
+	return newIndex(opts, fresh, quant, src.level1, groups)
 }
 
 // compactHistory is a sequence of mutations, each batch ended by check,

@@ -74,7 +74,7 @@ func (ix *Index) Describe() Description {
 	d.MeanBucket, d.MaxBucket, d.CollisionMass = s.MeanBucket, s.MaxBucket, s.CollisionMass
 	d.PendingInserts = sn.frozenN + sn.mem.len()
 	d.PendingDeletes = sn.dead.count()
-	d.HierarchyStale = ix.opts.ProbeMode == ProbeHierarchy && sn.hasOverlay()
+	d.HierarchyStale = ix.opts.hierarchical() && sn.hasOverlay()
 	return d
 }
 

@@ -40,7 +40,7 @@ func (ix *Index) WriteDiskTo(f io.WriteSeeker) (int64, error) {
 	}
 	return writeDiskV3(f, &diskV3Source{
 		opts: ix.opts, n: sn.data.N, d: sn.data.D,
-		quant: sn.quant, tree: sn.tree, km: sn.km, groups: sn.groups,
+		quant: sn.quant, level1: sn.level1, groups: sn.groups,
 		rows: func(w io.Writer) error {
 			payload := make([]byte, 4*sn.data.D)
 			for i := 0; i < sn.data.N; i++ {

@@ -9,10 +9,8 @@ import (
 	"io"
 	"os"
 
-	"bilsh/internal/kmeans"
 	"bilsh/internal/lshtable"
 	"bilsh/internal/mmap"
-	"bilsh/internal/rptree"
 	"bilsh/internal/vec"
 	"bilsh/internal/wire"
 )
@@ -110,11 +108,10 @@ func alignPage(x int64) int64 { return (x + diskPage - 1) &^ (diskPage - 1) }
 // both WriteDiskTo (snapshot) and BuildDisk (streaming build) emit the
 // same image.
 type diskV3Source struct {
-	opts   Options
-	n, d   int
-	quant  *vec.QuantizedMatrix
-	tree   *rptree.Tree
-	km     *kmeans.Model
+	opts  Options
+	n, d  int
+	quant *vec.QuantizedMatrix
+	level1
 	groups []*group
 	// rows streams exactly 4·n·d bytes of little-endian float32 rows.
 	rows func(w io.Writer) error
@@ -190,7 +187,7 @@ func writeDiskV3(f io.WriteSeeker, src *diskV3Source) (int64, error) {
 		mw.F32s(src.quant.Min)
 		mw.F32s(src.quant.Scale)
 	}
-	writePartitioner(mw, src.tree, src.km)
+	writePartitioner(mw, src.level1)
 	mw.Int(len(src.groups))
 	for gi, g := range src.groups {
 		mw.U64(memberRefs[gi].off)
@@ -549,7 +546,7 @@ func buildFromLayout(blob []byte, lay *diskLayout, legacy bool) (*Index, error) 
 		quant = &vec.QuantizedMatrix{Codes: secSlice(blob, codesSec), N: n, D: d, Min: qmin, Scale: qscale}
 	}
 
-	tree, km, err := readPartitioner(rr)
+	l1, err := readPartitioner(rr)
 	if err != nil {
 		return nil, badLayout("partitioner: %v", err)
 	}
@@ -628,7 +625,7 @@ func buildFromLayout(blob []byte, lay *diskLayout, legacy bool) (*Index, error) 
 		return nil, badLayout("meta: %v", err)
 	}
 
-	if err := checkShapes(o, d, tree, km, groups); err != nil {
+	if err := checkShapes(o, d, l1, groups); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDiskLayout, err)
 	}
 	data := &vec.Matrix{Data: mmap.ViewFloat32s(secSlice(blob, rowsSec)), N: n, D: d}
@@ -637,10 +634,8 @@ func buildFromLayout(blob []byte, lay *diskLayout, legacy bool) (*Index, error) 
 			return nil, err
 		}
 	}
-	if o.ProbeMode == ProbeHierarchy {
-		if err := buildHierarchies(groups, o); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadDiskLayout, err)
-		}
+	if err := buildHierarchies(groups, o); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadDiskLayout, err)
 	}
-	return newIndex(o, data, quant, tree, km, groups), nil
+	return newIndex(o, data, quant, l1, groups), nil
 }

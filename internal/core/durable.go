@@ -438,8 +438,7 @@ func (d *DurableIndex) adoptMappedBase(path string) error {
 	next := cur.clone()
 	next.data = msn.data
 	next.quant = msn.quant
-	next.tree = msn.tree
-	next.km = msn.km
+	next.level1 = msn.level1
 	next.groups = msn.groups
 	next.mapped = m
 	ix.publish(next)

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/lshtable"
 	"bilsh/internal/vec"
 )
@@ -165,7 +165,7 @@ func (ix *Index) isDeleted(id int) bool { return ix.loadSnap().isDeleted(id) }
 // cover the base plane only, so this is equivalent to "overlay rows
 // exist"; Compact folds them in and clears the condition.
 func (ix *Index) HierarchyStale() bool {
-	return ix.opts.ProbeMode == ProbeHierarchy && ix.loadSnap().hasOverlay()
+	return ix.opts.hierarchical() && ix.loadSnap().hasOverlay()
 }
 
 // overlayBucket returns the overlay ids sharing a bucket key, oldest
@@ -286,7 +286,7 @@ func (ix *Index) compact() ([]int, error) {
 	// core: each worker writes the rows of its own block.
 	fresh := vec.NewMatrix(live, src.data.D)
 	routed := make([]int32, live)
-	forEachBlock(srcTotal, func(lo, hi int) {
+	chunk.Run(srcTotal, chunk.Count(srcTotal), func(_, lo, hi int) {
 		for id := lo; id < hi; id++ {
 			if nid := mapping[id]; nid >= 0 {
 				row := fresh.Row(nid)
@@ -307,13 +307,11 @@ func (ix *Index) compact() ([]int, error) {
 	opts := ix.opts
 	err := forEachGroup(members, func(s *hashScratch, gi int) error {
 		g, err := rb.mergeGroup(s, src.groups[gi], gi, members[gi])
+		if err == nil {
+			err = buildGroupHierarchies(g, opts)
+		}
 		if err != nil {
 			return fmt.Errorf("core: Compact group %d: %w", gi, err)
-		}
-		if opts.ProbeMode == ProbeHierarchy {
-			if err := buildGroupHierarchies(g, opts); err != nil {
-				return fmt.Errorf("core: group %d hierarchy: %w", gi, err)
-			}
 		}
 		groups[gi] = g
 		return nil
@@ -335,7 +333,7 @@ func (ix *Index) compact() ([]int, error) {
 	delta := live - srcTotal
 
 	next := &snapshot{
-		data: fresh, quant: quant, tree: src.tree, km: src.km, groups: groups,
+		data: fresh, quant: quant, level1: src.level1, groups: groups,
 	}
 	for _, seg := range cur.frozen[srcFrozen:] {
 		next.frozen = append(next.frozen, seg.shifted(delta))
@@ -367,22 +365,6 @@ func (ix *Index) compact() ([]int, error) {
 	// happens to land; collect it now, with no lock held.
 	runtime.GC()
 	return mapping, nil
-}
-
-// forEachBlock runs body over [0,n) cut into one contiguous block per
-// worker, on min(GOMAXPROCS, n) goroutines, and returns when every block is
-// done.
-func forEachBlock(n int, body func(lo, hi int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(n*w/workers, n*(w+1)/workers)
-	}
-	wg.Wait()
 }
 
 // groupMembers lists each group's ids, ascending, from the group of every
@@ -453,7 +435,7 @@ func (rb *rebase) mergeGroup(s *hashScratch, old *group, gi int, members []int) 
 // fold overlay inserts (those require Compact), so HierarchyStale persists
 // while overlay rows are pending.
 func (ix *Index) RebuildHierarchies() error {
-	if ix.opts.ProbeMode != ProbeHierarchy {
+	if !ix.opts.hierarchical() {
 		return nil
 	}
 	ix.mu.Lock()

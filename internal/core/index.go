@@ -3,12 +3,12 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/hierarchy"
 	"bilsh/internal/kmeans"
 	"bilsh/internal/lattice"
@@ -79,12 +79,11 @@ type group struct {
 }
 
 // newIndex wraps built structures into an Index with its first snapshot.
-func newIndex(opts Options, data *vec.Matrix, quant *vec.QuantizedMatrix,
-	tree *rptree.Tree, km *kmeans.Model, groups []*group) *Index {
+func newIndex(opts Options, data *vec.Matrix, quant *vec.QuantizedMatrix, l1 level1, groups []*group) *Index {
 	ix := &Index{opts: opts}
 	ix.snap.Store(&snapshot{
 		epoch: 1, opts: opts,
-		data: data, quant: quant, tree: tree, km: km, groups: groups,
+		data: data, quant: quant, level1: l1, groups: groups,
 	})
 	return ix
 }
@@ -129,34 +128,9 @@ func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 	if data.N == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-
-	// Level 1: partition.
-	var (
-		tree    *rptree.Tree
-		km      *kmeans.Model
-		members [][]int
-	)
-	switch opts.Partitioner {
-	case PartitionNone:
-		all := make([]int, data.N)
-		for i := range all {
-			all[i] = i
-		}
-		members = [][]int{all}
-	case PartitionRPTree:
-		var asg *rptree.Assignment
-		tree, asg = rptree.Build(data, rptree.Options{
-			Rule:        opts.RPRule,
-			Leaves:      opts.Groups,
-			MinLeafSize: opts.MinGroupSize,
-		}, rng.Split(1))
-		members = asg.Members
-	case PartitionKMeans:
-		var asg *kmeans.Assignment
-		km, asg = kmeans.Build(data, kmeans.Options{K: opts.Groups}, rng.Split(1))
-		members = asg.Members
-	default:
-		return nil, fmt.Errorf("core: unknown partitioner %v", opts.Partitioner)
+	l1, members, err := partition(data, opts, rng, 1)
+	if err != nil {
+		return nil, err
 	}
 
 	// Hamming plane: one global sketcher, every row sketched once. The
@@ -167,7 +141,6 @@ func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 		sketches *vec.BinaryMatrix
 	)
 	if opts.Metric == MetricHamming {
-		var err error
 		sk, err = lshfunc.NewSketcher(data.D, opts.Bits, rng.Split(3))
 		if err != nil {
 			return nil, err
@@ -175,16 +148,11 @@ func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 		sketches = sk.SketchAll(data)
 	}
 
-	// Level 2: per-group LSH tables. Splitting advances grng, so every
-	// group's stream is drawn here, in group order, before the groups are
-	// built in whatever order the workers reach them.
-	grng := rng.Split(2)
-	rngs := make([]*xrand.RNG, len(members))
-	for gi := range members {
-		rngs[gi] = grng.Split(int64(gi))
-	}
+	// Level 2: per-group LSH tables, every group's stream drawn before the
+	// groups are built in whatever order the workers reach them.
+	rngs := groupStreams(rng.Split(2), len(members))
 	groups := make([]*group, len(members))
-	err := forEachGroup(members, func(s *hashScratch, gi int) error {
+	err = forEachGroup(members, func(s *hashScratch, gi int) error {
 		g, err := buildGroup(data, sketches, members[gi], opts, rngs[gi], s)
 		if err != nil {
 			return fmt.Errorf("core: group %d: %w", gi, err)
@@ -195,13 +163,68 @@ func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndex(opts, data, buildQuant(opts, data), tree, km, groups)
+	ix := newIndex(opts, data, buildQuant(opts, data), l1, groups)
 	ix.attachHamming(sk, sketches)
 	return ix, nil
 }
 
+// level1 is an index's level-1 partitioner: an RP-tree, a k-means model,
+// or neither (PartitionNone: one group holds every row).
+type level1 struct {
+	tree *rptree.Tree
+	km   *kmeans.Model
+}
+
+// partition builds the level-1 partitioner opts names over data and
+// returns it with each group's rows. The RP-tree and k-means draw from
+// rng.Split(label); PartitionNone draws nothing, so rng is left as it was.
+func partition(data *vec.Matrix, opts Options, rng *xrand.RNG, label int64) (level1, [][]int, error) {
+	switch opts.Partitioner {
+	case PartitionNone:
+		all := make([]int, data.N)
+		for i := range all {
+			all[i] = i
+		}
+		return level1{}, [][]int{all}, nil
+	case PartitionRPTree:
+		tree, asg := rptree.Build(data, rptree.Options{
+			Rule:        opts.RPRule,
+			Leaves:      opts.Groups,
+			MinLeafSize: opts.MinGroupSize,
+		}, rng.Split(label))
+		return level1{tree: tree}, asg.Members, nil
+	case PartitionKMeans:
+		km, asg := kmeans.Build(data, kmeans.Options{K: opts.Groups}, rng.Split(label))
+		return level1{km: km}, asg.Members, nil
+	}
+	return level1{}, nil, fmt.Errorf("core: unknown partitioner %v", opts.Partitioner)
+}
+
+// groupOf routes a vector through level 1.
+func (l level1) groupOf(v []float32) int {
+	switch {
+	case l.tree != nil:
+		return l.tree.Leaf(v)
+	case l.km != nil:
+		return l.km.Assign(v)
+	default:
+		return 0
+	}
+}
+
+// groupStreams splits one stream per group from grng, in group order.
+// Splitting advances grng, so the streams are drawn before any group is
+// built.
+func groupStreams(grng *xrand.RNG, groups int) []*xrand.RNG {
+	rngs := make([]*xrand.RNG, groups)
+	for gi := range rngs {
+		rngs[gi] = grng.Split(int64(gi))
+	}
+	return rngs
+}
+
 // forEachGroup runs build(s, gi) once for every level-1 group, on
-// min(GOMAXPROCS, groups) goroutines that claim groups largest first, and
+// min(GOMAXPROCS, groups) workers that claim groups largest first, and
 // returns when all of them have. The groups share nothing (Section IV-A3:
 // each cell has its own W, family and tables), so build may write only what
 // belongs to group gi; s is the calling worker's scratch. A failure stops
@@ -215,31 +238,17 @@ func forEachGroup(members [][]int, build func(s *hashScratch, gi int) error) err
 	slices.SortStableFunc(order, func(a, b int) int {
 		return cmp.Compare(len(members[b]), len(members[a]))
 	})
-
-	var (
-		next atomic.Int64 // position in order of the next unclaimed group
-		wg   sync.WaitGroup
-		errs = make([]error, len(members))
-	)
-	for w := min(runtime.GOMAXPROCS(0), len(members)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s hashScratch
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(order) {
-					return
-				}
-				gi := order[i]
-				if errs[gi] = build(&s, gi); errs[gi] != nil {
-					next.Store(int64(len(order))) // no claim succeeds from here on
-					return
-				}
+	errs := make([]error, len(members))
+	chunk.Claim(len(order), runtime.GOMAXPROCS(0), func(_ int, next func() (int, bool)) error {
+		var s hashScratch
+		for i, ok := next(); ok; i, ok = next() {
+			gi := order[i]
+			if errs[gi] = build(&s, gi); errs[gi] != nil {
+				return errs[gi]
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -249,7 +258,8 @@ func forEachGroup(members [][]int, build func(s *hashScratch, gi int) error) err
 }
 
 // hashBlock is how many rows group.hashTables projects per kernel call
-// (lshfunc.Family.ProjectBlock): vec.DotRowsMany's tile is four vectors.
+// (lshfunc.Family.ProjectBlock): vec.DotRowsManyF16's tile is four
+// vectors.
 const hashBlock = 4
 
 // hashScratch is the reusable state of group.appendKeys and the keys it
@@ -276,23 +286,36 @@ func (s *hashScratch) projScratch(n int) []float64 {
 	return s.proj[:n]
 }
 
+// buildGroup builds one group of Build over its members, the rows of data
+// it holds: its hash (newHashGroup, or bit sampling under MetricHamming),
+// its tables and, when the options probe them, its hierarchies.
 func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
-	g := &group{members: members}
-
 	if opts.Metric == MetricHamming {
-		return buildHammingGroup(g, sketches, opts, rng, s)
+		return buildHammingGroup(&group{members: members}, sketches, opts, rng, s)
 	}
+	g, err := newHashGroup(data, members, opts, rng)
+	if err != nil {
+		return nil, err
+	}
+	g.members = members
+	if err := g.buildTables(s, members, func(i int) []float32 { return data.Row(members[i]) }); err != nil {
+		return nil, err
+	}
+	return g, buildGroupHierarchies(g, opts)
+}
 
-	// Per-group bucket width: either the global W, or tuned from the
-	// group's own distance distribution and scaled by W (Section IV-A3:
-	// "we may choose different LSH parameters ... that are optimal for
-	// each cell").
+// newHashGroup returns a group, still without members or tables, with its
+// own level-2 hash (Section IV-A3: "we may choose different LSH parameters
+// ... that are optimal for each cell"): its bucket width, either the
+// global W or, under AutoTuneW, tuned on the rows members of data and
+// scaled by W; the p-stable family of that width; and the options'
+// lattice. The tuner draws from rng.Split(100), the family from
+// rng.Split(101). Build tunes on a group's rows, BuildDisk on its rows in
+// the sample.
+func newHashGroup(data *vec.Matrix, members []int, opts Options, rng *xrand.RNG) (*group, error) {
 	w := opts.Params.W
 	if opts.AutoTuneW && len(members) >= 2 {
-		// TuneTargetRecall is the combined recall over all L tables; a
-		// k-th neighbor must collide in at least one table, so the
-		// per-table collision target is q = 1 − (1−R)^(1/L).
-		perTable := 1 - math.Pow(1-opts.TuneTargetRecall, 1/float64(opts.Params.L))
+		perTable := tuner.PerTableRecall(opts.TuneTargetRecall, opts.Params.L)
 		if perTable <= 0 {
 			perTable = 1e-6
 		}
@@ -308,31 +331,17 @@ func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opt
 			w = est.W * opts.Params.W
 		}
 	}
-	g.w = w
-
 	params := opts.Params
 	params.W = w
 	fam, err := lshfunc.NewFamily(data.D, params, rng.Split(101))
 	if err != nil {
 		return nil, err
 	}
-	g.fam = fam
-
-	g.lat, err = newLattice(opts.Lattice, params.M)
+	lat, err := newLattice(opts.Lattice, params.M)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := g.buildTables(s, members, func(i int) []float32 { return data.Row(members[i]) }); err != nil {
-		return nil, err
-	}
-
-	if opts.ProbeMode == ProbeHierarchy {
-		if err := buildGroupHierarchies(g, opts); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return &group{fam: fam, lat: lat, w: w}, nil
 }
 
 // appendKeys appends to dst the keys of the n buckets of table t that v
@@ -445,8 +454,13 @@ func newLattice(kind LatticeKind, m int) (lattice.Lattice, error) {
 }
 
 // buildGroupHierarchies (re)constructs one group's bucket hierarchies over
-// its current tables.
+// its current tables, when the options probe them (Options.hierarchical);
+// otherwise it leaves the group as it is. Build, BuildDisk, Compact and
+// both loaders call it on every group.
 func buildGroupHierarchies(g *group, opts Options) error {
+	if !opts.hierarchical() {
+		return nil
+	}
 	switch lat := g.lat.(type) {
 	case *lattice.ZM:
 		g.mortonH = make([]*hierarchy.Morton, len(g.tables))

@@ -270,6 +270,10 @@ func (o Options) rerankFactor() int {
 	return defaultRerankFactor
 }
 
+// hierarchical reports whether the groups of an index built under o carry
+// bucket hierarchies: under ProbeHierarchy, and only then.
+func (o Options) hierarchical() bool { return o.ProbeMode == ProbeHierarchy }
+
 func (o *Options) fill() error {
 	if o.Metric == MetricHamming {
 		if o.Bits <= 0 {

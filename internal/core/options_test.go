@@ -109,7 +109,7 @@ func TestReadIndexRejectsRetiredLattice(t *testing.T) {
 		writeOptions(ww, o)
 		sn.data.Encode(ww)
 		writeQuant(ww, sn.quant)
-		writeStructure(ww, sn.tree, sn.km, sn.groups)
+		writeStructure(ww, sn.level1, sn.groups)
 		if err := ww.Flush(); err != nil {
 			t.Fatal(err)
 		}

@@ -11,10 +11,6 @@ import (
 
 	"bilsh/internal/dataset"
 	"bilsh/internal/durable"
-	"bilsh/internal/kmeans"
-	"bilsh/internal/lshfunc"
-	"bilsh/internal/rptree"
-	"bilsh/internal/tuner"
 	"bilsh/internal/vec"
 	"bilsh/internal/xrand"
 )
@@ -86,81 +82,20 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 	}
 	sample := vec.FromRows(sampleRows)
 
-	// Partitioner on the sample. The index file is built from these local
+	// Level 1 and every group's hash, built on the sample as Build builds
+	// them on the data, under split labels of their own (2 for level 1, 3
+	// for the groups). The index file is built from these local
 	// structures; no in-memory Index is ever materialized.
-	var (
-		tree *rptree.Tree
-		km   *kmeans.Model
-	)
-	var sampleMembers [][]int
-	switch opts.Partitioner {
-	case PartitionNone:
-		all := make([]int, sample.N)
-		for i := range all {
-			all[i] = i
-		}
-		sampleMembers = [][]int{all}
-	case PartitionRPTree:
-		var asg *rptree.Assignment
-		tree, asg = rptree.Build(sample, rptree.Options{
-			Rule: opts.RPRule, Leaves: opts.Groups, MinLeafSize: opts.MinGroupSize,
-		}, rng.Split(2))
-		sampleMembers = asg.Members
-	case PartitionKMeans:
-		var asg *kmeans.Assignment
-		km, asg = kmeans.Build(sample, kmeans.Options{K: opts.Groups}, rng.Split(2))
-		sampleMembers = asg.Members
-	default:
-		return 0, fmt.Errorf("core: unknown partitioner %v", opts.Partitioner)
-	}
-	routeOf := func(v []float32) int {
-		switch {
-		case tree != nil:
-			return tree.Leaf(v)
-		case km != nil:
-			return km.Assign(v)
-		default:
-			return 0
-		}
+	l1, sampleMembers, err := partition(sample, opts, rng, 2)
+	if err != nil {
+		return 0, err
 	}
 	nGroups := len(sampleMembers)
-
-	// Per-group widths and hash families from the sample.
-	grng := rng.Split(3)
 	groups := make([]*group, nGroups)
-	for gi, members := range sampleMembers {
-		g := &group{}
-		gr := grng.Split(int64(gi))
-		w := opts.Params.W
-		if opts.AutoTuneW && len(members) >= 2 {
-			perTable := 1 - math.Pow(1-opts.TuneTargetRecall, 1/float64(opts.Params.L))
-			if perTable <= 0 {
-				perTable = 1e-6
-			}
-			if perTable >= 1 {
-				perTable = 1 - 1e-6
-			}
-			est, err := tuner.EstimateW(sample, members, opts.TuneK, opts.Params.M,
-				perTable, tuner.Config{}, gr.Split(100))
-			if err != nil {
-				return 0, err
-			}
-			if est.W > 0 && est.Samples > 0 {
-				w = est.W * opts.Params.W
-			}
-		}
-		g.w = w
-		params := opts.Params
-		params.W = w
-		fam, err := lshfunc.NewFamily(dim, params, gr.Split(101))
-		if err != nil {
+	for gi, gr := range groupStreams(rng.Split(3), nGroups) {
+		if groups[gi], err = newHashGroup(sample, sampleMembers[gi], opts, gr); err != nil {
 			return 0, err
 		}
-		g.fam = fam
-		if g.lat, err = newLattice(opts.Lattice, params.M); err != nil {
-			return 0, fmt.Errorf("core: %w", err)
-		}
-		groups[gi] = g
 	}
 
 	// ---- Pass 2: route rows to group spills and stream the payload.
@@ -206,7 +141,7 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 		if _, err := payload.Write(rowBuf); err != nil {
 			return err
 		}
-		gi := routeOf(row)
+		gi := l1.groupOf(row)
 		groups[gi].members = append(groups[gi].members, i)
 		binary.LittleEndian.PutUint64(idBuf[:], uint64(i))
 		if _, err := spillW[gi].Write(idBuf[:]); err != nil {
@@ -230,22 +165,19 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 		}
 	}
 
-	// ---- Pass 3: per-group hashing and table construction.
+	// ---- Pass 3: per-group hashing, table and hierarchy construction.
 	var scratch hashScratch
 	for gi, g := range groups {
-		if err := buildGroupFromSpill(g, spillF[gi], dim, &scratch); err != nil {
+		err := buildGroupFromSpill(g, spillF[gi], dim, &scratch)
+		if err == nil {
+			err = buildGroupHierarchies(g, opts)
+		}
+		if err != nil {
 			closeSpills()
 			return 0, fmt.Errorf("core: out-of-core group %d: %w", gi, err)
 		}
 	}
 	closeSpills()
-
-	// Hierarchies.
-	if opts.ProbeMode == ProbeHierarchy {
-		if err := buildHierarchies(groups, opts); err != nil {
-			return 0, fmt.Errorf("core: out-of-core: %w", err)
-		}
-	}
 
 	// Quantized row store: two more streaming passes over the payload spill
 	// (min/max then encode), so the full float32 matrix is still never
@@ -298,7 +230,7 @@ func BuildDisk(dataPath, outPath string, opts Options, cfg OutOfCoreConfig, rng 
 	err = durable.AtomicWrite(outPath, func(out *os.File) error {
 		src := &diskV3Source{
 			opts: opts, n: n, d: dim,
-			quant: quant, tree: tree, km: km, groups: groups,
+			quant: quant, level1: l1, groups: groups,
 			rows: func(w io.Writer) error {
 				pf, err := os.Open(payloadPath)
 				if err != nil {

@@ -3,8 +3,8 @@ package core
 import (
 	"runtime"
 	"slices"
-	"sync"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/knn"
 	"bilsh/internal/vec"
 )
@@ -118,36 +118,15 @@ func medianInt(xs []int) int {
 	return cp[len(cp)/2]
 }
 
-// parallelFor runs body(i, s) for i in [0,n) on up to workers goroutines,
-// handing each goroutine its own pooled scratch for the duration.
+// parallelFor runs body(i, s) for i in [0,n) on up to workers workers
+// (chunk.Claim), handing each its own pooled scratch for the duration.
 func (ix *Index) parallelFor(n, workers int, body func(i int, s *scratch)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	chunk.Claim(n, workers, func(_ int, next func() (int, bool)) error {
 		s := ix.getScratch()
 		defer ix.putScratch(s)
-		for i := 0; i < n; i++ {
+		for i, ok := next(); ok; i, ok = next() {
 			body(i, s)
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			s := ix.getScratch()
-			defer ix.putScratch(s)
-			for i := range next {
-				body(i, s)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+		return nil
+	})
 }

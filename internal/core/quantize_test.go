@@ -284,7 +284,7 @@ func TestReadIndexRejectsQuantShapeMismatch(t *testing.T) {
 	writeOptions(ww, ix.opts)
 	sn.data.Encode(ww)
 	writeQuant(ww, &bad)
-	writeStructure(ww, sn.tree, sn.km, sn.groups)
+	writeStructure(ww, sn.level1, sn.groups)
 	if err := ww.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		sn.sketcher.Encode(ww)
 		sn.sketches.Encode(ww)
 	}
-	writeStructure(ww, sn.tree, sn.km, sn.groups)
+	writeStructure(ww, sn.level1, sn.groups)
 	if err := ww.Flush(); err != nil {
 		return ww.BytesWritten(), fmt.Errorf("core: writing index: %w", err)
 	}
@@ -148,28 +148,28 @@ func readQuant(rr *wire.Reader, n, d int) (*vec.QuantizedMatrix, error) {
 
 // writePartitioner emits the level-1 partitioner section: its kind, then
 // its model. Both layouts write it.
-func writePartitioner(ww *wire.Writer, tree *rptree.Tree, km *kmeans.Model) {
+func writePartitioner(ww *wire.Writer, l1 level1) {
 	switch {
-	case tree != nil:
+	case l1.tree != nil:
 		ww.String("rptree")
-		tree.Encode(ww)
-	case km != nil:
+		l1.tree.Encode(ww)
+	case l1.km != nil:
 		ww.String("kmeans")
-		km.Encode(ww)
+		l1.km.Encode(ww)
 	default:
 		ww.String("none")
 	}
 }
 
 // readPartitioner parses the section writePartitioner emits.
-func readPartitioner(rr *wire.Reader) (tree *rptree.Tree, km *kmeans.Model, err error) {
+func readPartitioner(rr *wire.Reader) (l1 level1, err error) {
 	switch kind := rr.String(); kind {
 	case "rptree":
-		if tree, err = rptree.DecodeTree(rr); err != nil {
+		if l1.tree, err = rptree.DecodeTree(rr); err != nil {
 			err = fmt.Errorf("rptree: %w", err)
 		}
 	case "kmeans":
-		if km, err = kmeans.DecodeModel(rr); err != nil {
+		if l1.km, err = kmeans.DecodeModel(rr); err != nil {
 			err = fmt.Errorf("kmeans: %w", err)
 		}
 	case "none":
@@ -178,7 +178,7 @@ func readPartitioner(rr *wire.Reader) (tree *rptree.Tree, km *kmeans.Model, err 
 			err = fmt.Errorf("unknown partitioner section %q", kind)
 		}
 	}
-	return tree, km, err
+	return l1, err
 }
 
 // writeGroupHash emits a group's hash functions. The section is
@@ -245,8 +245,8 @@ func rehashGroups(groups []*group, data *vec.Matrix) error {
 }
 
 // writeStructure emits the partitioner and the per-group machinery.
-func writeStructure(ww *wire.Writer, tree *rptree.Tree, km *kmeans.Model, groups []*group) {
-	writePartitioner(ww, tree, km)
+func writeStructure(ww *wire.Writer, l1 level1, groups []*group) {
+	writePartitioner(ww, l1)
 	ww.Int(len(groups))
 	for _, g := range groups {
 		ww.Ints(g.members)
@@ -307,12 +307,12 @@ func readOptions(rr *wire.Reader, version int) (Options, error) {
 // level 1 must route every d-dimensional vector to one of the groups,
 // and every group's family must hash such a vector into the options'
 // M-dimensional codes for L tables. Both layouts' readers run it.
-func checkShapes(o Options, d int, tree *rptree.Tree, km *kmeans.Model, groups []*group) error {
-	if tree != nil && (tree.Dim() != d || tree.NumLeaves() != len(groups)) {
+func checkShapes(o Options, d int, l1 level1, groups []*group) error {
+	if tree := l1.tree; tree != nil && (tree.Dim() != d || tree.NumLeaves() != len(groups)) {
 		return fmt.Errorf("core: tree of dim %d with %d leaves does not route %d-dim rows to %d groups",
 			tree.Dim(), tree.NumLeaves(), d, len(groups))
 	}
-	if km != nil && (km.Centroids.D != d || km.K() != len(groups)) {
+	if km := l1.km; km != nil && (km.Centroids.D != d || km.K() != len(groups)) {
 		return fmt.Errorf("core: %d centroids of dim %d do not route %d-dim rows to %d groups",
 			km.K(), km.Centroids.D, d, len(groups))
 	}
@@ -330,18 +330,18 @@ func checkShapes(o Options, d int, tree *rptree.Tree, km *kmeans.Model, groups [
 // must name one of data's rows, and the structure must fit their
 // dimension (checkShapes). legacy admits lshfunc.Family/1 families, whose
 // groups are hashed again from data (rehashGroups).
-func readStructure(rr *wire.Reader, o Options, data *vec.Matrix, legacy bool) (*rptree.Tree, *kmeans.Model, []*group, error) {
+func readStructure(rr *wire.Reader, o Options, data *vec.Matrix, legacy bool) (level1, []*group, error) {
 	n, d := data.N, data.D
-	tree, km, err := readPartitioner(rr)
+	l1, err := readPartitioner(rr)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: reading partitioner: %w", err)
+		return level1{}, nil, fmt.Errorf("core: reading partitioner: %w", err)
 	}
 	nGroups := rr.Int()
 	if err := rr.Err(); err != nil {
-		return nil, nil, nil, err
+		return level1{}, nil, err
 	}
 	if nGroups < 1 || nGroups > 1<<20 {
-		return nil, nil, nil, fmt.Errorf("core: decoded group count %d implausible", nGroups)
+		return level1{}, nil, fmt.Errorf("core: decoded group count %d implausible", nGroups)
 	}
 	groups := make([]*group, nGroups)
 	rounded := false
@@ -352,48 +352,46 @@ func readStructure(rr *wire.Reader, o Options, data *vec.Matrix, legacy bool) (*
 		}
 		r, err := readGroupHash(rr, o, g, legacy)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: group %d %w", gi, err)
+			return level1{}, nil, fmt.Errorf("core: group %d %w", gi, err)
 		}
 		rounded = rounded || r
 		nTables := rr.Int()
 		if err := rr.Err(); err != nil {
-			return nil, nil, nil, err
+			return level1{}, nil, err
 		}
 		if nTables != o.Params.L {
-			return nil, nil, nil, fmt.Errorf("core: group %d has %d tables, options say %d", gi, nTables, o.Params.L)
+			return level1{}, nil, fmt.Errorf("core: group %d has %d tables, options say %d", gi, nTables, o.Params.L)
 		}
 		g.tables = make([]*lshtable.Table, nTables)
 		for t := range g.tables {
 			tab, err := lshtable.DecodeTable(rr, n)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("core: group %d table %d: %w", gi, t, err)
+				return level1{}, nil, fmt.Errorf("core: group %d table %d: %w", gi, t, err)
 			}
 			g.tables[t] = tab
 		}
 		for _, id := range g.members {
 			if id < 0 || id >= n {
-				return nil, nil, nil, fmt.Errorf("core: group %d references row %d of %d", gi, id, n)
+				return level1{}, nil, fmt.Errorf("core: group %d references row %d of %d", gi, id, n)
 			}
 		}
 		groups[gi] = g
 	}
 	if err := rr.Err(); err != nil {
-		return nil, nil, nil, err
+		return level1{}, nil, err
 	}
-	if err := checkShapes(o, d, tree, km, groups); err != nil {
-		return nil, nil, nil, err
+	if err := checkShapes(o, d, l1, groups); err != nil {
+		return level1{}, nil, err
 	}
 	if rounded {
 		if err := rehashGroups(groups, data); err != nil {
-			return nil, nil, nil, err
+			return level1{}, nil, err
 		}
 	}
-	if o.ProbeMode == ProbeHierarchy {
-		if err := buildHierarchies(groups, o); err != nil {
-			return nil, nil, nil, err
-		}
+	if err := buildHierarchies(groups, o); err != nil {
+		return level1{}, nil, err
 	}
-	return tree, km, groups, nil
+	return l1, groups, nil
 }
 
 // ReadIndex deserializes an index written by WriteTo (bilsh.Index/2 or
@@ -458,11 +456,11 @@ func readWire(rr *wire.Reader, legacy bool) (*Index, error) {
 				sketches.N, sketches.Bits, data.N, o.Bits)
 		}
 	}
-	tree, km, groups, err := readStructure(rr, o, data, legacy)
+	l1, groups, err := readStructure(rr, o, data, legacy)
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndex(o, data, quant, tree, km, groups)
+	ix := newIndex(o, data, quant, l1, groups)
 	ix.attachHamming(sk, sketches)
 	return ix, nil
 }

@@ -207,9 +207,9 @@ func readDiskLegacy(f *os.File, format string) (*Index, error) {
 		return nil, fmt.Errorf("reading disk index rows: %w", err)
 	}
 	data := &vec.Matrix{Data: mmap.DecodeFloat32s(rows), N: n, D: d}
-	tree, km, groups, err := readStructure(meta, o, data, true)
+	l1, groups, err := readStructure(meta, o, data, true)
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(o, data, quant, tree, km, groups), nil
+	return newIndex(o, data, quant, l1, groups), nil
 }

@@ -142,7 +142,7 @@ func legacyFamilies(t *testing.T, ix *Index, opts Options, seed int64) (*Index, 
 	if !stale {
 		t.Fatal("fixture: the float32 directions hash every row as binary16 does")
 	}
-	return newIndex(ix.opts, sn.data, sn.quant, sn.tree, sn.km, groups), fams
+	return newIndex(ix.opts, sn.data, sn.quant, sn.level1, groups), fams
 }
 
 // swapFamiliesV1 replaces each group's lshfunc.Family/2 section in img by

@@ -51,7 +51,7 @@ func mintIndexV1(t testing.TB, ix *Index) []byte {
 	ww.Magic(indexMagicV1)
 	writeOptionsV1(ww, ix.opts)
 	sn.data.Encode(ww)
-	writeStructure(ww, sn.tree, sn.km, sn.groups)
+	writeStructure(ww, sn.level1, sn.groups)
 	if err := ww.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func mintDiskLegacy(t testing.TB, ix *Index, format string) []byte {
 	if format == diskMagicV2 {
 		writeQuant(ww, sn.quant)
 	}
-	writeStructure(ww, sn.tree, sn.km, sn.groups)
+	writeStructure(ww, sn.level1, sn.groups)
 	if err := ww.Flush(); err != nil {
 		t.Fatal(err)
 	}

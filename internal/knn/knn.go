@@ -7,8 +7,8 @@ package knn
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/topk"
 	"bilsh/internal/vec"
 )
@@ -43,8 +43,11 @@ func ExactAll(data, queries *vec.Matrix, k int) []Result {
 		panic(fmt.Sprintf("knn: dimension mismatch data=%d queries=%d", data.D, queries.D))
 	}
 	out := make([]Result, queries.N)
-	parallelFor(queries.N, func(q int) {
-		out[q] = Exact(data, queries.Row(q), k)
+	chunk.Claim(queries.N, runtime.GOMAXPROCS(0), func(_ int, next func() (int, bool)) error {
+		for q, ok := next(); ok; q, ok = next() {
+			out[q] = Exact(data, queries.Row(q), k)
+		}
+		return nil
 	})
 	return out
 }
@@ -57,34 +60,4 @@ func fromHeap(h *topk.Heap) Result {
 		r.Dists[i] = it.Dist // squared distance; metrics take sqrt where needed
 	}
 	return r
-}
-
-// parallelFor runs body(i) for i in [0,n) on up to GOMAXPROCS workers.
-func parallelFor(n int, body func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				body(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -3,9 +3,8 @@ package knn
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -206,38 +205,23 @@ func TestMeasureEndToEnd(t *testing.T) {
 }
 
 func TestParallelForCoversAllIndexesUnderContention(t *testing.T) {
-	// Exercise the multi-worker path explicitly (GOMAXPROCS may be 1 on
-	// the test machine, which routes ExactAll through the serial branch).
-	const n = 500
-	hits := make([]int32, n)
-	var wg sync.WaitGroup
-	workers := 4
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d handled %d times", i, h)
+	// Drive ExactAll's fan-out on four workers whatever GOMAXPROCS the
+	// test machine has (at 1 it runs inline): every query's answer is the
+	// one Exact gives it alone, so each was claimed once and written to
+	// its own slot.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := xrand.New(29)
+	data, queries := vec.NewMatrix(300, 6), vec.NewMatrix(500, 6)
+	for _, m := range []*vec.Matrix{data, queries} {
+		for i := range m.Data {
+			m.Data[i] = float32(rng.NormFloat64())
 		}
 	}
-	// And drive parallelFor itself on a forced-parallel shape.
-	got := make([]int32, n)
-	parallelFor(n, func(i int) { atomic.AddInt32(&got[i], 1) })
-	for i, h := range got {
-		if h != 1 {
-			t.Fatalf("parallelFor index %d handled %d times", i, h)
+	got := ExactAll(data, queries, 3)
+	for q := range got {
+		want := Exact(data, queries.Row(q), 3)
+		if !reflect.DeepEqual(got[q], want) {
+			t.Fatalf("query %d: ExactAll %v, Exact %v", q, got[q], want)
 		}
 	}
 }

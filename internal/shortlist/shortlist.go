@@ -27,8 +27,8 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-	"sync"
 
+	"bilsh/internal/chunk"
 	"bilsh/internal/knn"
 	"bilsh/internal/topk"
 	"bilsh/internal/vec"
@@ -136,41 +136,31 @@ func (e PerQuery) Search(data *vec.Matrix, reqs []Request, k int) ([]knn.Result,
 	}
 	out := make([]knn.Result, len(reqs))
 	stats := make([]OpStats, workers)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			h := topk.New(k)
-			seen := make(map[int]struct{})
-			st := &stats[w]
-			for qi := range next {
-				req := reqs[qi]
-				h.Reset()
-				clear(seen)
-				if len(req.Candidates) > st.MaxPerQuery {
-					st.MaxPerQuery = len(req.Candidates)
-				}
-				for _, id := range req.Candidates {
-					if _, dup := seen[id]; dup {
-						continue
-					}
-					seen[id] = struct{}{}
-					d := vec.SqDist(data.Row(id), req.Query)
-					st.DistanceOps++
-					st.HeapOps++
-					h.Push(id, d)
-				}
-				out[qi] = resultFromHeap(h)
+	chunk.Claim(len(reqs), workers, func(w int, next func() (int, bool)) error {
+		h := topk.New(k)
+		seen := make(map[int]struct{})
+		st := &stats[w]
+		for qi, ok := next(); ok; qi, ok = next() {
+			req := reqs[qi]
+			h.Reset()
+			clear(seen)
+			if len(req.Candidates) > st.MaxPerQuery {
+				st.MaxPerQuery = len(req.Candidates)
 			}
-		}(w)
-	}
-	for qi := range reqs {
-		next <- qi
-	}
-	close(next)
-	wg.Wait()
+			for _, id := range req.Candidates {
+				if _, dup := seen[id]; dup {
+					continue
+				}
+				seen[id] = struct{}{}
+				d := vec.SqDist(data.Row(id), req.Query)
+				st.DistanceOps++
+				st.HeapOps++
+				h.Push(id, d)
+			}
+			out[qi] = resultFromHeap(h)
+		}
+		return nil
+	})
 	var st OpStats
 	for _, s := range stats {
 		st.DistanceOps += s.DistanceOps
@@ -267,30 +257,16 @@ func (e WorkQueue) Search(data *vec.Matrix, reqs []Request, k int) ([]knn.Result
 		st.Passes++
 
 		// Bulk distance phase (parallel chunks).
-		chunk := (len(queue) + workers - 1) / workers
-		var wg sync.WaitGroup
-		dops := make([]int, workers)
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(queue) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(queue) {
-				hi = len(queue)
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					if queue[i].dist < 0 {
-						queue[i].dist = vec.SqDist(data.Row(queue[i].id), reqs[queue[i].query].Query)
-						dops[w]++
-					}
+		chunks := min(workers, len(queue))
+		dops := make([]int, chunks)
+		chunk.Run(len(queue), chunks, func(c, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if queue[i].dist < 0 {
+					queue[i].dist = vec.SqDist(data.Row(queue[i].id), reqs[queue[i].query].Query)
+					dops[c]++
 				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
+			}
+		})
 		for _, d := range dops {
 			st.DistanceOps += d
 		}

@@ -190,7 +190,7 @@ func TablesForRecall(target, built float64, L int) int {
 	if built <= 0 || built >= 1 {
 		built = 0.9
 	}
-	q := 1 - math.Pow(1-built, 1/float64(L))
+	q := PerTableRecall(built, L)
 	if q <= 0 || q >= 1 || target <= 0 || target >= 1 {
 		return L
 	}
@@ -216,6 +216,15 @@ func EstimatedRecall(tables int, built float64, L int) float64 {
 	if built <= 0 || built >= 1 {
 		built = 0.9
 	}
-	q := 1 - math.Pow(1-built, 1/float64(L))
+	q := PerTableRecall(built, L)
 	return 1 - math.Pow(1-q, float64(tables))
+}
+
+// PerTableRecall is the collision model's per-table recall: the
+// probability q with which a true k-th neighbor must collide with the
+// query in one table for it to collide in at least one of L tables with
+// probability recall, q = 1 − (1 − recall)^(1/L). AutoTuneW tunes every
+// group's width to it; TablesForRecall and EstimatedRecall invert it.
+func PerTableRecall(recall float64, L int) float64 {
+	return 1 - math.Pow(1-recall, 1/float64(L))
 }
