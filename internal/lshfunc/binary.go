@@ -97,26 +97,16 @@ func packSigns(out []uint64, marg []float64) {
 	}
 }
 
-// SketchAll sketches every row of m into a fresh packed binary matrix,
-// four rows to a vec.DotRowsMany call: row i's sketch is Sketch's, bit
-// for bit.
+// SketchAll sketches every row of m into a fresh packed binary matrix:
+// row i's sketch is Sketch's.
 func (s *Sketcher) SketchAll(m *vec.Matrix) *vec.BinaryMatrix {
 	if m.D != s.d {
 		panic(fmt.Sprintf("lshfunc: SketchAll got dim %d, want %d", m.D, s.d))
 	}
-	const block = 4
 	bm := vec.NewBinaryMatrix(m.N, s.bits)
-	marg := make([]float64, block*s.bits)
-	var vs [block][]float32
-	for i := 0; i < m.N; i += block {
-		n := min(block, m.N-i)
-		for r := range n {
-			vs[r] = m.Row(i + r)
-		}
-		vec.DotRowsMany(marg[:n*s.bits], s.planes.Data, s.d, vs[:n])
-		for r := range n {
-			packSigns(bm.Row(i+r), marg[r*s.bits:(r+1)*s.bits])
-		}
+	marg := make([]float64, s.bits)
+	for i := 0; i < m.N; i++ {
+		s.SketchWithMargins(m.Row(i), bm.Row(i), marg)
 	}
 	return bm
 }

@@ -143,7 +143,7 @@ func (f *Family) Project(t int, v []float32, out []float64) {
 
 // ProjectBlock is Project for a block of vectors: out[r*M+i] is out[i] of
 // Project(t, vs[r], ·), bit for bit (len out == len(vs)*M). One
-// vec.DotRowsMany call projects the whole block onto the table's
+// vec.DotRowsManyF16 call projects the whole block onto the table's
 // directions, so each direction row is widened once per block, not once
 // per vector.
 func (f *Family) ProjectBlock(t int, vs [][]float32, out []float64) {

@@ -1,6 +1,6 @@
 package vec
 
-// Kernel dispatch. The distance kernels (Dot, DotRows, DotRowsMany, SqDist,
+// Kernel dispatch. The distance kernels (Dot, DotRows, SqDist,
 // SqDistToRows and the SQ8 asymmetric scan) have one portable
 // implementation plus, per architecture, a SIMD implementation selected
 // once at package init:
@@ -15,12 +15,11 @@ package vec
 // 0; the final reduction is (s0+s1)+(s2+s3) in that order), and the
 // portable code carries explicit float64()/float32() conversions at every
 // point where a compiler could otherwise contract a multiply-add into an
-// FMA. The one fused multiply-add is the AVX2 projection tile's
-// (DotRowsMany): the product of two float32 values is exact in float64, so
-// a fused add of it rounds as the separate add does. A query therefore returns byte-identical results whether it runs on
-// the SIMD or the portable path, which is what lets the equivalence suite
-// (kernel_equiv_test.go) demand exact agreement and lets serialized
-// indexes promise identical query results across builds.
+// FMA, and no SIMD body fuses one. A query therefore returns
+// byte-identical results whether it runs on the SIMD or the portable
+// path, which is what lets the equivalence suite (kernel_equiv_test.go)
+// demand exact agreement and lets serialized indexes promise identical
+// query results across builds.
 //
 // The binary16 projections (DotRowsF16, DotRowsManyF16) have a contract
 // of their own, in float32: lane j of eight accumulates elements j, j+8,
@@ -60,10 +59,6 @@ type kernel struct {
 	// kernels may leave it nil to inherit the portable implementation,
 	// whose OnesCount64 loop already lowers to hardware popcount.
 	hammingToRows func(out []float64, words []uint64, wpr int, ids []int32, q []uint64)
-	// dotRowsMany is the block projection (DotRowsMany). Kernels without
-	// a tile of their own leave it nil and inherit a loop over their
-	// dotRows.
-	dotRowsMany func(out []float64, rows []float32, d int, vs [][]float32)
 	// dotRowsF16 and dotRowsManyF16 are the projections over binary16
 	// directions (DotRowsF16, DotRowsManyF16). Kernels without bodies of
 	// their own leave them nil and inherit the portable ones.
@@ -99,9 +94,6 @@ func init() {
 		// implementation, so dispatch never hits a nil function.
 		if k.hammingToRows == nil {
 			k.hammingToRows = hammingToRowsGeneric
-		}
-		if k.dotRowsMany == nil {
-			k.dotRowsMany = dotRowsManyVia(k.dotRows)
 		}
 		if k.dotRowsF16 == nil {
 			k.dotRowsF16 = portableKernel.dotRowsF16
@@ -174,31 +166,6 @@ func DotRows(out []float64, rows []float32, d int, q []float32) {
 		panic(fmt.Sprintf("vec: DotRows matrix len %d, want %d rows of dim %d", len(rows), len(out), d))
 	}
 	active.dotRows(out, rows, d, q)
-}
-
-// DotRowsMany projects a block of vectors onto one row-major matrix of m =
-// len(rows)/d rows: out[r*m+j] = Dot(rows[j*d:(j+1)*d], vs[r]), which is
-// DotRows(out[r*m:(r+1)*m], rows, d, vs[r]) for every r, bit for bit. It
-// is the build's projection: a table's directions against a block of the
-// rows it hashes. The AVX2 kernel runs a tile of 4 vectors × 2 rows, eight
-// independent chains that convert 6 float32 blocks to float64 for every 8
-// products where DotRows converts 5 for every 4, and it needs FMA (an
-// AVX2 CPU without FMA runs the loop over DotRows); a 1-3 vector remainder
-// and an odd last row take the per-row path.
-func DotRowsMany(out []float64, rows []float32, d int, vs [][]float32) {
-	if d <= 0 || len(rows)%d != 0 {
-		panic(fmt.Sprintf("vec: DotRowsMany matrix len %d is not whole rows of dim %d", len(rows), d))
-	}
-	m := len(rows) / d
-	if len(out) != len(vs)*m {
-		panic(fmt.Sprintf("vec: DotRowsMany out len %d, want %d vectors × %d rows", len(out), len(vs), m))
-	}
-	for _, v := range vs {
-		if len(v) != d {
-			panic(fmt.Sprintf("vec: DotRowsMany vector dim %d, want %d", len(v), d))
-		}
-	}
-	active.dotRowsMany(out, rows, d, vs)
 }
 
 // DotRowsF16 is DotRows over binary16 directions: out[i] is the inner
@@ -303,17 +270,6 @@ func dotGeneric(a, b []float32) float64 {
 func dotRowsGeneric(out []float64, rows []float32, d int, q []float32) {
 	for i := range out {
 		out[i] = dotGeneric(rows[i*d:(i+1)*d:(i+1)*d], q)
-	}
-}
-
-// dotRowsManyVia is DotRowsMany as one dotRows call per vector: the
-// portable kernel's, and that of any kernel without a tile of its own.
-func dotRowsManyVia(dotRows func(out []float64, rows []float32, d int, q []float32)) func([]float64, []float32, int, [][]float32) {
-	return func(out []float64, rows []float32, d int, vs [][]float32) {
-		m := len(rows) / d
-		for r, v := range vs {
-			dotRows(out[r*m:(r+1)*m:(r+1)*m], rows, d, v)
-		}
 	}
 }
 

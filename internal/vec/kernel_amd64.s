@@ -9,10 +9,8 @@
 // Bit-exactness contract (see kernel.go): float32 lanes are widened to
 // float64 with VCVTPS2PD (exact), then multiplied/subtracted/added in
 // float64 — the same sequence of IEEE operations, in the same lane order,
-// as the portable kernel's four scalar accumulators. The one fused
-// multiply-add is in the projection tile (dot4x2BodyFMA), whose products
-// of two widened float32 values are exact in float64, so fusing them
-// rounds exactly as multiplying and then adding does.
+// as the portable kernel's four scalar accumulators. No body fuses a
+// multiply-add.
 //
 // Plan9 operand order is reversed from Intel: VSUBPD A, B, C means
 // C = B - A.
@@ -102,67 +100,6 @@ dot4loop:
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
 	VMOVUPD Y3, 96(DX)
-	VZEROUPPER
-	RET
-
-// func dot4x2BodyFMA(v0, v1, v2, v3, r0, r1 *float32, blocks int, acc *[32]float64)
-//
-// Four vectors against two matrix rows: eight independent chains, chain
-// 2*v+r in Y(2*v+r) and acc[8*v+4*r:], each lane for lane the chain
-// dotBodyAVX2 computes for that vector and row. The loop is bound by the
-// VCVTPS2PD widenings and the arithmetic beside them on the same ports,
-// not by the loads: dot4BodyAVX2 widens five blocks for four products,
-// this tile six blocks (the two rows once, each vector once) for eight,
-// and it adds each product with VFMADD231PD. A product of two float32
-// values is exact in float64 (24 + 24 significand bits, an exponent far
-// inside float64's range), so the fused add rounds exactly as
-// dotBodyAVX2's VMULPD then VADDPD do.
-TEXT ·dot4x2BodyFMA(SB), NOSPLIT, $0-64
-	MOVQ v0+0(FP), SI
-	MOVQ v1+8(FP), DI
-	MOVQ v2+16(FP), R8
-	MOVQ v3+24(FP), R9
-	MOVQ r0+32(FP), R10
-	MOVQ r1+40(FP), R11
-	MOVQ blocks+48(FP), CX
-	MOVQ acc+56(FP), DX
-	XORQ BX, BX // byte offset into every vector and both rows
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-dot4x2loop:
-	VCVTPS2PD (R10)(BX*1), Y8 // row 0
-	VCVTPS2PD (R11)(BX*1), Y9 // row 1
-	VCVTPS2PD (SI)(BX*1), Y10 // vector 0
-	VCVTPS2PD (DI)(BX*1), Y11 // vector 1
-	VCVTPS2PD (R8)(BX*1), Y12 // vector 2
-	VCVTPS2PD (R9)(BX*1), Y13 // vector 3
-	VFMADD231PD Y8, Y10, Y0   // Y0 += vector 0 * row 0
-	VFMADD231PD Y9, Y10, Y1
-	VFMADD231PD Y8, Y11, Y2
-	VFMADD231PD Y9, Y11, Y3
-	VFMADD231PD Y8, Y12, Y4
-	VFMADD231PD Y9, Y12, Y5
-	VFMADD231PD Y8, Y13, Y6
-	VFMADD231PD Y9, Y13, Y7
-	ADDQ $16, BX
-	DECQ CX
-	JNZ  dot4x2loop
-
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	VMOVUPD Y4, 128(DX)
-	VMOVUPD Y5, 160(DX)
-	VMOVUPD Y6, 192(DX)
-	VMOVUPD Y7, 224(DX)
 	VZEROUPPER
 	RET
 

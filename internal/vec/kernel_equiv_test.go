@@ -217,47 +217,6 @@ func TestKernelEquivalenceDotRows(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceDotRowsMany pins DotRowsMany to per-vector DotRows
-// on every kernel (portable included): d crosses the body-less d < 4 case
-// and the block tails, M the odd last row of a 4 × 2 tile, and 1-9
-// vectors the tile twice over with every 1-3 vector remainder. The
-// vectors lie at unrelated, misaligned offsets, as a build's rows do.
-func TestKernelEquivalenceDotRowsMany(t *testing.T) {
-	for _, name := range KernelNames() {
-		t.Run(name, func(t *testing.T) {
-			for _, d := range []int{1, 3, 4, 5, 31, 32, 128, 960} {
-				for _, m := range []int{1, 2, 3, 16} {
-					rows := adversarialFill(m*d+1, 61+uint32(d*m))[1:]
-					backing := adversarialFill(9*(d+3), 67+uint32(d))
-					for n := 1; n <= 9; n++ {
-						vs := make([][]float32, n)
-						for r := range vs {
-							off := (r*7)%9*(d+3) + r%4
-							vs[r] = backing[off : off+d : off+d]
-						}
-						got := make([]float64, n*m)
-						want := make([]float64, n*m)
-						withKernel(t, name, func() {
-							DotRowsMany(got, rows, d, vs)
-							for r, v := range vs {
-								DotRows(want[r*m:(r+1)*m], rows, d, v)
-							}
-						})
-						for i := range got {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("d=%d M=%d vectors=%d out[%d]: %s DotRowsMany=%v, DotRows=%v (want bit-exact)", d, m, n, i, name, got[i], want[i])
-							}
-							if p := portableKernel.dot(rows[i%m*d:(i%m+1)*d], vs[i/m]); math.Float64bits(got[i]) != math.Float64bits(p) {
-								t.Fatalf("d=%d M=%d vectors=%d out[%d]: %s DotRowsMany=%v, portable Dot=%v (want bit-exact)", d, m, n, i, name, got[i], p)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // halfFill returns n binary16 directions rounded from adversarialFill's
 // values scaled into the binary16 range: subnormal, zero, negative and
 // ±65504-scale halves, and ordinary Gaussian-scale ones.

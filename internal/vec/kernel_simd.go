@@ -35,9 +35,7 @@ import "unsafe"
 // speedup for d≥64 rows (the conversions of q are also shared between the
 // two rows). DotRows does the same four rows at a time (dot4Body): the
 // rows of a projection matrix are contiguous, so the body takes the first
-// row and the byte stride. DotRowsMany's 4-vector × 2-row tile has an
-// amd64 body only (kernel_amd64.go); NEON inherits DotRowsMany as a loop
-// over DotRows.
+// row and the byte stride.
 //
 // Row scans also prefetch. A candidate list is sparse (a few percent of
 // the rows, in ascending id order), so every row starts with a cache miss

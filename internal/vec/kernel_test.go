@@ -286,33 +286,6 @@ func BenchmarkDotRows(b *testing.B) {
 	})
 }
 
-// BenchmarkDotRowsMany is the build's projection: one table's M×d
-// directions (hot, as a build's table-outer loop keeps them) against a
-// block of four rows, as one DotRowsMany call and as four DotRows calls.
-// MB/s counts the direction bytes once per row projected.
-func BenchmarkDotRowsMany(b *testing.B) {
-	const m, d, n = 16, 960, 4
-	dirs := fill(m*d, 31)
-	data := fill(n*d, 37)
-	vs := make([][]float32, n)
-	for r := range vs {
-		vs[r] = data[r*d : (r+1)*d]
-	}
-	out := make([]float64, n*m)
-	forEachKernel(b, "block", n*m*d*4, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			DotRowsMany(out, dirs, d, vs)
-		}
-	})
-	forEachKernel(b, "per-vector", n*m*d*4, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r, v := range vs {
-				DotRows(out[r*m:(r+1)*m], dirs, d, v)
-			}
-		}
-	})
-}
-
 // BenchmarkDotRowsF16 is the projection over binary16 directions on the
 // shape of hash-10k-d960 (M = 16, d = 960): one table's matrix hot and
 // cycled through 32 tables' worth, as BenchmarkDotRows runs the float32
