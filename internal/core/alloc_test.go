@@ -62,16 +62,19 @@ func TestQueryAllocs(t *testing.T) {
 	}
 }
 
-// TestCandidateListAllocs pins CandidateList to the returned id slice plus
-// the pool round-trip.
+// TestCandidateListAllocs pins CandidateList to the returned id slice. Like
+// TestQueryAllocs it holds one scratch across the runs: under -race the
+// pool drops a share of its Puts, and a scratch grown afresh would charge
+// its buffers to the measurement.
 func TestCandidateListAllocs(t *testing.T) {
 	ix, qs := allocIndex(t, ProbeSingle)
+	s := ix.getScratch()
 	for i := 0; i < qs.N; i++ {
-		ix.CandidateList(qs.Row(i))
+		ix.candidateList(qs.Row(i), s)
 	}
 	qi := 0
 	got := testing.AllocsPerRun(200, func() {
-		ix.CandidateList(qs.Row(qi % qs.N))
+		ix.candidateList(qs.Row(qi%qs.N), s)
 		qi++
 	})
 	if got > 2 {

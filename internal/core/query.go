@@ -251,9 +251,15 @@ func (s *scratch) probeKeys(g *group, t int, q []float32, n int) int {
 // engine (e.g. the Figure 4 harness feeding the parallel engines). The
 // hierarchy floor is Options.HierMinCandidates, else 2·TuneK.
 func (ix *Index) CandidateList(q []float32) ([]int, QueryStats) {
-	sn := ix.loadSnap()
 	s := ix.getScratch()
 	defer ix.putScratch(s)
+	return ix.candidateList(q, s)
+}
+
+// candidateList is the test seam behind CandidateList: one snapshot load,
+// on the caller's scratch.
+func (ix *Index) candidateList(q []float32, s *scratch) ([]int, QueryStats) {
+	sn := ix.loadSnap()
 	rp := sn.defaultResolved(sn.opts.TuneK)
 	st := sn.gatherPlan(q, &rp, s).QueryStats
 	metCandLists.Inc()
