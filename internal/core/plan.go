@@ -212,8 +212,9 @@ func (sn *snapshot) resolve(p Plan) resolvedPlan {
 }
 
 // tablesForRecall delegates to the tuner's analytic collision model
-// (tuner.TablesForRecall), the same model AutoTuneW inverted at build
-// time — one formula, one source of truth.
+// (tuner.TablesForRecall), which inverts tuner.PerTableRecall, the
+// per-table target AutoTuneW tunes every group's width to — one formula,
+// one source of truth.
 func tablesForRecall(target, built float64, L int) int {
 	return tuner.TablesForRecall(target, built, L)
 }
