@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"bilsh/internal/chunk"
@@ -177,5 +179,37 @@ func TestBuildDrawsGroupStreamsInIndexOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestForEachGroupClaimsLargestFirst: one worker builds the groups largest
+// first, ties in group order, so the longest group never starts last.
+// With two workers that both fail, the error of the lower group index is
+// the one reported, whichever worker claimed it.
+func TestForEachGroupClaimsLargestFirst(t *testing.T) {
+	members := [][]int{make([]int, 2), make([]int, 5), make([]int, 2), make([]int, 9), nil}
+	setProcs(t, 1)
+	var order []int
+	if err := forEachGroup(members, func(_ *hashScratch, gi int) error {
+		order = append(order, gi)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 1, 0, 2, 4}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("groups built in order %v, want %v", order, want)
+	}
+
+	setProcs(t, 2)
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	errs := []error{errors.New("group 0"), errors.New("group 1")}
+	err := forEachGroup(members[:2], func(_ *hashScratch, gi int) error {
+		arrived.Done()
+		arrived.Wait() // both groups claimed before either fails
+		return errs[gi]
+	})
+	if err != errs[0] {
+		t.Fatalf("error %v, want %v", err, errs[0])
 	}
 }
