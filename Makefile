@@ -20,14 +20,15 @@ race: race-builders
 
 # Build and Compact hash the level-1 groups on up to GOMAXPROCS workers,
 # batch queries, ground truth and the short-list engines claim their
-# queries the same way (chunk.Claim), and the level-1 tree cuts each large
-# split into one chunk per worker (chunk.Run); on a two-core runner the
+# queries the same way (chunk.Claim), the level-1 tree cuts each large
+# split into one chunk per worker (chunk.Run), and Build and Compact copy
+# the rows into leaf order on every core; on a two-core runner the
 # default never has more than two in flight, so the build, compaction,
-# batch and equivalence tests, and the chunk, tree, diameter, table, knn
-# and short-list packages, also run with four.
+# batch, equivalence and leaf-order tests, and the chunk, tree, diameter,
+# table, knn and short-list packages, also run with four.
 race-builders:
 	GOMAXPROCS=4 $(GO) test -race ./internal/core -count=1 \
-		-run 'Build|Compact|Equivalent|MatchesReference|WorkerCount|QueryBatchParallel'
+		-run 'Build|Compact|Equivalent|MatchesReference|WorkerCount|QueryBatchParallel|LeafOrder'
 	GOMAXPROCS=4 $(GO) test -race ./internal/chunk ./internal/rptree ./internal/diameter ./internal/lshtable \
 		./internal/knn ./internal/shortlist -count=1
 

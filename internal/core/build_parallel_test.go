@@ -147,7 +147,9 @@ func TestHammingBuildIndependentOfWorkerCount(t *testing.T) {
 // is built from. Splitting a stream advances it, so the streams must be
 // drawn in group order whatever order the workers claim the groups in:
 // each group of a built index has to equal that group built alone from the
-// stream a one-group-after-another Build would have handed it.
+// stream a one-group-after-another Build would have handed it, over the
+// rows in input order (the built tables post positions, written here by
+// id).
 func TestBuildDrawsGroupStreamsInIndexOrder(t *testing.T) {
 	const seed = 5
 	data := testData(t, 700, 16, 61)
@@ -165,7 +167,8 @@ func TestBuildDrawsGroupStreamsInIndexOrder(t *testing.T) {
 			rng.Split(1) // the partitioner's stream
 		}
 		grng := rng.Split(2)
-		for gi, got := range ix.loadSnap().groups {
+		sn := ix.loadSnap()
+		for gi, got := range sn.groups {
 			want, err := buildGroup(data, nil, got.members, ix.Options(), grng.Split(int64(gi)), new(hashScratch))
 			if err != nil {
 				t.Fatal(err)
@@ -174,7 +177,7 @@ func TestBuildDrawsGroupStreamsInIndexOrder(t *testing.T) {
 				t.Fatalf("%v group %d: W %v, want %v", part, gi, got.w, want.w)
 			}
 			for tb := range want.tables {
-				if !bytes.Equal(got.tables[tb].AppendMapped(nil), want.tables[tb].AppendMapped(nil)) {
+				if !bytes.Equal(got.tables[tb].AppendMappedVia(nil, sn.ext), want.tables[tb].AppendMapped(nil)) {
 					t.Fatalf("%v group %d table %d differs from the group built alone", part, gi, tb)
 				}
 			}

@@ -15,7 +15,8 @@ import (
 // as the oracle for the merge: phase 1's renumbering, then phase 2 verbatim
 // (copy the survivors, route every one of them, and hash every group's
 // tables from scratch), run over ix's current snapshot with nothing racing
-// it and returned as a fresh index.
+// it and returned as a fresh index whose rows stay in id order (the
+// identity row order).
 func refCompactRebuild(t *testing.T, ix *Index) *Index {
 	t.Helper()
 	src := ix.loadSnap()
@@ -23,7 +24,7 @@ func refCompactRebuild(t *testing.T, ix *Index) *Index {
 	mapping := make([]int, srcTotal)
 	live := 0
 	for id := 0; id < srcTotal; id++ {
-		if src.isDeleted(id) {
+		if src.isDeleted(src.position(id)) {
 			mapping[id] = -1
 			continue
 		}
@@ -36,7 +37,7 @@ func refCompactRebuild(t *testing.T, ix *Index) *Index {
 		if mapping[id] < 0 {
 			continue
 		}
-		copy(fresh.Row(mapping[id]), src.row(id))
+		copy(fresh.Row(mapping[id]), src.row(src.position(id)))
 	}
 
 	// Re-group: membership is recomputed by routing, which also covers
@@ -65,7 +66,7 @@ func refCompactRebuild(t *testing.T, ix *Index) *Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant := buildQuant(opts, fresh)
+	quant := buildQuant(opts, fresh, nil)
 	return newIndex(opts, fresh, quant, src.level1, groups)
 }
 
@@ -126,8 +127,8 @@ var compactHistories = []compactHistory{
 				}
 			}
 		}
-		for _, id := range fullest {
-			ix.Delete(id)
+		for _, p := range fullest {
+			ix.Delete(sn.extID(p))
 		}
 		insertRows(t, ix, extra, 0, 5)
 		check()
@@ -274,7 +275,7 @@ func routingMoves(ix *Index) int {
 	moved := 0
 	for gi, g := range sn.groups {
 		for _, id := range g.members {
-			if sn.groupOf(sn.data.Row(id)) != gi {
+			if sn.groupOf(sn.data.Row(sn.position(id))) != gi {
 				moved++
 			}
 		}

@@ -24,7 +24,8 @@ import (
 const diskMagicLen = 16
 
 // WriteDiskTo serializes the index in the paged disk layout (v3) at f's
-// current offset. The writer must support seeking (an *os.File does):
+// current offset, rows, codes and postings by external id, as WriteTo
+// writes them. The writer must support seeking (an *os.File does):
 // section offsets and CRCs are back-patched into the header once the
 // sections are streamed. It returns the total bytes written.
 func (ix *Index) WriteDiskTo(f io.WriteSeeker) (int64, error) {
@@ -40,11 +41,11 @@ func (ix *Index) WriteDiskTo(f io.WriteSeeker) (int64, error) {
 	}
 	return writeDiskV3(f, &diskV3Source{
 		opts: ix.opts, n: sn.data.N, d: sn.data.D,
-		quant: sn.quant, level1: sn.level1, groups: sn.groups,
+		quant: sn.quant, level1: sn.level1, groups: sn.groups, rowOrder: sn.rowOrder,
 		rows: func(w io.Writer) error {
 			payload := make([]byte, 4*sn.data.D)
 			for i := 0; i < sn.data.N; i++ {
-				for j, v := range sn.data.Row(i) {
+				for j, v := range sn.data.Row(sn.position(i)) {
 					binary.LittleEndian.PutUint32(payload[4*j:], math.Float32bits(v))
 				}
 				if _, err := w.Write(payload); err != nil {

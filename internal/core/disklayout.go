@@ -113,7 +113,11 @@ type diskV3Source struct {
 	quant *vec.QuantizedMatrix
 	level1
 	groups []*group
-	// rows streams exactly 4·n·d bytes of little-endian float32 rows.
+	// rowOrder translates the positions the codes and postings are stored
+	// at to the external ids they are written under (zero: identity).
+	rowOrder
+	// rows streams exactly 4·n·d bytes of little-endian float32 rows, in
+	// external id order.
 	rows func(w io.Writer) error
 }
 
@@ -147,6 +151,27 @@ func padTo(w io.Writer, cur, target int64) (int64, error) {
 		}
 	}
 	return cur, nil
+}
+
+// writeCodes writes qm's code rows in external id order: row order[i] is
+// the i-th (order nil: as stored), batched into 64 KiB writes.
+func writeCodes(w io.Writer, qm *vec.QuantizedMatrix, order []int32) error {
+	if order == nil {
+		_, err := w.Write(qm.Codes)
+		return err
+	}
+	buf := make([]byte, 0, 1<<16)
+	for _, r := range order {
+		buf = append(buf, qm.Codes[int(r)*qm.D:(int(r)+1)*qm.D]...)
+		if len(buf) >= 1<<16-qm.D {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // writeDiskV3 emits the paged layout at f's current offset (the layout
@@ -266,7 +291,7 @@ func writeDiskV3(f io.WriteSeeker, src *diskV3Source) (int64, error) {
 			if uint64(cw.n) != tableRefs[gi][t].off {
 				return 0, fmt.Errorf("core: disk layout: table %d/%d at %d, planned %d", gi, t, cw.n, tableRefs[gi][t].off)
 			}
-			img := tab.AppendMapped(nil)
+			img := tab.AppendMappedVia(nil, src.ext)
 			if uint64(len(img)) != tableRefs[gi][t].size {
 				return 0, fmt.Errorf("core: disk layout: table %d/%d image %d bytes, planned %d", gi, t, len(img), tableRefs[gi][t].size)
 			}
@@ -287,7 +312,7 @@ func writeDiskV3(f io.WriteSeeker, src *diskV3Source) (int64, error) {
 			return 0, err
 		}
 		cw = &crcWriter{w: f}
-		if _, err := cw.Write(src.quant.Codes); err != nil {
+		if err := writeCodes(cw, src.quant, src.pos); err != nil {
 			return 0, err
 		}
 		secs = append(secs, diskSection{diskSecCodes, uint64(codesOff), uint64(len(src.quant.Codes)), cw.crc})

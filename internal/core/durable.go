@@ -310,7 +310,7 @@ func (d *DurableIndex) Delete(id int) bool {
 	// Mutations serialize on walMu, so this pre-check cannot race another
 	// writer; it keeps dead/absent ids out of the log.
 	sn := d.Index.loadSnap()
-	if id < 0 || id >= sn.total() || sn.isDeleted(id) {
+	if id < 0 || id >= sn.total() || sn.isDeleted(sn.position(id)) {
 		d.walMu.Unlock()
 		return false
 	}
@@ -440,6 +440,7 @@ func (d *DurableIndex) adoptMappedBase(path string) error {
 	next.quant = msn.quant
 	next.level1 = msn.level1
 	next.groups = msn.groups
+	next.rowOrder = msn.rowOrder
 	next.mapped = m
 	ix.publish(next)
 	ix.mu.Unlock()

@@ -285,6 +285,54 @@ func TestDurableDeleteSemantics(t *testing.T) {
 	}
 }
 
+// TestDurableDeleteLeafOrdered runs the durable delete path over a base
+// whose rows are in leaf order: every live id deletes once and only once,
+// whatever position its row sits at, and the checkpoint (a paged image,
+// read back in input order) answers as the leaf-ordered index it was
+// written from.
+func TestDurableDeleteLeafOrdered(t *testing.T) {
+	data := testData(t, 300, 8, 63)
+	base, err := Build(data, Options{Partitioner: PartitionRPTree, Groups: 5,
+		Params: lshfunc.Params{M: 4, L: 3, W: 4}}, xrand.New(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.loadSnap().ext == nil {
+		t.Fatal("fixture: the base is in input order")
+	}
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, DurableOptions{Base: base, Fsync: durable.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for id := 0; id < data.N; id += 2 {
+		if !d.Delete(id) {
+			t.Fatalf("delete of live id %d reported false", id)
+		}
+	}
+	for id := 0; id < data.N; id++ {
+		if d.Delete(id) != (id%2 == 1) {
+			t.Fatalf("second pass: delete of id %d reported %v", id, id%2 == 1)
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatalf("Len %d after deleting every row", d.Len())
+	}
+	if _, err := d.Insert(data.Row(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenDurable(dir, DurableOptions{Fsync: durable.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	sameQueries(t, d.Index, d2.Index, data)
+}
+
 func TestOpenDurableGuards(t *testing.T) {
 	// Empty dir and no base.
 	if _, err := OpenDurable(t.TempDir(), DurableOptions{}); err == nil {

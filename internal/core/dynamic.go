@@ -132,7 +132,7 @@ func (ix *Index) Insert(v []float32) (int, error) {
 func (ix *Index) Delete(id int) bool {
 	ix.mu.Lock()
 	sn := ix.loadSnap()
-	if id < 0 || id >= sn.total() || sn.isDeleted(id) {
+	if id < 0 || id >= sn.total() || sn.isDeleted(sn.position(id)) {
 		ix.mu.Unlock()
 		metDeleteMisses.Inc()
 		return false
@@ -144,7 +144,7 @@ func (ix *Index) Delete(id int) bool {
 		ix.publish(next)
 		sn = next
 	}
-	sn.dead.set(id)
+	sn.dead.set(sn.position(id))
 	ix.mu.Unlock()
 	metDeletes.Inc()
 	return true
@@ -153,12 +153,18 @@ func (ix *Index) Delete(id int) bool {
 // Len returns the number of live (non-deleted) items.
 func (ix *Index) Len() int { return ix.loadSnap().live() }
 
-// row returns the vector for any id in the dense id space (test hook; the
-// query path uses the snapshot directly).
-func (ix *Index) row(id int) []float32 { return ix.loadSnap().row(id) }
+// row returns the vector of any external id in the dense id space (test
+// hook; the query path uses the snapshot directly).
+func (ix *Index) row(id int) []float32 {
+	sn := ix.loadSnap()
+	return sn.row(sn.position(id))
+}
 
-// isDeleted reports whether id is tombstoned (test hook).
-func (ix *Index) isDeleted(id int) bool { return ix.loadSnap().isDeleted(id) }
+// isDeleted reports whether external id id is tombstoned (test hook).
+func (ix *Index) isDeleted(id int) bool {
+	sn := ix.loadSnap()
+	return sn.isDeleted(sn.position(id))
+}
 
 // HierarchyStale reports whether inserted points are missing from the
 // bucket hierarchies (only meaningful for ProbeHierarchy). Hierarchies
@@ -265,7 +271,7 @@ func (ix *Index) compact() ([]int, error) {
 	mapping := make([]int, srcTotal)
 	live := 0
 	for id := 0; id < srcTotal; id++ {
-		if src.isDeleted(id) {
+		if src.isDeleted(src.position(id)) {
 			mapping[id] = -1
 			continue
 		}
@@ -281,32 +287,39 @@ func (ix *Index) compact() ([]int, error) {
 	// Concurrent queries keep hitting the old snapshot; concurrent inserts
 	// land in the post-seal memtable and are re-based in phase 3.
 	//
-	// Every surviving row is copied to its new id and routed through level
-	// 1, which recomputes membership (inserted rows included), on every
-	// core: each worker writes the rows of its own block.
-	fresh := vec.NewMatrix(live, src.data.D)
+	// Every surviving row is routed through level 1, which recomputes
+	// membership (inserted rows included), and then copied to its position
+	// in its leaf's block of the fresh matrix (leafLayout): two passes over
+	// the source in storage order, on every core, each worker reading the
+	// rows of its own block.
 	routed := make([]int32, live)
 	chunk.Run(srcTotal, chunk.Count(srcTotal), func(_, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			if nid := mapping[id]; nid >= 0 {
-				row := fresh.Row(nid)
-				copy(row, src.row(id))
-				routed[nid] = int32(src.groupOf(row))
+		for p := lo; p < hi; p++ {
+			if nid := mapping[src.extID(p)]; nid >= 0 {
+				routed[nid] = int32(src.groupOf(src.row(p)))
 			}
 		}
 	})
-	members := groupMembers(routed, len(src.groups))
+	order, members, starts := leafLayout(routed, len(src.groups))
+	fresh := vec.NewMatrix(live, src.data.D)
+	chunk.Run(srcTotal, chunk.Count(srcTotal), func(_, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			if nid := mapping[src.extID(p)]; nid >= 0 {
+				copy(fresh.Row(order.position(nid)), src.row(p))
+			}
+		}
+	})
 
 	// Each group's tables are merged, not rebuilt (rebase.mergeGroup); its
 	// hierarchies are rebuilt over the merged tables.
 	rb := &rebase{
-		mapping: mapping, fresh: fresh, routed: routed,
+		src: src.rowOrder, mapping: mapping, fresh: fresh, routed: routed, order: order,
 		carry: make([]int, src.data.N), carried: make([]bool, live),
 	}
 	groups := make([]*group, len(src.groups))
 	opts := ix.opts
 	err := forEachGroup(members, func(s *hashScratch, gi int) error {
-		g, err := rb.mergeGroup(s, src.groups[gi], gi, members[gi])
+		g, err := rb.mergeGroup(s, src.groups[gi], gi, members[gi], starts[gi])
 		if err == nil {
 			err = buildGroupHierarchies(g, opts)
 		}
@@ -322,18 +335,19 @@ func (ix *Index) compact() ([]int, error) {
 	// Requantize the surviving rows (still off-lock: one streaming pass
 	// over the fresh matrix). Overlay inserts that only ranked exactly
 	// before now join the quantized scan.
-	quant := buildQuant(opts, fresh)
+	quant := buildQuant(opts, fresh, order.pos)
 
 	// Phase 3 (under mu, bounded work): swap the fresh base in. Rows
 	// inserted or segments sealed during phase 2 carry ids >= srcTotal;
 	// shift them down by delta so the id space stays dense, and carry every
-	// tombstone over (including deletes that raced phase 2).
+	// tombstone over (including deletes that raced phase 2). The base
+	// plane of cur is src's: only a compaction replaces it.
 	ix.mu.Lock()
 	cur := ix.loadSnap()
 	delta := live - srcTotal
 
 	next := &snapshot{
-		data: fresh, quant: quant, level1: src.level1, groups: groups,
+		data: fresh, quant: quant, level1: src.level1, groups: groups, rowOrder: order,
 	}
 	for _, seg := range cur.frozen[srcFrozen:] {
 		next.frozen = append(next.frozen, seg.shifted(delta))
@@ -344,10 +358,10 @@ func (ix *Index) compact() ([]int, error) {
 	}
 	next.dead = newTombstones(next.idCapacity())
 	for id := 0; id < srcTotal; id++ {
-		if mapping[id] >= 0 && cur.isDeleted(id) {
+		if mapping[id] >= 0 && cur.isDeleted(cur.position(id)) {
 			// Deleted while phase 2 ran: the row made it into the new
 			// base, so tombstone it there and report it gone.
-			next.dead.set(mapping[id])
+			next.dead.set(next.position(mapping[id]))
 			mapping[id] = -1
 		}
 	}
@@ -367,90 +381,51 @@ func (ix *Index) compact() ([]int, error) {
 	return mapping, nil
 }
 
-// groupMembers lists each group's ids, ascending, from the group of every
-// id, each list sized exactly.
-func groupMembers(routed []int32, groups int) [][]int {
-	counts := make([]int, groups)
-	for _, gi := range routed {
-		counts[gi]++
-	}
-	members := make([][]int, groups)
-	for gi, c := range counts {
-		if c > 0 {
-			members[gi] = make([]int, 0, c)
-		}
-	}
-	for id, gi := range routed {
-		members[gi] = append(members[gi], id)
-	}
-	return members
-}
-
 // rebase is what the groups of one compaction share: the renumbering, the
-// surviving rows under their new ids and the group each routes to, and the
+// surviving rows at their new positions, the group each routes to, and the
 // record of which rows each group carries. The groups are disjoint, so the
 // workers merging them write disjoint entries of carry and carried.
 type rebase struct {
+	src     rowOrder    // the source base's positions
 	mapping []int       // old id -> new id, -1 for a deleted row
-	fresh   *vec.Matrix // surviving rows, by new id
+	fresh   *vec.Matrix // surviving rows, at their new positions
 	routed  []int32     // new id -> level-1 group
-	carry   []int       // old base id -> new id if its group carries it, else -1
-	carried []bool      // new id -> whether its group carries it
+	order   rowOrder    // the new base's positions
+	carry   []int       // old base position -> new position if its group carries it, else -1
+	carried []bool      // new position -> whether its group carries it
 }
 
-// mergeGroup returns the successor of group gi, old, over members (new ids,
-// ascending): the same family, lattice and w, and tables merged from old's.
-// A carried row is one in old's tables that routes back to gi. It keeps its
-// postings, renumbered, and is not hashed again: its family, lattice, w and
-// bytes are unchanged, so its key is the key it is already stored under.
-// Only the arrivals are hashed: overlay rows, and base rows that routing
-// moved into the group, where routing and the stored membership disagree.
-// The renumbering ascends in old id order, so the merged tables are the
-// ones buildTables would build over members.
-func (rb *rebase) mergeGroup(s *hashScratch, old *group, gi int, members []int) (*group, error) {
+// mergeGroup returns the successor of group gi, old, over members (new
+// ids, ascending, at the positions from lo on): the same family, lattice
+// and w, and tables merged from old's. A carried row is one in old's
+// tables that routes back to gi. It keeps its postings, renumbered, and is
+// not hashed again: its family, lattice, w and bytes are unchanged, so its
+// key is the key it is already stored under. Only the arrivals are hashed:
+// overlay rows, and base rows that routing moved into the group, where
+// routing and the stored membership disagree. Within a leaf, positions
+// ascend with ids on both sides and the renumbering keeps id order, so
+// the merged tables are the ones buildTables would build over the group's
+// positions.
+func (rb *rebase) mergeGroup(s *hashScratch, old *group, gi int, members []int, lo int) (*group, error) {
 	for _, id := range old.members {
-		rb.carry[id] = -1
+		p := rb.src.position(id)
+		rb.carry[p] = -1
 		if nid := rb.mapping[id]; nid >= 0 && rb.routed[nid] == int32(gi) {
-			rb.carry[id] = nid
-			rb.carried[nid] = true
+			np := rb.order.position(nid)
+			rb.carry[p] = np
+			rb.carried[np] = true
 		}
 	}
 	var arrivals []int
-	for _, nid := range members {
-		if !rb.carried[nid] {
-			arrivals = append(arrivals, nid)
+	for np := lo; np < lo+len(members); np++ {
+		if !rb.carried[np] {
+			arrivals = append(arrivals, np)
 		}
 	}
-	g := &group{members: members, fam: old.fam, lat: old.lat, w: old.w}
+	g := &group{members: members, lo: lo, fam: old.fam, lat: old.lat, w: old.w}
 	err := g.hashTables(s, arrivals, func(i int) []float32 { return rb.fresh.Row(arrivals[i]) },
 		func(t int, keys []byte, keyLen int) (*lshtable.Table, error) {
 			return mergeTable(&s.tables, old.tables[t], rb.carry, keys, keyLen, arrivals)
 		})
 	return g, err
-}
-
-// RebuildHierarchies reconstructs the bucket hierarchies over the current
-// base tables. Compact rebuilds them as part of every compaction; calling
-// this directly is only useful after external table surgery, and it cannot
-// fold overlay inserts (those require Compact), so HierarchyStale persists
-// while overlay rows are pending.
-func (ix *Index) RebuildHierarchies() error {
-	if !ix.opts.hierarchical() {
-		return nil
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	sn := ix.loadSnap()
-	groups := make([]*group, len(sn.groups))
-	for i, g := range sn.groups {
-		cp := *g
-		groups[i] = &cp
-	}
-	if err := buildHierarchies(groups, ix.opts); err != nil {
-		return err
-	}
-	next := sn.clone()
-	next.groups = groups
-	ix.publish(next)
-	return nil
 }

@@ -24,16 +24,19 @@ import (
 // mode and lattice must produce identical results (ids AND distances) and
 // identical deterministic stats fields.
 
-// refGather is the old map-based candidate collection.
+// refGather is the old map-based candidate collection. Postings are
+// positions in the snapshot's row order; it collects their external ids.
 func refGather(ix *Index, q []float32, hierMinCount int) (map[int]struct{}, QueryStats) {
 	gi := ix.GroupOf(q)
-	g := ix.loadSnap().groups[gi]
+	sn := ix.loadSnap()
+	g := sn.groups[gi]
 	stats := QueryStats{Group: gi}
 	set := make(map[int]struct{})
 	proj := make([]float64, ix.opts.Params.M)
 
 	add := func(ids []int) {
-		for _, id := range ids {
+		for _, p := range ids {
+			id := sn.extID(p)
 			if ix.isDeleted(id) {
 				continue
 			}
@@ -118,14 +121,15 @@ func refQuery(ix *Index, q []float32, k int) (knn.Result, QueryStats) {
 // refPlainShortListSize is the old standalone single-probe sizing pass.
 func refPlainShortListSize(ix *Index, q []float32) int {
 	gi := ix.GroupOf(q)
-	g := ix.loadSnap().groups[gi]
+	sn := ix.loadSnap()
+	g := sn.groups[gi]
 	proj := make([]float64, ix.opts.Params.M)
 	set := make(map[int]struct{})
 	for t := 0; t < ix.opts.Params.L; t++ {
 		g.fam.Project(t, q, proj)
 		key := lattice.Key(g.lat.Decode(proj))
-		for _, id := range g.tables[t].Bucket(key) {
-			if !ix.isDeleted(id) {
+		for _, p := range g.tables[t].Bucket(key) {
+			if id := sn.extID(p); !ix.isDeleted(id) {
 				set[id] = struct{}{}
 			}
 		}

@@ -97,6 +97,12 @@ func hostilePostingImage(tb testing.TB, ix *Index) []byte {
 	}
 	g.tables[0] = hostile
 	defer func() { g.tables[0] = orig }()
+	// The hostile postings have no external id: write every posting and
+	// row as stored.
+	sn := ix.loadSnap()
+	order := sn.rowOrder
+	sn.rowOrder = rowOrder{}
+	defer func() { sn.rowOrder = order }()
 	var img bytes.Buffer
 	if _, err := ix.WriteTo(&img); err != nil {
 		tb.Fatal(err)

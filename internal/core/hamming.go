@@ -76,8 +76,8 @@ func flipBit(key []byte, j int) { key[j>>3] ^= 1 << (uint(j) & 7) }
 
 // rankHamming ranks the drained candidates by exact Hamming distance to
 // the query sketch left in s.qbits by gatherPlan. Like rankWith, the
-// scan walks candidates in ascending id order and only the two result
-// slices allocate.
+// scan walks candidates in ascending position order, the heap breaks ties
+// on external ids, and only the two result slices allocate.
 func (sn *snapshot) rankHamming(k int, s *scratch) knn.Result {
 	h := s.topK(k)
 	if cap(s.dists) < len(s.cands) {
@@ -85,9 +85,9 @@ func (sn *snapshot) rankHamming(k int, s *scratch) knn.Result {
 	}
 	s.dists = s.dists[:len(s.cands)]
 	vec.HammingToRows(s.dists, sn.sketches, s.cands, s.qbits)
-	for i, id := range s.cands {
+	for i, p := range s.cands {
 		if d := s.dists[i]; h.Accepts(d) {
-			h.Push(int(id), d)
+			h.Push(sn.extID(int(p)), d)
 		}
 	}
 	s.items = h.AppendSorted(s.items[:0])
@@ -107,13 +107,13 @@ func (sn *snapshot) exactHamming(q []float32, k int) knn.Result {
 	qb := make([]uint64, sn.sketcher.Words())
 	sn.sketcher.Sketch(q, qb)
 	h := topk.New(k)
-	for id := 0; id < sn.sketches.N; id++ {
-		if sn.isDeleted(id) {
+	for p := 0; p < sn.sketches.N; p++ {
+		if sn.isDeleted(p) {
 			continue
 		}
-		d := float64(vec.Hamming(sn.sketches.Row(id), qb))
+		d := float64(vec.Hamming(sn.sketches.Row(p), qb))
 		if h.Accepts(d) {
-			h.Push(id, d)
+			h.Push(sn.extID(p), d)
 		}
 	}
 	items := h.Sorted()

@@ -113,7 +113,8 @@ func TestHammingBuildQuery(t *testing.T) {
 
 // sketchOf returns row id's packed sketch (test helper).
 func sketchOf(ix *Index, id int) []uint64 {
-	return ix.loadSnap().sketches.Row(id)
+	sn := ix.loadSnap()
+	return sn.sketches.Row(sn.position(id))
 }
 
 // querySketch sketches q with the index's sketcher (test helper).

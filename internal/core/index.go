@@ -27,8 +27,8 @@ import (
 // Concurrency: the index is safe for unrestricted concurrent use. Readers
 // (Query, QueryBatch, QueryBatchParallel, CandidateList, ExactKNN,
 // Describe, Len, Epoch, ...) load the current snapshot once and never take
-// a lock. Writers (Insert, Delete, Compact, RebuildHierarchies) serialize
-// on a short-held mutex; Compact additionally builds its new base outside
+// a lock. Writers (Insert, Delete, Compact, SetQuantize) serialize on a
+// short-held mutex; Compact additionally builds its new base outside
 // the mutex, so reads and writes keep flowing while it works. See
 // docs/concurrency.md.
 type Index struct {
@@ -60,11 +60,15 @@ type Index struct {
 }
 
 // group is one level-1 partition with its level-2 machinery. Groups
-// reachable from a published snapshot are immutable; mutators that change
-// derived state (Compact, RebuildHierarchies) build replacement groups and
-// publish a new snapshot.
+// reachable from a published snapshot are immutable; Compact builds
+// replacement groups and publishes a new snapshot.
 type group struct {
-	members []int // global row ids
+	// members lists the group's base rows by external id, ascending. In a
+	// leaf-ordered snapshot they are the rows at positions [lo,
+	// lo+len(members)), and members is that block's view of the snapshot's
+	// ext; the tables post positions.
+	members []int
+	lo      int
 	fam     *lshfunc.Family
 	lat     lattice.Lattice
 	w       float64 // the group's effective bucket width
@@ -98,12 +102,14 @@ func (ix *Index) attachHamming(sk *lshfunc.Sketcher, sketches *vec.BinaryMatrix)
 }
 
 // buildQuant materializes the quantized row store opts asks for (nil for
-// QuantizeNone).
-func buildQuant(opts Options, data *vec.Matrix) *vec.QuantizedMatrix {
+// QuantizeNone) over rows stored in the order pos gives (pos[id] is the
+// position of external id id; nil for input order), exactly as it would
+// over the rows in id order.
+func buildQuant(opts Options, data *vec.Matrix, pos []int32) *vec.QuantizedMatrix {
 	if opts.Quantize != QuantizeSQ8 || data.N == 0 {
 		return nil
 	}
-	return vec.QuantizeSQ8(data)
+	return vec.QuantizeSQ8Order(data, pos)
 }
 
 // loadSnap returns the current read view.
@@ -120,7 +126,8 @@ func (ix *Index) publish(sn *snapshot) {
 // Build constructs the index over data. The rng drives every random choice
 // (partition directions, hash draws), so the same seed reproduces the same
 // index — the mechanism the experiments use to sample the projection
-// variance r1.
+// variance r1. The index keeps its own copy of the rows, in level-1 leaf
+// order (layout.go); data is only read, and ids are data's row numbers.
 func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -157,14 +164,27 @@ func Build(data *vec.Matrix, opts Options, rng *xrand.RNG) (*Index, error) {
 		if err != nil {
 			return fmt.Errorf("core: group %d: %w", gi, err)
 		}
+		g.members = members[gi]
 		groups[gi] = g
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndex(opts, data, buildQuant(opts, data), l1, groups)
+
+	// Leaf order last, once the hashing's working memory is garbage: the
+	// copy of the rows is made after it, not beside it.
+	order, err := layOut(groups, data.N)
+	if err != nil {
+		return nil, err
+	}
+	rows := order.gather(data)
+	if sketches != nil && order.ext != nil {
+		permuteRows(sketches.Words, sketches.WordsPerRow(), order.ext)
+	}
+	ix := newIndex(opts, rows, buildQuant(opts, rows, order.pos), l1, groups)
 	ix.attachHamming(sk, sketches)
+	ix.loadSnap().rowOrder = order // before the index is shared, like attachHamming
 	return ix, nil
 }
 
@@ -286,19 +306,19 @@ func (s *hashScratch) projScratch(n int) []float64 {
 	return s.proj[:n]
 }
 
-// buildGroup builds one group of Build over its members, the rows of data
-// it holds: its hash (newHashGroup, or bit sampling under MetricHamming),
-// its tables and, when the options probe them, its hierarchies.
-func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, members []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
+// buildGroup builds one group of Build over ids, the rows of data it
+// holds: its hash (newHashGroup, or bit sampling under MetricHamming), its
+// tables, which post ids, and, when the options probe them, its
+// hierarchies. The caller sets its members.
+func buildGroup(data *vec.Matrix, sketches *vec.BinaryMatrix, ids []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
 	if opts.Metric == MetricHamming {
-		return buildHammingGroup(&group{members: members}, sketches, opts, rng, s)
+		return buildHammingGroup(sketches, ids, opts, rng, s)
 	}
-	g, err := newHashGroup(data, members, opts, rng)
+	g, err := newHashGroup(data, ids, opts, rng)
 	if err != nil {
 		return nil, err
 	}
-	g.members = members
-	if err := g.buildTables(s, members, func(i int) []float32 { return data.Row(members[i]) }); err != nil {
+	if err := g.buildTables(s, ids, func(i int) []float32 { return data.Row(ids[i]) }); err != nil {
 		return nil, err
 	}
 	return g, buildGroupHierarchies(g, opts)
@@ -414,25 +434,26 @@ func (g *group) hashTables(s *hashScratch, ids []int, row func(i int) []float32,
 	return nil
 }
 
-// buildHammingGroup builds one group's bit-sampling tables over the global
-// sketch matrix. The split label 102 matches the Euclidean path's spacing
-// (100 tuner, 101 family), so group streams stay disjoint.
-func buildHammingGroup(g *group, sketches *vec.BinaryMatrix, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
-	g.w = opts.Params.W // no bucket width in Hamming space; kept for reports
+// buildHammingGroup builds one group's bit-sampling tables over the rows
+// ids of the global sketch matrix. The split label 102 matches the
+// Euclidean path's spacing (100 tuner, 101 family), so group streams stay
+// disjoint.
+func buildHammingGroup(sketches *vec.BinaryMatrix, ids []int, opts Options, rng *xrand.RNG, s *hashScratch) (*group, error) {
+	g := &group{w: opts.Params.W} // no bucket width in Hamming space; kept for reports
 	bs, err := lshfunc.NewBitSampler(opts.Bits, opts.Params.M, opts.Params.L, rng.Split(102))
 	if err != nil {
 		return nil, err
 	}
 	g.bsamp = bs
 
-	s.keys = slices.Grow(s.keys[:0], len(g.members)*bs.KeyLen())
+	s.keys = slices.Grow(s.keys[:0], len(ids)*bs.KeyLen())
 	g.tables = make([]*lshtable.Table, opts.Params.L)
 	for t := range g.tables {
 		keys := s.keys[:0]
-		for _, id := range g.members {
+		for _, id := range ids {
 			keys = bs.AppendKey(keys, t, sketches.Row(id))
 		}
-		tab, err := s.tables.BuildFlat(keys, bs.KeyLen(), g.members)
+		tab, err := s.tables.BuildFlat(keys, bs.KeyLen(), ids)
 		if err != nil {
 			return nil, err
 		}
@@ -547,14 +568,15 @@ func (ix *Index) SetQuantize(kind QuantizeKind, factor int) error {
 	}
 	src := ix.loadSnap()
 	next := src.clone()
-	next.quant = buildQuant(ix.opts, src.data)
+	next.quant = buildQuant(ix.opts, src.data, src.pos)
 	ix.publish(next)
 	return nil
 }
 
 // Epoch returns the current snapshot epoch. It increases by one each time
-// a new read view is published (memtable seal, Compact, hierarchy
-// rebuild) and is monotone over the index's lifetime.
+// a new read view is published (memtable seal, first delete, Compact,
+// SetQuantize, a durable index's remap) and is monotone over the index's
+// lifetime.
 func (ix *Index) Epoch() uint64 { return ix.loadSnap().epoch }
 
 // NumGroups returns the number of level-1 partitions.
@@ -587,7 +609,7 @@ func (ix *Index) Vector(id int) []float32 {
 	if id < 0 || id >= sn.total() {
 		return nil
 	}
-	return append([]float32(nil), sn.row(id)...)
+	return append([]float32(nil), sn.row(sn.position(id))...)
 }
 
 // GroupW returns group g's effective bucket width (for reports).

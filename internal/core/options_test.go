@@ -107,9 +107,9 @@ func TestReadIndexRejectsRetiredLattice(t *testing.T) {
 		ww := wire.NewWriter(&buf)
 		ww.Magic(indexMagic)
 		writeOptions(ww, o)
-		sn.data.Encode(ww)
-		writeQuant(ww, sn.quant)
-		writeStructure(ww, sn.level1, sn.groups)
+		sn.data.EncodeRows(ww, sn.pos)
+		writeQuant(ww, sn.quant, sn.pos)
+		writeStructure(ww, sn.level1, sn.groups, sn.ext)
 		if err := ww.Flush(); err != nil {
 			t.Fatal(err)
 		}

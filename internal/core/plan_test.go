@@ -263,10 +263,10 @@ func refGatherPlanMulti(ix *Index, q []float32, rp *resolvedPlan) (map[int]struc
 	ps := PlanStats{QueryStats: QueryStats{Group: gi}, ResolvedTables: rp.tables, ResolvedProbes: rp.probes}
 	set := make(map[int]struct{})
 	add := func(ids []int) {
-		for _, id := range ids {
-			if !sn.isDeleted(id) {
+		for _, p := range ids {
+			if !sn.isDeleted(p) {
 				ps.Scanned++
-				set[id] = struct{}{}
+				set[sn.extID(p)] = struct{}{}
 			}
 		}
 	}

@@ -282,9 +282,9 @@ func TestReadIndexRejectsQuantShapeMismatch(t *testing.T) {
 	ww := wire.NewWriter(&buf2)
 	ww.Magic(indexMagic)
 	writeOptions(ww, ix.opts)
-	sn.data.Encode(ww)
-	writeQuant(ww, &bad)
-	writeStructure(ww, sn.level1, sn.groups)
+	sn.data.EncodeRows(ww, sn.pos)
+	writeQuant(ww, &bad, nil)
+	writeStructure(ww, sn.level1, sn.groups, sn.ext)
 	if err := ww.Flush(); err != nil {
 		t.Fatal(err)
 	}

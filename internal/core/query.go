@@ -162,6 +162,7 @@ func (sn *snapshot) gatherFrom(q []float32, rp *resolvedPlan, s *scratch, start 
 		ResolvedProbes: rp.probes,
 	}
 	stats := &ps.QueryStats
+	s.lo, s.hi = sn.span(gi)
 	mark := time.Now()
 	stats.Timings.Route = mark.Sub(start)
 	if sn.sketcher != nil {
@@ -264,9 +265,12 @@ func (ix *Index) candidateList(q []float32, s *scratch) ([]int, QueryStats) {
 	st := sn.gatherPlan(q, &rp, s).QueryStats
 	metCandLists.Inc()
 	recordStages(&st)
+	// Ascending positions give ascending ids: the base candidates all lie
+	// in the query's leaf, where the two orders agree, and overlay ids are
+	// their own positions, above every base id.
 	ids := make([]int, len(s.cands))
-	for i, id := range s.cands {
-		ids[i] = int(id)
+	for i, p := range s.cands {
+		ids[i] = sn.extID(int(p))
 	}
 	return ids, st
 }
@@ -284,13 +288,13 @@ func (ix *Index) ExactKNN(q []float32, k int) knn.Result {
 	}
 	total := sn.total()
 	h := topk.New(k)
-	for id := 0; id < total; id++ {
-		if sn.isDeleted(id) {
+	for p := 0; p < total; p++ {
+		if sn.isDeleted(p) {
 			continue
 		}
-		d := vec.SqDist(sn.row(id), q)
+		d := vec.SqDist(sn.row(p), q)
 		if h.Accepts(d) {
-			h.Push(id, d)
+			h.Push(sn.extID(p), d)
 		}
 	}
 	items := h.Sorted()
@@ -308,9 +312,11 @@ func (ix *Index) ExactKNN(q []float32, k int) knn.Result {
 // rankWith is the serial short-list search over the drained list in
 // s.cands, with a per-plan re-rank factor override (0 keeps the index
 // default; only meaningful under SQ8 quantization). Candidates are ranked
-// in ascending id order, as drained: ids index a contiguous row-major
-// matrix, so the scan walks memory forward (the linear-array layout of
-// Section V-A) and the result is independent of collection order.
+// in ascending position order, as drained: positions index a contiguous
+// row-major matrix in which the query's leaf is one block, so the scan
+// walks memory forward (the linear-array layout of Section V-A). The heap
+// holds external ids and breaks distance ties on them, so the result is
+// independent of collection and storage order.
 func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result {
 	if sn.sketches != nil {
 		return sn.rankHamming(k, s)
@@ -333,12 +339,12 @@ func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result 
 		vec.SqDistToRows(s.dists[:nBase], sn.data.Data, sn.data.D, s.cands[:nBase], q)
 		for i := 0; i < nBase; i++ {
 			if d := s.dists[i]; h.Accepts(d) {
-				h.Push(int(s.cands[i]), d)
+				h.Push(sn.extID(int(s.cands[i])), d)
 			}
 		}
 	}
 	// Overlay rows live in memory as float32 regardless of quantization,
-	// so they always rank exactly.
+	// so they always rank exactly; their ids are their positions.
 	for i := nBase; i < len(s.cands); i++ {
 		if d := vec.SqDist(sn.row(int(s.cands[i])), q); h.Accepts(d) {
 			h.Push(int(s.cands[i]), d)
@@ -359,13 +365,14 @@ func (sn *snapshot) rankWith(q []float32, k, rerank int, s *scratch) knn.Result 
 
 // rankBaseQuantized is the quantized short-list scan: an approximate SQ8
 // pass over all base candidates (reading 1 byte/dimension instead of 4),
-// selection of the k×RerankFactor most promising ids, then an exact
-// float32 re-rank of just those survivors before they enter the result
-// heap. Returned distances are therefore always exact; quantization error
-// can only cost recall at the selection edge, which the re-rank margin
-// (and the golden quality gate) bounds. On a mapped index this is also
-// the residency win: the codes are the only resident row bytes, and only
-// the shortlist survivors touch the row pages.
+// selection of the k×RerankFactor most promising ids (ties broken on the
+// external id, as in the result heap), then an exact float32 re-rank of
+// just those survivors before they enter the result heap. Returned
+// distances are therefore always exact; quantization error can only cost
+// recall at the selection edge, which the re-rank margin (and the golden
+// quality gate) bounds. On a mapped index this is also the residency
+// win: the codes are the only resident row bytes, and only the shortlist
+// survivors touch the row pages.
 func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h *topk.Heap, nBase int) {
 	vec.SqDistToRowsSQ8(s.dists[:nBase], sn.quant, s.cands[:nBase], q)
 	if rerank <= 0 {
@@ -376,7 +383,7 @@ func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h 
 		rh := s.rerankTopK(r)
 		for i := 0; i < nBase; i++ {
 			if d := s.dists[i]; rh.Accepts(d) {
-				rh.Push(int(s.cands[i]), d)
+				rh.Push(sn.extID(int(s.cands[i])), d)
 			}
 		}
 		s.ritems = rh.AppendSorted(s.ritems[:0])
@@ -385,10 +392,10 @@ func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h 
 		}
 		s.rids = s.rids[:0]
 		for _, it := range s.ritems {
-			s.rids = append(s.rids, int32(it.ID))
+			s.rids = append(s.rids, int32(sn.position(it.ID)))
 		}
-		// Ascending ids keep the exact pass streaming memory forward, like
-		// the main scan.
+		// Ascending positions keep the exact pass streaming memory
+		// forward, like the main scan.
 		slices.Sort(s.rids)
 	} else {
 		// Shortlist no bigger than the re-rank budget: exact-rank all of it.
@@ -399,9 +406,9 @@ func (sn *snapshot) rankBaseQuantized(q []float32, k, rerank int, s *scratch, h 
 	}
 	s.rdists = s.rdists[:len(s.rids)]
 	vec.SqDistToRows(s.rdists, sn.data.Data, sn.data.D, s.rids, q)
-	for i, id := range s.rids {
+	for i, p := range s.rids {
 		if d := s.rdists[i]; h.Accepts(d) {
-			h.Push(int(id), d)
+			h.Push(sn.extID(int(p)), d)
 		}
 	}
 }

@@ -140,22 +140,36 @@ func BenchmarkCandidateList(b *testing.B) {
 // shaped like the repository benchmark's: n = 100k with the probe
 // workload's mix (1 024 lookups, 13 216 entries, 2 651 distinct ids), n =
 // 60k with the scan workload's (160 lookups, 12 203 entries, 1 618
-// distinct) and the probe mix at n = 1M, where the drain reads 15 625
-// words. "count" is the form plans that arm early termination run.
+// distinct) and the probe mix at n = 1M, where a drain over the whole set
+// reads 15 625 words. "probe-1M-leaf" is that mix with its ids drawn from
+// one sixteenth of n, one leaf's block of a leaf-ordered base, and the
+// drain narrowed to the block as a query's gather narrows it. "count" is
+// the form plans that arm early termination run.
 func BenchmarkCandidateUnion(b *testing.B) {
 	shapes := []struct {
 		name                        string
 		n, buckets, entries, unique int
+		leaf                        bool
 	}{
-		{"probe-100k", 100_000, 1024, 13216, 2651},
-		{"scan-60k", 60_000, 160, 12203, 1618},
-		{"probe-1M", 1_000_000, 1024, 13216, 2651},
+		{"probe-100k", 100_000, 1024, 13216, 2651, false},
+		{"scan-60k", 60_000, 160, 12203, 1618, false},
+		{"probe-1M", 1_000_000, 1024, 13216, 2651, false},
+		{"probe-1M-leaf", 1_000_000, 1024, 13216, 2651, true},
 	}
 	for _, sh := range shapes {
 		rng := xrand.New(49)
+		lo, hi := 0, sh.n
+		if sh.leaf {
+			lo, hi = 7*sh.n/16, 8*sh.n/16
+		}
 		hists := make([][][]int, 16)
 		for h := range hists {
-			hists[h] = unionBuckets(rng, sh.n, sh.buckets, sh.entries, sh.unique)
+			hists[h] = unionBuckets(rng, hi-lo, sh.buckets, sh.entries, sh.unique)
+			for _, ids := range hists[h] {
+				for i := range ids {
+					ids[i] += lo
+				}
+			}
 		}
 		sn := &snapshot{data: &vec.Matrix{N: sh.n, D: 1}}
 		for _, count := range []bool{false, true} {
@@ -170,6 +184,7 @@ func BenchmarkCandidateUnion(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var st QueryStats
 					s.begin(sn, count)
+					s.lo, s.hi = lo, hi
 					for _, ids := range hists[i%len(hists)] {
 						union(s, &st, ids)
 					}

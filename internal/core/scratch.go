@@ -18,9 +18,12 @@ import (
 //
 // The candidate union marks, then drains (the bitset form of the paper's
 // clustered sort + compact): union ORs each live posting into seen, one
-// bit per id (7.5 KB at n = 60k, 125 KB at n = 1M), and one drain per
-// gather writes the candidates to cands in ascending id order — the order
-// the row scan wants — and clears the set for the next gather.
+// bit per position (7.5 KB at n = 60k, 125 KB at n = 1M), and one drain
+// per gather writes the candidates to cands in ascending position order —
+// the order the row scan wants — and clears the set for the next gather.
+// Every base posting a query walks lies in its leaf's block (snapshot.span),
+// so the drain reads that block's words and the overlay's, not the whole
+// set.
 type scratch struct {
 	// The probe seam's state (probeKeys); keys holds one table's
 	// probe-key block.
@@ -28,8 +31,10 @@ type scratch struct {
 
 	ords     []int32     // bucket ordinals of the probe-key block (lshtable.LookupBlock)
 	okey     []byte      // composed overlay key buffer (group+table prefix)
-	cands    []int32     // the drained short list, ascending id
-	seen     []uint64    // bit id set <=> id gathered since the last drain
+	cands    []int32     // the drained short list, ascending position
+	seen     []uint64    // bit p set <=> position p gathered since the last drain
+	lo, hi   int         // the base positions union can mark: the routed leaf's block
+	base     int         // the first overlay position: the snapshot's base row count
 	dead     *tombstones // the snapshot's tombstones, nil while none is set
 	count    bool        // keep distinct: the plan arms early termination
 	distinct int         // ids union newly set in seen, when count
@@ -72,8 +77,10 @@ func (ix *Index) putScratch(s *scratch) { ix.scratchPool.Put(s) }
 
 // begin readies the scratch for one gather against sn, keeping the
 // running distinct count when count is set. The bitset covers every id sn
-// can ever surface (the active memtable at full capacity). Tombstones are
-// read once: with none set, a racing delete orders after the query.
+// can ever surface (the active memtable at full capacity), and the drain
+// reads all of it until the gather narrows lo and hi to its leaf's block.
+// Tombstones are read once: with none set, a racing delete orders after
+// the query.
 func (s *scratch) begin(sn *snapshot, count bool) {
 	if sn.sketcher != nil {
 		if w := sn.sketcher.Words(); cap(s.qbits) < w {
@@ -92,6 +99,7 @@ func (s *scratch) begin(sn *snapshot, count bool) {
 	} else {
 		s.seen = s.seen[:words] // empty past any length: every gather drains
 	}
+	s.lo, s.hi, s.base = 0, sn.data.N, sn.data.N
 	s.dead = sn.dead
 	if s.dead.count() == 0 {
 		s.dead = nil
@@ -129,15 +137,25 @@ func union[T int | int32](s *scratch, st *QueryStats, ids []T) {
 	s.distinct += added
 }
 
-// drain writes the candidate set to cands in ascending id order and
-// clears it, reading every word of seen. A non-empty word stores its four
-// lowest ids whatever it holds (1.7 on average at the probe workload's
-// density) and n advances by its popcount, so no branch waits on a set
-// bit; stores past n are overwritten or dropped.
+// drain writes the candidate set to cands in ascending position order and
+// clears it, reading the words of the base block [lo, hi) and of the
+// overlay, where union can have set bits. A non-empty word stores its four
+// lowest positions whatever it holds (1.7 on average at the probe
+// workload's density) and n advances by its popcount, so no branch waits
+// on a set bit; stores past n are overwritten or dropped.
 func (s *scratch) drain() {
-	cands := s.cands[:cap(s.cands)]
-	n := 0
-	for w, word := range s.seen {
+	blockEnd := (s.hi + 63) >> 6
+	cands, n := s.drainWords(s.cands[:cap(s.cands)], 0, s.lo>>6, blockEnd)
+	cands, n = s.drainWords(cands, n, max(blockEnd, s.base>>6), len(s.seen))
+	s.cands = cands[:n]
+}
+
+// drainWords is drain over the words [from, to) of seen, appending to the
+// n candidates cands holds; it returns the (possibly grown) buffer and
+// the new count.
+func (s *scratch) drainWords(cands []int32, n, from, to int) ([]int32, int) {
+	for w := from; w < to; w++ {
+		word := s.seen[w]
 		if word == 0 {
 			continue
 		}
@@ -157,7 +175,7 @@ func (s *scratch) drain() {
 			dst[i], word = base|int32(bits.TrailingZeros64(word)), word&(word-1)
 		}
 	}
-	s.cands = cands[:n]
+	return cands, n
 }
 
 // topK returns the reusable bounded heap, re-created only when k changes.

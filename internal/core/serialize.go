@@ -48,7 +48,9 @@ const (
 // WriteTo serializes the index (including its data) to w. It returns the
 // number of bytes written. The snapshot current at the time of the call is
 // written; concurrent mutations do not corrupt the output, but WriteTo
-// refuses snapshots with pending overlay state (Compact first).
+// refuses snapshots with pending overlay state (Compact first). Rows and
+// postings are written by external id, un-permuted as they stream, so the
+// file does not depend on the order the index stores its rows in.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	sn := ix.loadSnap()
 	if err := sn.requireClean(); err != nil {
@@ -66,13 +68,13 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		ww.Int(int(ix.opts.Metric))
 		ww.Int(ix.opts.Bits)
 	}
-	sn.data.Encode(ww)
-	writeQuant(ww, sn.quant)
+	sn.data.EncodeRows(ww, sn.pos)
+	writeQuant(ww, sn.quant, sn.pos)
 	if ix.opts.Metric == MetricHamming {
 		sn.sketcher.Encode(ww)
-		sn.sketches.Encode(ww)
+		sn.sketches.EncodeRows(ww, sn.pos)
 	}
-	writeStructure(ww, sn.level1, sn.groups)
+	writeStructure(ww, sn.level1, sn.groups, sn.ext)
 	if err := ww.Flush(); err != nil {
 		return ww.BytesWritten(), fmt.Errorf("core: writing index: %w", err)
 	}
@@ -118,11 +120,12 @@ func writeOptions(ww *wire.Writer, o Options) {
 }
 
 // writeQuant emits the optional quantized row store section (a presence
-// flag, so an SQ8 index whose code matrix is empty round-trips cleanly).
-func writeQuant(ww *wire.Writer, qm *vec.QuantizedMatrix) {
+// flag, so an SQ8 index whose code matrix is empty round-trips cleanly),
+// its code rows in the order order lists (nil: as stored).
+func writeQuant(ww *wire.Writer, qm *vec.QuantizedMatrix, order []int32) {
 	ww.Bool(qm != nil)
 	if qm != nil {
-		qm.Encode(ww)
+		qm.EncodeRows(ww, order)
 	}
 }
 
@@ -244,8 +247,9 @@ func rehashGroups(groups []*group, data *vec.Matrix) error {
 	})
 }
 
-// writeStructure emits the partitioner and the per-group machinery.
-func writeStructure(ww *wire.Writer, l1 level1, groups []*group) {
+// writeStructure emits the partitioner and the per-group machinery, each
+// posting p written as ext[p] (ext nil: as stored).
+func writeStructure(ww *wire.Writer, l1 level1, groups []*group, ext []int) {
 	writePartitioner(ww, l1)
 	ww.Int(len(groups))
 	for _, g := range groups {
@@ -254,7 +258,7 @@ func writeStructure(ww *wire.Writer, l1 level1, groups []*group) {
 		writeGroupHash(ww, g)
 		ww.Int(len(g.tables))
 		for _, tab := range g.tables {
-			tab.Encode(ww)
+			tab.EncodeVia(ww, ext)
 		}
 	}
 }
@@ -325,11 +329,11 @@ func checkShapes(o Options, d int, l1 level1, groups []*group) error {
 	return nil
 }
 
-// readStructure parses the partitioner and groups and rebuilds derived
-// state (cuckoo indexes, hierarchies). Every member and every posting
-// must name one of data's rows, and the structure must fit their
-// dimension (checkShapes). legacy admits lshfunc.Family/1 families, whose
-// groups are hashed again from data (rehashGroups).
+// readStructure parses the partitioner and groups and rebuilds the
+// tables' cuckoo indexes; the caller builds the hierarchies. Every member
+// and every posting must name one of data's rows, and the structure must
+// fit their dimension (checkShapes). legacy admits lshfunc.Family/1
+// families, whose groups are hashed again from data (rehashGroups).
 func readStructure(rr *wire.Reader, o Options, data *vec.Matrix, legacy bool) (level1, []*group, error) {
 	n, d := data.N, data.D
 	l1, err := readPartitioner(rr)
@@ -388,18 +392,16 @@ func readStructure(rr *wire.Reader, o Options, data *vec.Matrix, legacy bool) (l
 			return level1{}, nil, err
 		}
 	}
-	if err := buildHierarchies(groups, o); err != nil {
-		return level1{}, nil, err
-	}
 	return l1, groups, nil
 }
 
 // ReadIndex deserializes an index written by WriteTo (bilsh.Index/2 or
 // /4). The rows and each table's keys, intervals and ids are adopted as
-// read; only the derived structures are built: each table's cuckoo
-// bucket index and, under ProbeHierarchy, the hierarchies. A version 1
-// file, or one whose hash families are lshfunc.Family/1 sections, is
-// refused with ErrLegacyFormat.
+// read and then put into leaf order in place (adoptLeafOrder), so the
+// loader never holds two copies of its rows; only the derived structures
+// are built: each table's cuckoo bucket index and, under ProbeHierarchy,
+// the hierarchies. A version 1 file, or one whose hash families are
+// lshfunc.Family/1 sections, is refused with ErrLegacyFormat.
 func ReadIndex(r io.Reader) (*Index, error) { return readWire(wire.NewReader(r), false) }
 
 // readWire decodes a wire image; legacy admits version 1 and
@@ -462,5 +464,11 @@ func readWire(rr *wire.Reader, legacy bool) (*Index, error) {
 	}
 	ix := newIndex(o, data, quant, l1, groups)
 	ix.attachHamming(sk, sketches)
+	if err := ix.loadSnap().adoptLeafOrder(); err != nil {
+		return nil, err
+	}
+	if err := buildHierarchies(groups, o); err != nil {
+		return nil, err
+	}
 	return ix, nil
 }

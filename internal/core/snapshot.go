@@ -20,9 +20,9 @@ import (
 // bitset (atomic bit tests). docs/concurrency.md walks through the
 // lifecycle.
 type snapshot struct {
-	// epoch increases by one on every publication (seal, compact,
-	// hierarchy rebuild). Exposed via Index.Epoch for observability and
-	// the stress tests' monotonicity assertion.
+	// epoch increases by one on every publication (seal, first delete,
+	// compact, SetQuantize, remap). Exposed via Index.Epoch for
+	// observability and the stress tests' monotonicity assertion.
 	epoch uint64
 	opts  Options
 
@@ -35,6 +35,16 @@ type snapshot struct {
 	quant  *vec.QuantizedMatrix // non-nil when the scan is quantized
 	level1                      // the partitioner groupOf routes through
 	groups []*group
+
+	// rowOrder names the external id of every base row by its position:
+	// the rows (data, quant, sketches), the postings, the dedup bitset and
+	// the tombstones are indexed by position, and ids are translated only
+	// where they cross the API (results, Delete, Vector, CandidateList) and
+	// where they are written (WriteTo, WriteDiskTo). A heap-resident base
+	// keeps its rows in level-1 leaf order (layout.go), so every candidate
+	// of a query lies in its leaf's one block; a mapped or paged base keeps
+	// the identity (the zero value).
+	rowOrder
 
 	// Hamming plane (Options.Metric == MetricHamming, nil otherwise): the
 	// global hyperplane sketcher and the packed sketch of every base row.
@@ -83,21 +93,32 @@ func (sn *snapshot) idCapacity() int {
 	return c
 }
 
+// span returns the positions [lo, hi) that group gi's base rows occupy:
+// its leaf's block when the rows are in leaf order, every base row
+// otherwise. Group gi's postings all lie in it.
+func (sn *snapshot) span(gi int) (lo, hi int) {
+	if sn.ext == nil {
+		return 0, sn.data.N
+	}
+	g := sn.groups[gi]
+	return g.lo, g.lo + len(g.members)
+}
+
 // live is the number of non-tombstoned items.
 func (sn *snapshot) live() int { return sn.total() - sn.dead.count() }
 
 // hasOverlay reports whether any overlay rows exist (frozen or active).
 func (sn *snapshot) hasOverlay() bool { return sn.frozenN > 0 || sn.mem.len() > 0 }
 
-// isDeleted reports whether id is tombstoned.
-func (sn *snapshot) isDeleted(id int) bool { return sn.dead.get(id) }
+// isDeleted reports whether the row at position p is tombstoned.
+func (sn *snapshot) isDeleted(p int) bool { return sn.dead.get(p) }
 
-// row returns the vector for any id in the snapshot's dense id space.
-func (sn *snapshot) row(id int) []float32 {
-	if id < sn.data.N {
-		return sn.data.Row(id)
+// row returns the vector at any position in the snapshot's dense id space.
+func (sn *snapshot) row(p int) []float32 {
+	if p < sn.data.N {
+		return sn.data.Row(p)
 	}
-	off := id - sn.data.N
+	off := p - sn.data.N
 	for _, seg := range sn.frozen {
 		if off < len(seg.rows) {
 			return seg.rows[off]
@@ -105,19 +126,6 @@ func (sn *snapshot) row(id int) []float32 {
 		off -= len(seg.rows)
 	}
 	return sn.mem.rows[off]
-}
-
-// rowGroup returns the level-1 group of any id (overlay groups are
-// recorded at insert time).
-func (sn *snapshot) rowGroup(id int) int {
-	off := id - sn.data.N
-	for _, seg := range sn.frozen {
-		if off < len(seg.rows) {
-			return int(seg.groupOf[off])
-		}
-		off -= len(seg.rows)
-	}
-	return int(sn.mem.groupOf[off])
 }
 
 // overlayGroupCounts tallies overlay rows per level-1 group (Describe and

@@ -90,10 +90,11 @@ func (f familyV1) encodeV1(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// tablesV1 hashes g's members under f's float32 directions as the float32
-// family projected them (per-row float64 dot products, then /w + b),
-// through the same decode and keying as today.
-func (f familyV1) tablesV1(t *testing.T, g *group, data *vec.Matrix) []*lshtable.Table {
+// tablesV1 hashes the rows ids of data, g's members at their positions,
+// under f's float32 directions as the float32 family projected them
+// (per-row float64 dot products, then /w + b), through the same decode
+// and keying as today.
+func (f familyV1) tablesV1(t *testing.T, g *group, data *vec.Matrix, ids []int) []*lshtable.Table {
 	t.Helper()
 	var (
 		s    hashScratch
@@ -103,14 +104,14 @@ func (f familyV1) tablesV1(t *testing.T, g *group, data *vec.Matrix) []*lshtable
 	proj := make([]float64, f.m)
 	for tab := range f.dirs {
 		var keys []byte
-		for _, id := range g.members {
+		for _, id := range ids {
 			vec.DotRows(proj, f.dirs[tab], f.d, data.Row(id))
 			for i, bf := range f.bFrac[tab] {
 				proj[i] = proj[i]/f.w + bf
 			}
 			keys = g.appendProjectedKeys(keys, proj, 1, &s)
 		}
-		tb, err := b.BuildFlat(keys, 4*g.lat.CodeLen(), g.members)
+		tb, err := b.BuildFlat(keys, 4*g.lat.CodeLen(), ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,11 @@ func legacyFamilies(t *testing.T, ix *Index, opts Options, seed int64) (*Index, 
 	stale := false
 	for gi, g := range sn.groups {
 		lg := *g
-		lg.tables = fams[gi].tablesV1(t, g, sn.data)
+		ids := make([]int, len(g.members))
+		for i, id := range g.members {
+			ids[i] = sn.position(id)
+		}
+		lg.tables = fams[gi].tablesV1(t, g, sn.data, ids)
 		for tab := range lg.tables {
 			stale = stale || !bytes.Equal(lg.tables[tab].AppendMapped(nil), g.tables[tab].AppendMapped(nil))
 		}
@@ -142,7 +147,9 @@ func legacyFamilies(t *testing.T, ix *Index, opts Options, seed int64) (*Index, 
 	if !stale {
 		t.Fatal("fixture: the float32 directions hash every row as binary16 does")
 	}
-	return newIndex(ix.opts, sn.data, sn.quant, sn.level1, groups), fams
+	legacy := newIndex(ix.opts, sn.data, sn.quant, sn.level1, groups)
+	legacy.loadSnap().rowOrder = sn.rowOrder
+	return legacy, fams
 }
 
 // swapFamiliesV1 replaces each group's lshfunc.Family/2 section in img by

@@ -50,8 +50,8 @@ func mintIndexV1(t testing.TB, ix *Index) []byte {
 	ww := wire.NewWriter(&buf)
 	ww.Magic(indexMagicV1)
 	writeOptionsV1(ww, ix.opts)
-	sn.data.Encode(ww)
-	writeStructure(ww, sn.level1, sn.groups)
+	sn.data.EncodeRows(ww, sn.pos)
+	writeStructure(ww, sn.level1, sn.groups, sn.ext)
 	if err := ww.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func mintDiskLegacy(t testing.TB, ix *Index, format string) []byte {
 	ww.Int(sn.data.N)
 	ww.Int(sn.data.D)
 	if format == diskMagicV2 {
-		writeQuant(ww, sn.quant)
+		writeQuant(ww, sn.quant, sn.pos)
 	}
-	writeStructure(ww, sn.level1, sn.groups)
+	writeStructure(ww, sn.level1, sn.groups, sn.ext)
 	if err := ww.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,10 @@ func mintDiskLegacy(t testing.TB, ix *Index, format string) []byte {
 	copy(img, format)
 	binary.LittleEndian.PutUint64(img[diskMagicLen:], uint64(len(img)+meta.Len()))
 	img = append(img, meta.Bytes()...)
-	for _, v := range sn.data.Data {
-		img = binary.LittleEndian.AppendUint32(img, math.Float32bits(v))
+	for id := 0; id < sn.data.N; id++ {
+		for _, v := range sn.data.Row(sn.position(id)) {
+			img = binary.LittleEndian.AppendUint32(img, math.Float32bits(v))
+		}
 	}
 	return img
 }

@@ -55,7 +55,11 @@ func (t *Table) MappedSize() int {
 }
 
 // AppendMapped appends the table's mapped image to dst.
-func (t *Table) AppendMapped(dst []byte) []byte {
+func (t *Table) AppendMapped(dst []byte) []byte { return t.AppendMappedVia(dst, nil) }
+
+// AppendMappedVia is AppendMapped with each id i written as via[i] when
+// via is non-nil, as EncodeVia writes it.
+func (t *Table) AppendMappedVia(dst []byte, via []int) []byte {
 	base := len(dst)
 	var keyBytes int
 	for _, k := range t.keys {
@@ -76,6 +80,9 @@ func (t *Table) AppendMapped(dst []byte) []byte {
 		dst = appendU64(dst, 0)
 	}
 	for _, id := range t.ids {
+		if via != nil {
+			id = via[id]
+		}
 		dst = appendU64(dst, uint64(int64(id)))
 	}
 	off := 0

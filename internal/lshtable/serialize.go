@@ -11,11 +11,40 @@ const tableMagic = "lshtable.Table/1"
 
 // Encode writes the bucket store to w. The cuckoo index is derived state
 // and rebuilt on load.
-func (t *Table) Encode(w *wire.Writer) {
+func (t *Table) Encode(w *wire.Writer) { t.EncodeVia(w, nil) }
+
+// EncodeVia is Encode with each id i written as via[i] when via is
+// non-nil: the table stored under one numbering of its items is written
+// under another (see Renumber).
+func (t *Table) EncodeVia(w *wire.Writer, via []int) {
 	w.Magic(tableMagic)
 	w.Strings(t.keys)
 	w.Ints(t.starts)
-	w.Ints(t.ids)
+	w.IntsVia(t.ids, via)
+}
+
+// Renumber replaces each id i of t with to[i], in place. Every new id must
+// lie in [lo, hi), and each bucket's new ids must ascend as its old ones
+// did; Renumber reports the first id that does not and leaves t
+// half-renumbered then, so the caller drops it. t must own its ids: a
+// mapped view (ViewMapped) is read-only.
+func (t *Table) Renumber(to []int32, lo, hi int) error {
+	for b := range t.keys {
+		prev := lo
+		for j := t.starts[b]; j < t.starts[b+1]; j++ {
+			id := t.ids[j]
+			if id < 0 || id >= len(to) {
+				return fmt.Errorf("lshtable: id %d outside a renumbering of %d ids", id, len(to))
+			}
+			r := int(to[id])
+			if r < prev || r >= hi {
+				return fmt.Errorf("lshtable: bucket %d: id %d renumbered to %d, after %d, outside [%d,%d) or out of order",
+					b, id, r, prev, lo, hi)
+			}
+			t.ids[j], prev = r, r
+		}
+	}
+	return nil
 }
 
 // DecodeTable reads a table written by Encode and adopts what it reads:

@@ -38,11 +38,24 @@ type QuantizedMatrix struct {
 // 0 starts from row 0, as the sequential pass does; the later chunks start
 // from +Inf and −Inf, so that a NaN is passed over there as it is in the
 // sequential pass.
-func QuantizeSQ8(m *Matrix) *QuantizedMatrix {
+func QuantizeSQ8(m *Matrix) *QuantizedMatrix { return QuantizeSQ8Order(m, nil) }
+
+// QuantizeSQ8Order is QuantizeSQ8 with the minimum and maximum taken over
+// m's rows in the order order lists (order nil: row order), so that their
+// first occurrences are those of that order, while each row is encoded in
+// place. An index whose rows are stored in another order than their ids
+// quantizes them as it would in id order this way.
+func QuantizeSQ8Order(m *Matrix, order []int32) *QuantizedMatrix {
 	n, d := m.N, m.D
 	qm := newSQ8(n, d, "QuantizeSQ8")
 	if n == 0 {
 		return qm
+	}
+	at := func(i int) []float32 {
+		if order != nil {
+			i = int(order[i])
+		}
+		return m.Row(i)
 	}
 	k := chunk.Count(n)
 	mins := make([]float32, k*d)
@@ -50,7 +63,7 @@ func QuantizeSQ8(m *Matrix) *QuantizedMatrix {
 	chunk.Run(n, k, func(c, lo, hi int) {
 		mn, mx := mins[c*d:(c+1)*d], maxs[c*d:(c+1)*d]
 		if c == 0 {
-			copy(mn, m.Row(0))
+			copy(mn, at(0))
 			copy(mx, mn)
 			lo = 1
 		} else {
@@ -59,7 +72,7 @@ func QuantizeSQ8(m *Matrix) *QuantizedMatrix {
 			}
 		}
 		for i := lo; i < hi; i++ {
-			extend(mn, mx, m.Row(i))
+			extend(mn, mx, at(i))
 		}
 	})
 	max := maxs[:d]

@@ -9,13 +9,25 @@ import (
 const matrixMagic = "vec.Matrix/1"
 
 // Encode writes the matrix to w.
-func (m *Matrix) Encode(w *wire.Writer) {
+func (m *Matrix) Encode(w *wire.Writer) { m.EncodeRows(w, nil) }
+
+// EncodeRows writes the bytes Encode writes for the matrix whose i-th row
+// is m's row order[i] (order nil: m itself). An index that stores its rows
+// in another order than their ids writes them in id order this way,
+// without a reordered copy.
+func (m *Matrix) EncodeRows(w *wire.Writer, order []int32) {
 	w.Magic(matrixMagic)
 	w.Int(m.N)
 	w.Int(m.D)
 	// Rows are written as one block (not length-prefixed per row) since
 	// the shape fully determines the payload size.
-	w.F32Block(m.Data)
+	if order == nil {
+		w.F32Block(m.Data)
+		return
+	}
+	for _, r := range order {
+		w.F32Block(m.Row(int(r)))
+	}
 }
 
 // DecodeMatrix reads a matrix written by Encode.
@@ -41,11 +53,22 @@ const binaryMagic = "vec.BinaryMatrix/1"
 
 // Encode writes the packed binary matrix to w: shape, then the word array
 // as one fixed-width payload (see wire.Writer.Words for why not varint).
-func (m *BinaryMatrix) Encode(w *wire.Writer) {
+func (m *BinaryMatrix) Encode(w *wire.Writer) { m.EncodeRows(w, nil) }
+
+// EncodeRows writes the bytes Encode writes for the matrix whose i-th row
+// is m's row order[i] (order nil: m itself), as Matrix.EncodeRows does.
+func (m *BinaryMatrix) EncodeRows(w *wire.Writer, order []int32) {
 	w.Magic(binaryMagic)
 	w.Int(m.N)
 	w.Int(m.Bits)
-	w.Words(m.Words)
+	if order == nil {
+		w.Words(m.Words)
+		return
+	}
+	w.U64(uint64(len(m.Words)))
+	for _, r := range order {
+		w.WordBlock(m.Row(int(r)))
+	}
 }
 
 // DecodeBinaryMatrix reads a packed binary matrix written by Encode.
@@ -75,13 +98,25 @@ const quantMagic = "vec.QuantMatrix/1"
 
 // Encode writes the SQ8 matrix to w: shape, per-dimension min/scale, then
 // the code rows as one raw byte payload.
-func (qm *QuantizedMatrix) Encode(w *wire.Writer) {
+func (qm *QuantizedMatrix) Encode(w *wire.Writer) { qm.EncodeRows(w, nil) }
+
+// EncodeRows writes the bytes Encode writes for the matrix whose i-th code
+// row is qm's row order[i] (order nil: qm itself), as Matrix.EncodeRows
+// does.
+func (qm *QuantizedMatrix) EncodeRows(w *wire.Writer, order []int32) {
 	w.Magic(quantMagic)
 	w.Int(qm.N)
 	w.Int(qm.D)
 	w.F32s(qm.Min)
 	w.F32s(qm.Scale)
-	w.Bytes(qm.Codes)
+	if order == nil {
+		w.Bytes(qm.Codes)
+		return
+	}
+	w.U64(uint64(len(qm.Codes)))
+	for _, r := range order {
+		w.ByteBlock(qm.Codes[int(r)*qm.D : (int(r)+1)*qm.D])
+	}
 }
 
 // DecodeQuantizedMatrix reads an SQ8 matrix written by Encode.

@@ -227,23 +227,33 @@ func (w *Writer) F64s(xs []float64) {
 }
 
 // Ints writes a length-prefixed []int.
-func (w *Writer) Ints(xs []int) {
+func (w *Writer) Ints(xs []int) { w.IntsVia(xs, nil) }
+
+// IntsVia writes xs as Ints does, with each x written as via[x] when via
+// is non-nil: a slice of ids stored under one numbering is written under
+// another without a translated copy.
+func (w *Writer) IntsVia(xs, via []int) {
 	w.U64(uint64(len(xs)))
-	putVarints(w, xs)
+	putVarints(w, xs, via)
 }
 
 // I32s writes a length-prefixed []int32.
 func (w *Writer) I32s(xs []int32) {
 	w.U64(uint64(len(xs)))
-	putVarints(w, xs)
+	putVarints(w, xs, nil)
 }
 
-// putVarints writes xs as zigzag varints, a chunk at a time.
-func putVarints[T int | int32](w *Writer, xs []T) {
+// putVarints writes xs as zigzag varints, a chunk at a time, each x
+// replaced by via[x] when via is non-nil.
+func putVarints[T int | int32](w *Writer, xs []T, via []int) {
 	for len(xs) > 0 && w.err == nil {
 		b := w.space()[:0]
 		for len(xs) > 0 && len(b) <= chunkSize-binary.MaxVarintLen64 {
-			b = binary.AppendVarint(b, int64(xs[0]))
+			x := int64(xs[0])
+			if via != nil {
+				x = int64(via[x])
+			}
+			b = binary.AppendVarint(b, x)
 			xs = xs[1:]
 		}
 		w.write(b)
@@ -257,12 +267,22 @@ func (w *Writer) Bytes(p []byte) {
 	w.write(p)
 }
 
+// ByteBlock writes p raw with no length prefix: the part of a Bytes
+// payload a writer streams piece by piece after writing its length.
+func (w *Writer) ByteBlock(p []byte) { w.write(p) }
+
 // Words writes a length-prefixed []uint64 as fixed-width little-endian
 // words. Packed bit payloads (binary sketches) have uniformly random high
 // bits, so varint framing would cost 10 bytes per word; fixed width keeps
 // them at 8.
 func (w *Writer) Words(xs []uint64) {
 	w.U64(uint64(len(xs)))
+	w.WordBlock(xs)
+}
+
+// WordBlock writes xs as Words does with no length prefix: the part of a
+// Words payload a writer streams piece by piece after writing its length.
+func (w *Writer) WordBlock(xs []uint64) {
 	for len(xs) > 0 && w.err == nil {
 		b := w.space()
 		k := min(len(xs), len(b)/8)
